@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from importlib import resources
@@ -55,10 +56,22 @@ def _config_hash(config: dict) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write through a uniquely named temporary file in the target directory.
+
+    The unique name keeps concurrent runs writing into one directory from
+    renaming each other's half-written files.  mkstemp creates the file
+    owner-only; it is opened up to 0644 so outputs stay shareable.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        os.fchmod(fd, 0o644)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv_cell(x) -> str:
@@ -81,6 +94,20 @@ def _csv_text(columns, rows, config_hash: str, matrix_note: str) -> str:
     for row in rows:
         buf.write(",".join(_csv_cell(x) for x in row) + "\n")
     return buf.getvalue()
+
+
+def _exponent_error(params: dict) -> str | None:
+    """The error for the first params.p / params.p_list entry that is not a positive rational."""
+    fields = [("$.params.p", params["p"])] if "p" in params else []
+    fields += [(f"$.params.p_list[{i}]", s) for i, s in enumerate(params.get("p_list", []))]
+    for where, text in fields:
+        try:
+            positive = Fraction(text) > 0
+        except (ValueError, ZeroDivisionError):
+            positive = False
+        if not positive:
+            return f"config invalid at {where}: {text!r} is not a positive rational"
+    return None
 
 
 def _fail(msg: str) -> int:
@@ -177,6 +204,9 @@ def cmd_run(args) -> int:
     threads = args.threads if args.threads is not None else int(config.get("threads", 1))
     suite = config["suite"]
     params = config.get("params", {})
+    exponent_error = _exponent_error(params)
+    if exponent_error:
+        return _fail(exponent_error)
 
     try:
         matrix, matrix_note = _resolve_matrix(config, config_path.parent)

@@ -51,6 +51,27 @@ class GaussianSpec:
         z = (x - np.asarray(self.mean)) / np.asarray(self.sigmas)
         return self.amplitude * np.exp(-0.5 * np.sum(z * z, axis=-1))
 
+    def evaluate_products(self, s, v) -> np.ndarray:
+        """Values w(s_a * v_b) for rows s (A, dim) and v (B, dim), as an (A, B) array.
+
+        With precisions p_i = 1/sigma_i^2, the exponent at tau = s * v expands
+        per axis into -p_i v_i^2 / 2 * s_i^2 + p_i m_i v_i * s_i - p_i m_i^2 / 2,
+        so the whole block is exp([s^2, s, 1] @ R) with R of shape
+        (2 dim + 1, B) and no (A, B, dim) array of products.  log(amplitude)
+        sits in R's constant row, inside the exponent, so no factor applied
+        after exp can underflow on its own.
+        """
+        s = np.asarray(s, dtype=float)
+        v = np.asarray(v, dtype=float)
+        prec = 1.0 / np.asarray(self.sigmas) ** 2
+        mean = np.asarray(self.mean)
+        const = math.log(self.amplitude) - 0.5 * float(np.sum(prec * mean * mean))
+        left = np.concatenate([s * s, s, np.ones((len(s), 1))], axis=1)
+        right = np.concatenate(
+            [-0.5 * prec * v * v, prec * mean * v, np.full((len(v), 1), const)], axis=1
+        )
+        return np.exp(left @ right.T)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws from the normalized density proportional to this Gaussian."""
         z = rng.standard_normal(size=(size, self.dim))

@@ -157,11 +157,15 @@ def _polar_nodes(rho: float, dim: int, r_max: float, cfg: McConfig):
 def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConfig) -> tuple[float, float]:
     """integral |tau|^exponent w(tau) dtau over the ball of radius r_max.
 
-    Returns the quadrature value and the analytic bound on the excluded core
-    (nonzero only for exponent < 0).
+    The polar rule is a product of radial nodes r and sphere nodes theta, so
+    w is evaluated as the (n_r, n_theta) block w(r_a * theta_b) and contracted
+    as (wr * r^exponent) @ W @ wtheta.  Returns the quadrature value and the
+    analytic bound on the excluded core (nonzero only for exponent < 0).
     """
-    nodes, weights, powers = _polar_nodes(exponent, w.dim, r_max, cfg)
-    val = float(np.sum(weights * powers * w.evaluate(nodes)))
+    r, wr = _radial_rule(exponent, w.dim, r_max, cfg.n_radial)
+    theta, wtheta = sphere_rule(w.dim, max(16, cfg.n_sphere // 2), cfg.n_sphere)
+    block = w.evaluate_products(np.repeat(r[:, None], w.dim, axis=1), theta)
+    val = float((wr * r**exponent) @ block @ wtheta)
     return val, _excluded_core_bound(exponent, w.dim, r_max, w.amplitude)
 
 
@@ -215,7 +219,14 @@ def _lhs_shell_integral(
     cfg: McConfig,
     node_mask: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """MC x quadrature estimate of the shell-frequency side, with stderr."""
+    """MC x quadrature estimate of the shell-frequency side, with stderr.
+
+    Each y-sample contributes sum_b factor_b * w(y * C zeta_b) over the zeta
+    nodes.  A block of y-samples against all nodes is one
+    GaussianSpec.evaluate_products call with v = C zeta, followed by a
+    matrix-vector product with the node factors.  The y-samples are drawn in
+    y_chunks seeded chunks, so results do not depend on cfg.threads.
+    """
     k = matrix.k
     r_zeta = 1.2 * min(cfg.truncation_radius, _ball_radius(w)) / _min_singular_value(matrix)
     nodes, weights, powers = _polar_nodes(rho, matrix.l, r_zeta, cfg)
@@ -235,11 +246,9 @@ def _lhs_shell_integral(
         rng = np.random.Generator(np.random.PCG64(seed_seq))
         ys = _shell_samples(rng, k, n)
         out = np.empty(n)
-        step = max(1, 2_000_000 // max(len(nodes), 1))
+        step = max(1, 2_000_000 // len(nodes))
         for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            taus = ys[lo:hi, None, :] * images[None, :, :]
-            out[lo:hi] = w.evaluate(taus) @ factors
+            out[lo : lo + step] = w.evaluate_products(ys[lo : lo + step], images) @ factors
         return out
 
     from .parallel import ordered_map

@@ -9,16 +9,26 @@ used here, and the angular factor is smooth and periodic.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+
+
+@functools.lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [-1, 1], computed once per n and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_legendre_interval(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [a, b]."""
     if n < 1:
         raise ValueError("need at least one node")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

@@ -22,6 +22,8 @@ def pair_to_frac(pair) -> Fraction:
         if len(pair) != 2:
             raise ValueError(f"rational pair must have two entries, got {pair!r}")
         num, den = pair
+        if int(den) == 0:
+            raise ValueError(f"rational pair {pair!r} has a zero denominator")
         return Fraction(int(num), int(den))
     if isinstance(pair, int):
         return Fraction(pair)

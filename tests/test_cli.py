@@ -84,6 +84,44 @@ class TestRun:
         for name in ("payload.json", "star.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_atomic_writes_use_private_temporaries(self, tmp_path):
+        cfg = checkstar_config(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_cli(cfg, a)
+        # another run writing into b holds temporaries under the old fixed names
+        b.mkdir()
+        names = sorted(p.name for p in a.iterdir())
+        for name in names:
+            (b / f"{name}.tmp").write_text("in flight")
+        run_cli(cfg, b)
+        for name in names:
+            assert (b / f"{name}.tmp").read_text() == "in flight"
+        leftovers = [p for p in tmp_path.rglob("*.tmp") if p.read_text() != "in flight"]
+        assert leftovers == []
+        for name in ("payload.json", "star.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "suite, params",
+        [
+            ("lemma-mc", {"n_w": 2, "n_y": 48, "n_radial": 8, "n_sphere": 8, "rho_list": [0.0, 1.0]}),
+            ("plancherel", {"n_f": 2, "n_y": 48, "n_radial": 8, "n_sphere": 8}),
+        ],
+    )
+    def test_thread_count_does_not_change_bytes(self, tmp_path, suite, params):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"suite": suite, "seed": 5, "matrix": {"battery": "banded-3-2"}, "params": params},
+        )
+        outs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert main(["run", "--config", cfg, "--out", str(out), "--threads", str(threads)]) in (0, 1)
+            outs[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+            outs[threads]["payload.json"] = (out / "payload.json").read_bytes()
+        assert len(outs[1]) >= 2
+        assert outs[1] == outs[2]
+
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = checkstar_config(tmp_path)
         out = tmp_path / "out"
@@ -140,6 +178,24 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.json", {"suite": "ball-scan", "seed": 0})
         assert main(["run", "--config", cfg]) == 2
         assert "matrix" in capsys.readouterr().err
+
+    def test_zero_denominator_matrix_entry(self, tmp_path, capsys):
+        cfg = checkstar_config(tmp_path, seed=1, matrix={"k": 2, "l": 1, "entries": [[1, 0], [2, 3]]})
+        assert main(["run", "--config", cfg]) == 2
+        assert "config invalid at $.matrix" in capsys.readouterr().err
+
+    def test_zero_denominator_exponent(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "suite": "restricted-scan",
+                "seed": 1,
+                "matrix": {"battery": "paraboloid-2-1"},
+                "params": {"p": "1/0"},
+            },
+        )
+        assert main(["run", "--config", cfg]) == 2
+        assert "config invalid at $.params.p" in capsys.readouterr().err
 
     def test_unknown_battery_id_lists_known(self, tmp_path, capsys):
         cfg = checkstar_config(tmp_path, matrix={"battery": "no-such"})

@@ -86,6 +86,31 @@ def test_gaussian_linear_pair_integral_oracle():
     assert closed == pytest.approx(brute, rel=1e-8)
 
 
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_evaluate_products_matches_pointwise(dim):
+    rng = np.random.default_rng(40 + dim)
+    g = random_gaussian(rng, dim, sigma_range=(0.3, 1.7), mean_radius=1.5, normalized=False)
+    s = rng.uniform(-2.0, 2.0, size=(37, dim))
+    v = rng.normal(scale=1.5, size=(53, dim))
+    oracle = g.evaluate(s[:, None, :] * v[None, :, :])
+    got = g.evaluate_products(s, v)
+    assert got.shape == (37, 53)
+    assert np.max(oracle) > 0.1 * g.amplitude
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(oracle)
+
+
+def test_evaluate_products_deep_tail_underflows_to_zero():
+    g = GaussianSpec(dim=2, amplitude=2.5, mean=(0.3, -0.2), sigmas=(0.05, 0.07))
+    s = np.array([[1.0, -1.5], [2.0, 0.0], [0.0, 1.2]])
+    v = np.array([[1e2, -3e2], [5e4, 1e6], [-1e6, 7e5]])
+    oracle = g.evaluate(s[:, None, :] * v[None, :, :])
+    got = g.evaluate_products(s, v)
+    assert np.all(oracle == 0.0)
+    assert np.all(np.isfinite(got))
+    assert np.all(got == 0.0)
+
+
 # -- quadrature ---------------------------------------------------------------
 
 

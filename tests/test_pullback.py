@@ -7,6 +7,9 @@ import pytest
 from surfconv.gaussians import GaussianSpec
 from surfconv.pullback import (
     McConfig,
+    _lhs_shell_integral,
+    _polar_nodes,
+    _weight_integral,
     change_of_variables_check,
     plancherel_ratio,
     pullback_weight_ratio,
@@ -125,6 +128,34 @@ def test_squared_fourier_weight_matches_modulus():
     w = squared_fourier_weight(f)
     xs = np.array([[0.0, 0.0], [0.3, -0.1], [1.0, 0.5]])
     np.testing.assert_allclose(w.evaluate(xs), f.fourier_modulus(xs) ** 2, rtol=1e-12)
+
+
+def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
+    w = GaussianSpec(dim=3, amplitude=1.7, mean=(0.3, -0.2, 0.1), sigmas=(0.9, 0.6, 1.3))
+    cfg = McConfig(n_y=40, n_radial=8, n_sphere=8, y_chunks=3, seed=21)
+    mask = np.arange(8 * 8) % 3 != 0
+    fast = [
+        _lhs_shell_integral(BANDED, 0.5, w, cfg),
+        _lhs_shell_integral(BANDED, 0.5, w, cfg, node_mask=mask),
+        _weight_integral(w, -0.5, 5.0, cfg),
+    ]
+    nodes, weights, powers = _polar_nodes(-0.5, 3, 5.0, cfg)
+    pointwise_rhs = float(np.sum(weights * powers * w.evaluate(nodes)))
+
+    # the same estimators with every tau = s * v formed and evaluated one by one
+    monkeypatch.setattr(
+        GaussianSpec,
+        "evaluate_products",
+        lambda self, s, v: self.evaluate(s[:, None, :] * v[None, :, :]),
+    )
+    brute = [
+        _lhs_shell_integral(BANDED, 0.5, w, cfg),
+        _lhs_shell_integral(BANDED, 0.5, w, cfg, node_mask=mask),
+        _weight_integral(w, -0.5, 5.0, cfg),
+    ]
+    for got, want in zip(fast, brute):
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert fast[2][0] == pytest.approx(pointwise_rhs, rel=1e-13)
 
 
 def test_thread_count_does_not_change_bits():
