@@ -51,7 +51,6 @@ from .convolution import (
     SurfaceMeasure,
     TangentTubeSet,
     ball_scaling_experiment,
-    build_measure,
     lq_norm_mc,
     restricted_estimate_scan,
     shell_bilinear_estimate,
@@ -100,7 +99,6 @@ __all__ = [
     "SurfaceMeasure",
     "TangentTubeSet",
     "ball_scaling_experiment",
-    "build_measure",
     "lq_norm_mc",
     "restricted_estimate_scan",
     "shell_bilinear_estimate",

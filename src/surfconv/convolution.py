@@ -8,6 +8,14 @@ convolution sums over atoms found by index-range queries on the y-grid, and
 L^q norms are stratified Monte Carlo with an analytically exact support
 tube.  That keeps the d = 5 experiments affordable: the atom positions are
 generated on the fly from grid indices and never need materializing.
+
+The batched kernel convolve_many first drops every z whose head-index
+window is certified empty by interval bounds on the heights over that window
+and the test set's bounding box alone (off the grid, outside the unit
+y-ball, or every tail outside the box).  For the rest it builds the window
+from per-axis tables broadcast to (B, n_1, ..., n_k), since heads and tails
+are sums of per-axis terms, and calls the set's membership test once per
+batch.
 """
 
 from __future__ import annotations
@@ -266,14 +274,28 @@ def translate_set(test_set, v):
     return TranslatedSet(test_set, tuple(v))
 
 
-def _heights_interval(matrix: CoefficientMatrix, lo: np.ndarray, hi: np.ndarray):
-    """Componentwise interval bounds of heights(y) over the box [lo, hi]."""
+def _squares_interval(lo: np.ndarray, hi: np.ndarray):
+    """Componentwise bounds of y**2 over the interval [lo, hi]."""
     sq_lo = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(lo**2, hi**2))
-    sq_hi = np.maximum(lo**2, hi**2)
+    return sq_lo, np.maximum(lo**2, hi**2)
+
+
+def _heights_interval(matrix: CoefficientMatrix, lo: np.ndarray, hi: np.ndarray):
+    """Componentwise interval bounds of heights(y) over the box [lo, hi].
+
+    lo and hi are (k,) for one box or (B, k) for a batch; bounds are (l,) or (B, l).
+    """
+    sq_lo, sq_hi = _squares_interval(lo, hi)
     arr = matrix.array  # (k, l)
-    lo_c = np.where(arr > 0, sq_lo[:, None] * arr, sq_hi[:, None] * arr).sum(axis=0)
-    hi_c = np.where(arr > 0, sq_hi[:, None] * arr, sq_lo[:, None] * arr).sum(axis=0)
+    lo_c = np.where(arr > 0, sq_lo[..., None] * arr, sq_hi[..., None] * arr).sum(axis=-2)
+    hi_c = np.where(arr > 0, sq_hi[..., None] * arr, sq_lo[..., None] * arr).sum(axis=-2)
     return lo_c, hi_c
+
+
+# Absolute slack of the empty-window certificate.  Coordinates are O(1), so
+# rounding moves them by ~1e-15; the slack dwarfs that and stays far below
+# any grid spacing, so a window is skipped only when it misses by a margin.
+_SKIP_SLACK = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -366,41 +388,72 @@ class SurfaceMeasure:
 
     # -- index-range convolution --
 
-    def _window_offsets(self, half_widths: np.ndarray) -> np.ndarray:
-        """Integer index offsets covering a head box of the given half-widths."""
-        per_axis = [
-            np.arange(-(int(w / self.spacing) + 1), int(w / self.spacing) + 2)
-            for w in half_widths
-        ]
-        n = math.prod(len(a) for a in per_axis)
-        if n > 40_000_000:
-            raise ValueError("test set too wide for this resolution's index window")
-        grids = np.meshgrid(*per_axis, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+    def _head_windows(self, lo: np.ndarray, hi: np.ndarray, zs: np.ndarray):
+        """Cube head-index windows of a set with bounding box [lo, hi].
+
+        Returns each z's base index (N, k), the window's per-axis reach (k,)
+        (offsets run over -reach..reach), and a mask that is False only where
+        the window provably holds no atom inside the set: its index box,
+        clipped to the grid, is empty, lies outside the open unit y-ball, or
+        puts every tail z_tail - heights(y) outside the box's tail.
+        """
+        k, s = self.k, self.spacing
+        center = (lo[:k] + hi[:k]) / 2.0
+        reach = ((hi[:k] - lo[:k]) / 2.0 / s).astype(np.int64) + 1
+        base = np.floor((zs[:, :k] - center + 1.0) / s - 0.5).astype(np.int64)
+        i_lo = np.maximum(base - reach, 0)
+        i_hi = np.minimum(base + reach, self.resolution - 1)
+        y_lo = -1.0 + (i_lo + 0.5) * s
+        y_hi = -1.0 + (i_hi + 0.5) * s
+        h_lo, h_hi = _heights_interval(self.matrix, y_lo, y_hi)
+        tails = zs[:, k:]
+        may_hit = (i_lo <= i_hi).all(axis=1)
+        may_hit &= _squares_interval(y_lo, y_hi)[0].sum(axis=1) < 1.0 + _SKIP_SLACK
+        may_hit &= (tails - h_hi <= hi[k:] + _SKIP_SLACK).all(axis=1)
+        may_hit &= (tails - h_lo >= lo[k:] - _SKIP_SLACK).all(axis=1)
+        return base, reach, may_hit
 
     def convolve_many(self, test_set, zs: np.ndarray, budget: int = 1_500_000) -> np.ndarray:
-        """(mu * chi_E)(z) for a batch of z, sharing one index-offset window."""
+        """(mu * chi_E)(z) for a batch of z, sharing one cube index window.
+
+        z whose window is certified empty are skipped.  For the rest, per-axis
+        tables of shape (B, n_i) are broadcast into the (B, n_1, ..., n_k)
+        window, and E's membership test runs once per batch.
+        """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        lo, hi = test_set.bounding_box()
-        center = (np.asarray(lo) + np.asarray(hi)) / 2.0
-        half = (np.asarray(hi) - np.asarray(lo)) / 2.0
-        offsets = self._window_offsets(half[: self.k])
-        out = np.empty(len(zs))
-        batch = max(1, budget // max(len(offsets), 1))
+        out = np.zeros(len(zs))
+        lo, hi = (np.asarray(b, dtype=float) for b in test_set.bounding_box())
+        if lo.size == 0:  # the empty set
+            return out
+        k, l, s = self.k, self.l, self.spacing
+        base, reach, may_hit = self._head_windows(lo, hi, zs)
+        window = math.prod(2 * int(r) + 1 for r in reach)
+        if window > 40_000_000:
+            raise ValueError("test set too wide for this resolution's index window")
+        # offsets[i] runs along window axis i and is 1 wide on the others
+        offsets = [
+            np.arange(-m, m + 1).reshape([-1 if a == i else 1 for a in range(k)])
+            for i, m in enumerate(reach)
+        ]
         arr = self.matrix.array
-        for b0 in range(0, len(zs), batch):
-            zc = zs[b0 : b0 + batch]
-            base = np.floor(
-                (zc[:, : self.k] - center[: self.k] + 1.0) / self.spacing - 0.5
-            ).astype(np.int64)
-            idx = base[:, None, :] + offsets[None, :, :]  # (B, W, k)
-            valid = ((idx >= 0) & (idx < self.resolution)).all(axis=-1)
-            y = -1.0 + (idx + 0.5) * self.spacing
-            valid &= (y**2).sum(axis=-1) < 1.0
-            shifted = zc[:, None, : self.k] - y
-            args = np.concatenate([shifted, zc[:, None, self.k :] - (y**2) @ arr], axis=-1)
+        rows = np.flatnonzero(may_hit)
+        batch = max(1, budget // window)
+        for b0 in range(0, len(rows), batch):
+            r = rows[b0 : b0 + batch]
+            z = zs[r].reshape((len(r),) + (1,) * k + (self.d,))
+            idx = [base[r, i].reshape(z.shape[:-1]) + offsets[i] for i in range(k)]
+            y = [-1.0 + (ix + 0.5) * s for ix in idx]
+            ysq = [yi**2 for yi in y]
+            valid = sum(ysq) < 1.0
+            for ix in idx:
+                valid &= (ix >= 0) & (ix < self.resolution)
+            args = np.empty(valid.shape + (self.d,))
+            for i in range(k):
+                args[..., i] = z[..., i] - y[i]
+            for j in range(l):
+                args[..., k + j] = z[..., k + j] - sum(ysq[i] * arr[i, j] for i in range(k))
             inside = test_set.contains(args.reshape(-1, self.d)).reshape(valid.shape)
-            out[b0 : b0 + batch] = (valid & inside).sum(axis=1) * self.spacing**self.k
+            out[r] = (valid & inside).reshape(len(r), -1).sum(axis=1) * s**k
         return out
 
     def convolve_at(self, test_set, z) -> float:
@@ -423,10 +476,6 @@ class SurfaceMeasure:
             np.concatenate([np.full(self.k, -1.0), h_lo]),
             np.concatenate([np.full(self.k, 1.0), h_hi]),
         )
-
-
-def build_measure(matrix: CoefficientMatrix, resolution: int) -> SurfaceMeasure:
-    return SurfaceMeasure(matrix, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +703,12 @@ def ball_scaling_experiment(
         raise ValueError("need at least 3 dyadic radii for a slope")
     if not check_submatrices(matrix).holds:
         raise ValueError("the row-submatrix condition must hold")
+    if cfg.resolution and 2.0 / cfg.resolution > deltas[0]:
+        # the grid cannot resolve the smallest ball: its norms would be 0
+        raise ValueError(
+            f"resolution {cfg.resolution} gives grid spacing {2.0 / cfg.resolution}, "
+            f"coarser than the smallest delta {deltas[0]}"
+        )
     p_list = [Fraction(p) for p in p_list]
     k, l, d = matrix.k, matrix.l, matrix.d
     q0 = float(critical_q0(k, d))

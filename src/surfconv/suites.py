@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erf
 
 from .battery import load_battery
 from .convolution import (
@@ -464,7 +463,7 @@ def run_plancherel(matrix, params, seed, threads) -> SuiteResult:
 
 def _interval_mass(f: GaussianSpec, a: float, b: float) -> float:
     m, s = f.mean[0], f.sigmas[0]
-    z = lambda t: 0.5 * (1.0 + erf((t - m) / (s * math.sqrt(2.0))))
+    z = lambda t: 0.5 * (1.0 + math.erf((t - m) / (s * math.sqrt(2.0))))
     return f.mass * (z(b) - z(a))
 
 

@@ -197,6 +197,21 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg]) == 2
         assert "config invalid at $.params.p" in capsys.readouterr().err
 
+    def test_grid_coarser_than_smallest_delta(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "suite": "ball-scan",
+                "seed": 1234,
+                "matrix": {"battery": "paraboloid-2-1"},
+                "params": {"deltas": [0.125, 0.0625, 0.03125, 0.015625], "resolution": 16},
+            },
+        )
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "suite 'ball-scan' rejected the configuration" in err
+        assert "coarser than the smallest delta" in err
+
     def test_unknown_battery_id_lists_known(self, tmp_path, capsys):
         cfg = checkstar_config(tmp_path, matrix={"battery": "no-such"})
         assert main(["run", "--config", cfg]) == 2

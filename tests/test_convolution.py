@@ -2,6 +2,7 @@
 
 Oracles used here:
   * total mass = Lebesgue measure of the unit ball in R^k,
+  * atom counts of the windowed kernel vs a brute-force sum over all atoms,
   * pushforward integrals vs direct Gauss-Legendre quadrature on the base,
   * an L^q grid oracle for the parabola (dense z-grid + power-mean),
   * a 1-d erf closed form for the shell bilinear pairing.
@@ -9,12 +10,14 @@ Oracles used here:
 
 import math
 from fractions import Fraction
+from math import erf
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from hypothesis import given, settings, strategies as st
 
 from surfconv.convolution import (
+    _SKIP_SLACK,
     BallSet,
     BoxUnionSet,
     NormMcConfig,
@@ -119,6 +122,106 @@ class TestConvolveAt:
         T = translate_set(E, np.array([0.5, -0.25]))
         probe = np.array([[0.6, -0.2], [0.4, 0.0], [1.4, 0.7]])
         assert list(T.contains(probe)) == [True, False, True]
+
+
+def set_kinds(matrix, rng):
+    """One test set of each kind, placed near the surface of the matrix."""
+    k, d = matrix.k, matrix.d
+    y = rng.uniform(-0.3, 0.3, k)
+    on_surface = np.concatenate([y, surface_heights(matrix, y)])
+    box_lo = rng.uniform(-0.4, 0.0, d)
+    return {
+        "ball": BallSet(tuple(on_surface), 0.15),
+        "box-union": BoxUnionSet(
+            (tuple(box_lo), tuple(box_lo + 0.3)),
+            (tuple(box_lo + 0.1), tuple(box_lo + rng.uniform(0.35, 0.45, d))),
+        ),
+        "tube": TangentTubeSet(matrix, tuple(y), 0.125, 0.05),
+        "sheared": ShearedBoxSet(matrix, BoxUnionSet((tuple(box_lo),), (tuple(box_lo + 0.2),))),
+        "translated": translate_set(TangentTubeSet(matrix, tuple(y), 0.1, 0.04), rng.uniform(-0.2, 0.2, d)),
+    }
+
+
+def brute_force_counts(mu, test_set, zs):
+    pts = mu.points
+    return np.array([np.count_nonzero(test_set.contains(z - pts)) for z in zs]) * mu.spacing**mu.k
+
+
+def kernel_keeps(mu, test_set, z):
+    lo, hi = test_set.bounding_box()
+    return bool(mu._head_windows(np.asarray(lo), np.asarray(hi), z[None, :])[2][0])
+
+
+def skip_boundary_pair(mu, test_set, kept, skipped):
+    """Adjacent points either side of where the empty-window test flips."""
+    a, b = 0.0, 1.0
+    for _ in range(60):
+        mid = (a + b) / 2.0
+        if kernel_keeps(mu, test_set, kept + mid * (skipped - kept)):
+            a = mid
+        else:
+            b = mid
+    return kept + a * (skipped - kept), kept + b * (skipped - kept)
+
+
+def z_battery(mu, test_set, rng):
+    """z from the support tube, either side of the skip test, and off the grid."""
+    k, d = mu.k, mu.d
+    lo, hi = test_set.bounding_box()
+    cand = rng.uniform(lo, hi, (200_000, d))
+    in_set = cand[test_set.contains(cand)][:60]
+    support = mu.points[rng.integers(0, len(mu.points), len(in_set))] + in_set
+    battery = [support]
+    starts = [z for z in support if kernel_keeps(mu, test_set, z)][:4]
+    for z in starts:
+        for axis in range(d):
+            for sign in (-1.0, 1.0):
+                far = z.copy()
+                far[axis] += sign * 4.0
+                battery.append(np.stack(skip_boundary_pair(mu, test_set, z, far)))
+    off_grid = support[:5].copy()
+    off_grid[:, 0] = 3.0
+    battery.append(off_grid)
+    return np.concatenate(battery)
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared", "translated"])
+    @pytest.mark.parametrize("matrix,resolution", [(PARABOLOID, 64), (BANDED, 32)], ids=["k2", "k3"])
+    def test_counts_match_brute_force(self, matrix, resolution, kind):
+        rng = np.random.default_rng(resolution)
+        mu = SurfaceMeasure(matrix, resolution)
+        test_set = set_kinds(matrix, rng)[kind]
+        zs = z_battery(mu, test_set, rng)
+        got = mu.convolve_many(test_set, zs)
+        assert np.array_equal(got, brute_force_counts(mu, test_set, zs))
+        keeps = [kernel_keeps(mu, test_set, z) for z in zs]
+        assert any(keeps) and not all(keeps)
+        assert np.count_nonzero(got) >= 60
+
+    def test_empty_box_union_gives_zeros(self):
+        mu = SurfaceMeasure(PARABOLOID, 64)
+        zs = np.random.default_rng(1).uniform(-1.0, 1.0, (20, 3))
+        assert np.array_equal(mu.convolve_many(BoxUnionSet((), ()), zs), np.zeros(20))
+
+
+MIXED_SIGNS = CoefficientMatrix.from_rows([[1, -2], [Fraction(1, 2), 1], [-1, 3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ball", "box-union", "tube", "sheared", "translated"]),
+    st.sampled_from([PARABOLOID, BANDED, MIXED_SIGNS]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_contained_points_lie_in_the_bounding_box(kind, matrix, seed):
+    # the empty-window skip in convolve_many relies on exactly this, up to its slack
+    rng = np.random.default_rng(seed)
+    test_set = set_kinds(matrix, rng)[kind]
+    lo, hi = test_set.bounding_box()
+    pts = lo + (hi - lo) * rng.uniform(-0.05, 1.05, (4000, matrix.d))
+    inside = pts[test_set.contains(pts)]
+    assert ((inside >= lo - _SKIP_SLACK) & (inside <= hi + _SKIP_SLACK)).all()
 
 
 class TestSetGeometry:
@@ -239,7 +342,7 @@ class TestShellEstimates:
         rep = shell_bilinear_estimate(PARABOLA, self.FK, E, n_samples=400_000, seed=9)
 
         def fcdf(t):
-            return 0.5 * (1 + erf((t - 0.1) / (0.9 * math.sqrt(2))))
+            return 0.5 * (1 + np.vectorize(erf)((t - 0.1) / (0.9 * math.sqrt(2))))
 
         yq, wq = gauss_legendre_interval(200, 1.2, 1.9)
         oracle = self.FK.l1_norm * float(np.sum(wq * (fcdf(0.8 / yq) - fcdf(0.1 / yq))))
