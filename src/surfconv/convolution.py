@@ -664,7 +664,6 @@ class ScalingReport:
     norm_exponents: dict
     ratio_slopes: dict
     q0: float
-    resolution: int
     params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -673,7 +672,6 @@ class ScalingReport:
             "norm_exponents": self.norm_exponents,
             "ratio_slopes": self.ratio_slopes,
             "q0": self.q0,
-            "resolution": self.resolution,
             "params": self.params,
         }
 
@@ -783,7 +781,6 @@ def ball_scaling_experiment(
         norm_exponents=norm_exponents,
         ratio_slopes=ratio_slopes,
         q0=q0,
-        resolution=cfg.resolution,
         params={
             "deltas": deltas,
             "resolutions": [resolutions[x] for x in deltas],

@@ -9,11 +9,13 @@ possible downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)  # exp below this is subnormal or 0
 
 
 @dataclass(frozen=True)
@@ -56,21 +58,45 @@ class GaussianSpec:
 
         With precisions p_i = 1/sigma_i^2, the exponent at tau = s * v expands
         per axis into -p_i v_i^2 / 2 * s_i^2 + p_i m_i v_i * s_i - p_i m_i^2 / 2,
-        so the whole block is exp([s^2, s, 1] @ R) with R of shape
-        (2 dim + 1, B) and no (A, B, dim) array of products.  log(amplitude)
-        sits in R's constant row, inside the exponent, so no factor applied
-        after exp can underflow on its own.
+        so the whole block is exp([s^2, s, 1] @ R.T) with R = product_side(v)
+        of shape (B, 2 dim + 1) and no (A, B, dim) array of products.
+        log(amplitude) sits in R's constant column, inside the exponent, so no
+        factor applied after exp can underflow on its own.  Exponents below
+        log(sys.float_info.min) give exactly 0 without calling exp (see
+        product_block); every other value is exp of its exponent.
         """
-        s = np.asarray(s, dtype=float)
+        return self.product_block(s, self.product_side(v))
+
+    def product_side(self, v) -> np.ndarray:
+        """The v-side matrix R of evaluate_products: rows [-p v^2 / 2, p m v, c].
+
+        It depends on v alone, so a caller that evaluates many s-blocks
+        against the same v builds it once and passes it to product_block.
+        """
         v = np.asarray(v, dtype=float)
         prec = 1.0 / np.asarray(self.sigmas) ** 2
         mean = np.asarray(self.mean)
         const = math.log(self.amplitude) - 0.5 * float(np.sum(prec * mean * mean))
-        left = np.concatenate([s * s, s, np.ones((len(s), 1))], axis=1)
-        right = np.concatenate(
+        return np.concatenate(
             [-0.5 * prec * v * v, prec * mean * v, np.full((len(v), 1), const)], axis=1
         )
-        return np.exp(left @ right.T)
+
+    def product_block(self, s, side, out=None) -> np.ndarray:
+        """The (A, B) block w(s_a * v_b) for side = product_side(v), in place.
+
+        The exponents are written into out (a fresh array if None) and
+        exponentiated there.  Exponents below log(sys.float_info.min), whose
+        exp would be subnormal or 0, are set to exactly 0 and never reach
+        np.exp: its slow path for such results costs one to two orders of
+        magnitude more than a normal value.
+        """
+        s = np.asarray(s, dtype=float)
+        left = np.concatenate([s * s, s, np.ones((len(s), 1))], axis=1)
+        out = np.matmul(left, side.T, out=out)
+        tail = out < _LOG_MIN_NORMAL
+        np.exp(out, out=out, where=~tail)
+        np.copyto(out, 0.0, where=tail)
+        return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws from the normalized density proportional to this Gaussian."""

@@ -145,13 +145,16 @@ def _excluded_core_bound(rho: float, dim: int, r_max: float, w_max: float) -> fl
 
 
 def _polar_nodes(rho: float, dim: int, r_max: float, cfg: McConfig):
-    """Polar product nodes (N, dim), weights (N,), and radial powers r^rho."""
+    """Polar product nodes (N, dim), weights (N,), and node radii r (N,).
+
+    The rule depends on rho only through its sign (see _radial_rule); the
+    caller multiplies the weights by radii**rho for the rho it integrates.
+    """
     r, wr = _radial_rule(rho, dim, r_max, cfg.n_radial)
     theta, wtheta = sphere_rule(dim, max(16, cfg.n_sphere // 2), cfg.n_sphere)
     nodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, dim)
     weights = np.multiply.outer(wr, wtheta).ravel()
-    powers = np.repeat(r**rho, len(wtheta))
-    return nodes, weights, powers
+    return nodes, weights, np.repeat(r, len(wtheta))
 
 
 def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConfig) -> tuple[float, float]:
@@ -212,96 +215,145 @@ def _region_mask(
     raise ValueError(f"unknown region mode {mode!r}")
 
 
+def _zeta_radius(matrix: CoefficientMatrix, w: GaussianSpec, cfg: McConfig) -> float:
+    """Radius of the zeta rule: C zeta covers the tau ball that holds w's mass."""
+    return 1.2 * min(cfg.truncation_radius, _ball_radius(w)) / _min_singular_value(matrix)
+
+
 def _lhs_shell_integral(
     matrix: CoefficientMatrix,
-    rho: float,
+    rhos,
     w: GaussianSpec,
     cfg: McConfig,
     node_mask: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """MC x quadrature estimate of the shell-frequency side, with stderr.
+) -> list[tuple[float, float]]:
+    """MC x quadrature estimates of the shell-frequency side, with stderr, per rho.
 
-    Each y-sample contributes sum_b factor_b * w(y * C zeta_b) over the zeta
-    nodes.  A block of y-samples against all nodes is one
-    GaussianSpec.evaluate_products call with v = C zeta, followed by a
-    matrix-vector product with the node factors.  The y-samples are drawn in
-    y_chunks seeded chunks, so results do not depend on cfg.threads.
+    Each y-sample contributes sum_b r_b^rho * weight_b * w(y * C zeta_b) over
+    the zeta nodes.  The polar rule depends on rho only through its sign, so
+    the rhos are grouped by sign and each group shares its nodes: a block of
+    y-samples against all nodes is one GaussianSpec.product_block call, whose
+    node side (built from v = C zeta) is built once per group, and the block
+    is contracted with each rho's factor vector in its own matrix-vector
+    product.  The block is written into one buffer per y-chunk, and its
+    exponents below the normal range give 0 without calling exp.  The
+    y-samples are drawn in y_chunks seeded chunks, so results depend neither
+    on cfg.threads nor on which other rhos share the call.  node_mask, if
+    given, selects among the nodes of the rule that all rhos share.
+    Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
-    k = matrix.k
-    r_zeta = 1.2 * min(cfg.truncation_radius, _ball_radius(w)) / _min_singular_value(matrix)
-    nodes, weights, powers = _polar_nodes(rho, matrix.l, r_zeta, cfg)
-    if node_mask is not None:
-        nodes, weights, powers = nodes[node_mask], weights[node_mask], powers[node_mask]
-    if len(nodes) == 0:
-        return 0.0, 0.0
-    factors = weights * powers
-    images = nodes @ matrix.array.T  # (N, k): C zeta per node
+    k, l = matrix.k, matrix.l
+    rhos = [float(rho) for rho in rhos]
+    r_zeta = _zeta_radius(matrix, w, cfg)
+    groups = []  # (distinct rhos, node side, factor vectors) per radial rule
+    for negative in (False, True):
+        group = list(dict.fromkeys(rho for rho in rhos if (rho < 0) == negative))
+        if not group:
+            continue
+        nodes, weights, radii = _polar_nodes(group[0], l, r_zeta, cfg)
+        if node_mask is not None:
+            nodes, weights, radii = nodes[node_mask], weights[node_mask], radii[node_mask]
+        if len(nodes) == 0:
+            continue
+        side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
+        groups.append((group, side, [weights * radii**rho for rho in group]))
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.y_chunks)
     counts = [cfg.n_y // cfg.y_chunks] * cfg.y_chunks
     counts[-1] += cfg.n_y - sum(counts)
 
-    def chunk_values(args) -> np.ndarray:
+    def chunk_values(args) -> list[np.ndarray]:
         seed_seq, n = args
         rng = np.random.Generator(np.random.PCG64(seed_seq))
         ys = _shell_samples(rng, k, n)
-        out = np.empty(n)
-        step = max(1, 2_000_000 // len(nodes))
-        for lo in range(0, n, step):
-            out[lo : lo + step] = w.evaluate_products(ys[lo : lo + step], images) @ factors
-        return out
+        per_group = []
+        for group, side, factors in groups:
+            out = np.empty((len(group), n))
+            step = max(1, 2_000_000 // len(side))
+            buf = np.empty((min(step, n), len(side)))
+            for lo in range(0, n, step):
+                rows = ys[lo : lo + step]
+                block = w.product_block(rows, side, out=buf[: len(rows)])
+                for i, f in enumerate(factors):
+                    out[i, lo : lo + step] = block @ f
+            per_group.append(out)
+        return per_group
 
     from .parallel import ordered_map
 
-    parts = ordered_map(chunk_values, list(zip(seeds, counts)), cfg.threads)
-    vals = np.concatenate(parts)
+    parts = ordered_map(chunk_values, list(zip(seeds, counts)), cfg.threads) if groups else []
     shell_volume = 2.0**k
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-    return shell_volume * mean, shell_volume * sd / math.sqrt(len(vals))
+    estimates = {}
+    for g, (group, _, _) in enumerate(groups):
+        vals = np.concatenate([part[g] for part in parts], axis=1)
+        for rho, v in zip(group, vals):
+            mean = float(v.mean())
+            sd = float(v.std(ddof=1)) if len(v) > 1 else 0.0
+            estimates[rho] = (shell_volume * mean, shell_volume * sd / math.sqrt(len(v)))
+    return [estimates.get(rho, (0.0, 0.0)) for rho in rhos]
+
+
+def _ratio_report(lhs: float, stderr: float, rhs: float, params: dict) -> RatioReport:
+    """The report for one rho; refuses a vanishing rhs and any number that is not finite."""
+    if rhs <= 0:
+        raise ValueError("degenerate weight: the pulled-back integral vanishes")
+    ratio = lhs / rhs
+    if not all(math.isfinite(x) for x in (lhs, stderr, rhs, ratio)):
+        raise ValueError(
+            f"rho = {params['rho']}: non-finite frequency estimate "
+            f"(lhs {lhs}, rhs {rhs}, stderr {stderr})"
+        )
+    return RatioReport(lhs=lhs, rhs=rhs, ratio=ratio, stderr=stderr, params=params)
+
+
+def _check_rho(matrix: CoefficientMatrix, rho: float) -> None:
+    if rho <= -matrix.l + 0.1:
+        raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
 
 
 def pullback_weight_ratio(
     matrix: CoefficientMatrix,
-    rho: float,
+    rho,
     w: GaussianSpec,
     cfg: McConfig | None = None,
     w_id: str = "w",
-) -> RatioReport:
+):
     """Ratio of the shell-frequency integral to the pulled-back weight integral.
 
     lhs = integral over the unit shell and R^l of |zeta|^rho w(y * C zeta);
     rhs = integral over R^k of |tau|^(rho - k + l) w(tau).  The report's
     ratio estimates the constant relating them; MC error bars cover the
     y-sampling only (the zeta and tau quadratures are deterministic).
+
+    rho is one number, giving one RatioReport, or a sequence, giving a list
+    of reports in the same order.  The rhos of a sequence share the shell
+    integral's blocks (see _lhs_shell_integral), and each report is
+    bit-identical to the one a single-rho call gives.  Raises ValueError when
+    an estimate is not finite, e.g. when |zeta|^rho overflows.
     """
     cfg = cfg or McConfig()
     if not check_submatrices(matrix).holds:
         raise ValueError("the row-submatrix condition must hold")
     if w.dim != matrix.k:
         raise ValueError("weight must live on R^k")
-    if rho <= -matrix.l + 0.1:
-        raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
+    rhos = [float(r) for r in np.atleast_1d(rho)]
+    for r in rhos:
+        _check_rho(matrix, r)
     _require_coverage(w, cfg.truncation_radius, matrix.k)
 
-    lhs, stderr = _lhs_shell_integral(matrix, rho, w, cfg)
     r_tau = min(cfg.truncation_radius, _ball_radius(w))
-    rhs, core_bound = _weight_integral(w, rho - matrix.k + matrix.l, r_tau, cfg)
-    if rhs <= 0:
-        raise ValueError("degenerate weight: the pulled-back integral vanishes")
-    return RatioReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs,
-        stderr=stderr,
-        params={
-            "rho": rho,
+    reports = []
+    for r, (lhs, stderr) in zip(rhos, _lhs_shell_integral(matrix, rhos, w, cfg)):
+        rhs, core_bound = _weight_integral(w, r - matrix.k + matrix.l, r_tau, cfg)
+        params = {
+            "rho": r,
             "w_id": w_id,
             "n_y": cfg.n_y,
             "seed": cfg.seed,
             "rhs_excluded_core_bound": core_bound,
-        },
-    )
+        }
+        reports.append(_ratio_report(lhs, stderr, rhs, params))
+    return reports if np.ndim(rho) else reports[0]
 
 
 def region_weight_ratio(
@@ -323,35 +375,26 @@ def region_weight_ratio(
     q_rows = tuple(int(i) for i in q_rows)
     if len(q_rows) != matrix.k - matrix.l or sorted(set(q_rows)) != sorted(q_rows):
         raise ValueError(f"Q must be {matrix.k - matrix.l} distinct rows")
-    if rho <= -matrix.l + 0.1:
-        raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
+    _check_rho(matrix, rho)
     _require_coverage(w, cfg.truncation_radius, matrix.k)
     constant = comparability_constant(matrix)
 
-    r_zeta = 1.2 * min(cfg.truncation_radius, _ball_radius(w)) / _min_singular_value(matrix)
-    nodes, _, _ = _polar_nodes(rho, matrix.l, r_zeta, cfg)
+    nodes, _, _ = _polar_nodes(rho, matrix.l, _zeta_radius(matrix, w, cfg), cfg)
     mask = _region_mask(matrix, nodes, q_rows, constant, mode)
-    lhs, stderr = _lhs_shell_integral(matrix, rho, w, cfg, node_mask=mask)
+    ((lhs, stderr),) = _lhs_shell_integral(matrix, [rho], w, cfg, node_mask=mask)
     r_tau = min(cfg.truncation_radius, _ball_radius(w))
     rhs, core_bound = _weight_integral(w, rho - matrix.k + matrix.l, r_tau, cfg)
-    if rhs <= 0:
-        raise ValueError("degenerate weight: the pulled-back integral vanishes")
-    return RatioReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs,
-        stderr=stderr,
-        params={
-            "rho": rho,
-            "w_id": w_id,
-            "q_rows": list(q_rows),
-            "mode": mode,
-            "n_y": cfg.n_y,
-            "seed": cfg.seed,
-            "empty_region": bool(not mask.any()),
-            "rhs_excluded_core_bound": core_bound,
-        },
-    )
+    params = {
+        "rho": rho,
+        "w_id": w_id,
+        "q_rows": list(q_rows),
+        "mode": mode,
+        "n_y": cfg.n_y,
+        "seed": cfg.seed,
+        "empty_region": bool(not mask.any()),
+        "rhs_excluded_core_bound": core_bound,
+    }
+    return _ratio_report(lhs, stderr, rhs, params)
 
 
 def region_cover_factor(
@@ -366,16 +409,21 @@ def region_cover_factor(
     In "selected" mode the regions partition frequency space and the factor
     is 1 up to float summation order; in "defining" mode the factor measures
     how much the overlapping regions overcount (always >= 1 up to MC noise).
+    The polar nodes are built once and every region's mask is taken from
+    them; each region's lhs is the masked shell integral, equal to
+    region_weight_ratio(...).lhs, without that function's rhs.
     """
     import itertools
 
     cfg = cfg or McConfig()
     k, l = matrix.k, matrix.l
     total = pullback_weight_ratio(matrix, rho, w, cfg)
+    constant = comparability_constant(matrix)
+    nodes, _, _ = _polar_nodes(rho, l, _zeta_radius(matrix, w, cfg), cfg)
     parts = {}
     for q in itertools.combinations(range(k), k - l):
-        rep = region_weight_ratio(matrix, rho, w, q, cfg, mode=mode)
-        parts[q] = rep.lhs
+        mask = _region_mask(matrix, nodes, q, constant, mode)
+        ((parts[q], _),) = _lhs_shell_integral(matrix, [rho], w, cfg, node_mask=mask)
     s = float(sum(parts.values()))
     return {
         "total_lhs": total.lhs,
@@ -478,8 +526,7 @@ def change_of_variables_check(
         znodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, 2)
         zweights = np.multiply.outer(wr * r, wtheta).ravel()
     else:
-        nodes, weights, powers = _polar_nodes(0.0, l, r_zeta, cfg)
-        znodes, zweights = nodes, weights
+        znodes, zweights, _ = _polar_nodes(0.0, l, r_zeta, cfg)
 
     images = znodes @ matrix.array.T  # (N, k)
     # head factor: product over fixed rows of g's axis slice at y_i (C zeta)_i,

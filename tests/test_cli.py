@@ -4,8 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from surfconv.cli import main
 
@@ -212,6 +215,22 @@ class TestConfigValidation:
         assert "suite 'ball-scan' rejected the configuration" in err
         assert "coarser than the smallest delta" in err
 
+    def test_non_finite_frequency_estimate(self, tmp_path, capsys):
+        # |zeta|^400 overflows: lhs and rhs would be inf and the ratio nan
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "suite": "lemma-mc",
+                "seed": 11,
+                "matrix": {"battery": "banded-3-2"},
+                "params": {"n_w": 1, "n_y": 32, "n_radial": 8, "n_sphere": 8, "rho_list": [400]},
+            },
+        )
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "suite 'lemma-mc' rejected the configuration" in err
+        assert "non-finite frequency estimate" in err
+
     def test_unknown_battery_id_lists_known(self, tmp_path, capsys):
         cfg = checkstar_config(tmp_path, matrix={"battery": "no-such"})
         assert main(["run", "--config", cfg]) == 2
@@ -321,3 +340,82 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "gen-matrix" in proc.stdout
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _json_nulls(node, path="$"):
+    if node is None:
+        return [path]
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _json_nulls(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _json_nulls(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.mark.parametrize("name", ["ball_scan_banded", "ball_scan_paraboloid"])
+def test_ball_scan_payloads_hold_no_null(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+    assert _json_nulls(json.loads((out / "payload.json").read_text())) == []
+
+
+def _reject_constant(name):
+    raise ValueError(f"payload holds {name}")
+
+
+_RHO = st.one_of(
+    st.floats(min_value=-3.0, max_value=6.0),
+    st.sampled_from([-1.5, -0.95, 0.0, 40.0, 400.0, 1e6]),
+)
+_FREQUENCY_CONFIGS = st.fixed_dictionaries(
+    {
+        "suite": st.sampled_from(["lemma-mc", "plancherel"]),
+        "seed": st.integers(min_value=0, max_value=2**32),
+        "threads": st.integers(min_value=1, max_value=2),
+        "matrix": st.fixed_dictionaries(
+            {"battery": st.sampled_from(
+                ["banded-3-2", "parabola-1-1", "paraboloid-2-1", "random-4-3", "degenerate-3-2"]
+            )}
+        ),
+        "params": st.fixed_dictionaries(
+            {
+                "n_w": st.integers(min_value=1, max_value=2),
+                "n_f": st.integers(min_value=1, max_value=2),
+                "n_y": st.integers(min_value=16, max_value=48),
+                "n_radial": st.integers(min_value=4, max_value=8),
+                "n_sphere": st.integers(min_value=4, max_value=8),
+            },
+            optional={"rho_list": st.lists(_RHO, max_size=3)},
+        ),
+    }
+)
+
+
+def test_tiny_negative_rho_in_one_dimension(tmp_path):
+    # the 1-d check divides by the oracle (1 - 2^-rho) / rho, which must not cancel to 0
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "suite": "lemma-mc",
+            "seed": 5,
+            "matrix": {"battery": "parabola-1-1"},
+            "params": {"n_w": 1, "n_y": 25, "n_radial": 8, "n_sphere": 6,
+                       "rho_list": [0.0, -6.13e-110]},
+        },
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_FREQUENCY_CONFIGS)
+def test_frequency_suites_keep_the_exit_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "c.json", doc)
+        code = main(["run", "--config", cfg, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        if code in (0, 1):
+            text = (Path(tmp) / "out" / "payload.json").read_text()
+            json.loads(text, parse_constant=_reject_constant)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ def test_evaluate_products_deep_tail_underflows_to_zero():
     assert np.all(oracle == 0.0)
     assert np.all(np.isfinite(got))
     assert np.all(got == 0.0)
+
+
+def test_evaluate_products_flushes_below_the_normal_range():
+    g = GaussianSpec(dim=1, amplitude=1.7, mean=(0.25,), sigmas=(0.9,))
+    s = np.linspace(1.0, 1.02, 9)[:, None]
+    v = np.linspace(33.9, 34.7, 401)[:, None]
+    # the unflushed block: exp of the documented expansion [s^2, s, 1] @ R.T
+    prec = 1.0 / 0.81
+    left = np.concatenate([s * s, s, np.ones((9, 1))], axis=1)
+    right = np.concatenate(
+        [-0.5 * prec * v * v, prec * 0.25 * v, np.full((401, 1), math.log(1.7) - 0.5 * prec * 0.0625)],
+        axis=1,
+    )
+    exponents = left @ right.T
+    assert exponents.min() < -755.0 and exponents.max() > -705.0  # spread over [-760, -700]
+    oracle = g.evaluate(s[:, None, :] * v[None, :, :])
+    tiny = oracle < sys.float_info.min
+    assert ((oracle > 0.0) & tiny).any() and (oracle == 0.0).any() and not tiny.all()
+
+    got = g.evaluate_products(s, v)
+    assert np.all(got[tiny] == 0.0)
+    assert np.array_equal(got[~tiny], np.exp(exponents)[~tiny])
+    assert np.all(got[~tiny] >= sys.float_info.min)
 
 
 # -- quadrature ---------------------------------------------------------------

@@ -135,27 +135,48 @@ def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     cfg = McConfig(n_y=40, n_radial=8, n_sphere=8, y_chunks=3, seed=21)
     mask = np.arange(8 * 8) % 3 != 0
     fast = [
-        _lhs_shell_integral(BANDED, 0.5, w, cfg),
-        _lhs_shell_integral(BANDED, 0.5, w, cfg, node_mask=mask),
+        _lhs_shell_integral(BANDED, [0.5], w, cfg)[0],
+        _lhs_shell_integral(BANDED, [0.5], w, cfg, node_mask=mask)[0],
         _weight_integral(w, -0.5, 5.0, cfg),
     ]
-    nodes, weights, powers = _polar_nodes(-0.5, 3, 5.0, cfg)
-    pointwise_rhs = float(np.sum(weights * powers * w.evaluate(nodes)))
+    nodes, weights, radii = _polar_nodes(-0.5, 3, 5.0, cfg)
+    pointwise_rhs = float(np.sum(weights * radii**-0.5 * w.evaluate(nodes)))
 
     # the same estimators with every tau = s * v formed and evaluated one by one
+    monkeypatch.setattr(GaussianSpec, "product_side", lambda self, v: np.asarray(v, dtype=float))
     monkeypatch.setattr(
         GaussianSpec,
-        "evaluate_products",
-        lambda self, s, v: self.evaluate(s[:, None, :] * v[None, :, :]),
+        "product_block",
+        lambda self, s, v, out=None: self.evaluate(s[:, None, :] * v[None, :, :]),
     )
     brute = [
-        _lhs_shell_integral(BANDED, 0.5, w, cfg),
-        _lhs_shell_integral(BANDED, 0.5, w, cfg, node_mask=mask),
+        _lhs_shell_integral(BANDED, [0.5], w, cfg)[0],
+        _lhs_shell_integral(BANDED, [0.5], w, cfg, node_mask=mask)[0],
         _weight_integral(w, -0.5, 5.0, cfg),
     ]
     for got, want in zip(fast, brute):
         np.testing.assert_allclose(got, want, rtol=1e-13)
     assert fast[2][0] == pytest.approx(pointwise_rhs, rel=1e-13)
+
+
+def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
+    w = GaussianSpec(dim=3, amplitude=1.2, mean=(0.1, 0.4, -0.3), sigmas=(0.8, 1.1, 0.7))
+    cfg = McConfig(n_y=60, n_radial=8, n_sphere=8, y_chunks=4, seed=13)
+    rhos = [-0.5, 0.0, 0.0, 1.0]
+    shared = _lhs_shell_integral(BANDED, rhos, w, cfg)
+    assert shared == [_lhs_shell_integral(BANDED, [rho], w, cfg)[0] for rho in rhos]
+    for rho, rep in zip(rhos, pullback_weight_ratio(BANDED, rhos, w, cfg)):
+        one = pullback_weight_ratio(BANDED, rho, w, cfg)
+        assert (rep.lhs, rep.rhs, rep.stderr) == (one.lhs, one.rhs, one.stderr)
+
+
+@pytest.mark.parametrize("mode", ["selected", "defining"])
+def test_cover_regions_equal_region_weight_ratio_lhs(mode):
+    cfg = McConfig(n_y=64, n_radial=12, n_sphere=12, seed=9)
+    cov = region_cover_factor(BANDED, 0.5, W3, cfg, mode=mode)
+    for label, lhs in cov["per_region"].items():
+        q = tuple(int(i) for i in label.split("-"))
+        assert lhs == region_weight_ratio(BANDED, 0.5, W3, q, cfg, mode=mode).lhs
 
 
 def test_thread_count_does_not_change_bits():
