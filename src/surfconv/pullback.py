@@ -23,7 +23,9 @@ w = |f^|^2 all live here.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import overload
 
 import numpy as np
 
@@ -235,11 +237,11 @@ def _lhs_shell_integral(
     y-samples against all nodes is one GaussianSpec.product_block call, whose
     node side (built from v = C zeta) is built once per group, and the block
     is contracted with each rho's factor vector in its own matrix-vector
-    product.  The block is written into one buffer per y-chunk, and its
-    exponents below the normal range give 0 without calling exp.  The
-    y-samples are drawn in y_chunks seeded chunks, so results depend neither
-    on cfg.threads nor on which other rhos share the call.  node_mask, if
-    given, selects among the nodes of the rule that all rhos share.
+    product.  The block's exponents below the normal range give 0 without
+    calling exp.  The y-samples are drawn in y_chunks seeded chunks, so
+    results depend neither on cfg.threads nor on which other rhos share the
+    call.  node_mask, if given, selects among the nodes of the rule that all
+    rhos share.
     Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
     k, l = matrix.k, matrix.l
@@ -270,10 +272,8 @@ def _lhs_shell_integral(
         for group, side, factors in groups:
             out = np.empty((len(group), n))
             step = max(1, 2_000_000 // len(side))
-            buf = np.empty((min(step, n), len(side)))
             for lo in range(0, n, step):
-                rows = ys[lo : lo + step]
-                block = w.product_block(rows, side, out=buf[: len(rows)])
+                block = w.product_block(ys[lo : lo + step], side)
                 for i, f in enumerate(factors):
                     out[i, lo : lo + step] = block @ f
             per_group.append(out)
@@ -311,13 +311,33 @@ def _check_rho(matrix: CoefficientMatrix, rho: float) -> None:
         raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
 
 
+@overload
 def pullback_weight_ratio(
     matrix: CoefficientMatrix,
-    rho,
+    rho: float,
+    w: GaussianSpec,
+    cfg: McConfig | None = ...,
+    w_id: str = ...,
+) -> RatioReport: ...
+
+
+@overload
+def pullback_weight_ratio(
+    matrix: CoefficientMatrix,
+    rho: Sequence[float],
+    w: GaussianSpec,
+    cfg: McConfig | None = ...,
+    w_id: str = ...,
+) -> list[RatioReport]: ...
+
+
+def pullback_weight_ratio(
+    matrix: CoefficientMatrix,
+    rho: float | Sequence[float],
     w: GaussianSpec,
     cfg: McConfig | None = None,
     w_id: str = "w",
-):
+) -> RatioReport | list[RatioReport]:
     """Ratio of the shell-frequency integral to the pulled-back weight integral.
 
     lhs = integral over the unit shell and R^l of |zeta|^rho w(y * C zeta);

@@ -147,7 +147,7 @@ def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     monkeypatch.setattr(
         GaussianSpec,
         "product_block",
-        lambda self, s, v, out=None: self.evaluate(s[:, None, :] * v[None, :, :]),
+        lambda self, s, v: self.evaluate(s[:, None, :] * v[None, :, :]),
     )
     brute = [
         _lhs_shell_integral(BANDED, [0.5], w, cfg)[0],
