@@ -26,6 +26,7 @@ import numpy as np
 
 from .battery import ThresholdTooHighError, generate_matrix, battery_entry
 from .rationals import frac_to_pair
+from .schema import first_error
 from .surface import CoefficientMatrix, min_submatrix_det
 from .suites import run_suite
 
@@ -47,7 +48,9 @@ def _json_default(o):
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n"
+    """Sorted, indented JSON; NaN and Infinity, which JSON cannot hold, raise ValueError."""
+    text = json.dumps(obj, sort_keys=True, indent=1, default=_json_default, allow_nan=False)
+    return text + "\n"
 
 
 def _config_hash(config: dict) -> str:
@@ -180,16 +183,15 @@ def cmd_run(args) -> int:
     except json.JSONDecodeError as exc:
         return _fail(f"config is not valid JSON: {exc}")
 
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(_load_schema())
-    errors = sorted(validator.iter_errors(config), key=lambda e: (len(e.path), e.json_path))
-    if errors:
-        err = errors[0]
-        return _fail(f"config invalid at {err.json_path}: {err.message}")
+    error = first_error(config, _load_schema())
+    if error:
+        where, message = error
+        return _fail(f"config invalid at {where}: {message}")
 
     if args.seed is not None:
         seed = args.seed
+        if seed < 0:
+            return _fail(f"--seed must be nonnegative, got {seed}")
     elif os.environ.get(SEED_ENV):
         raw = os.environ[SEED_ENV]
         try:
@@ -201,6 +203,8 @@ def cmd_run(args) -> int:
     else:
         seed = int(config["seed"])
 
+    if args.threads is not None and args.threads < 1:
+        return _fail(f"--threads must be at least 1, got {args.threads}")
     threads = args.threads if args.threads is not None else int(config.get("threads", 1))
     suite = config["suite"]
     params = config.get("params", {})
@@ -236,7 +240,10 @@ def cmd_run(args) -> int:
         "sample_counts": result.sample_counts,
         "passed": result.passed,
     }
-    payload_text = _canonical_json(payload_doc)
+    try:
+        payload_text = _canonical_json(payload_doc)
+    except ValueError as exc:
+        return _fail(f"suite {suite!r} produced a non-finite result: {exc}")
     _write_atomic(out_dir / "payload.json", payload_text)
 
     matrix_json = json.dumps(matrix.to_json(), sort_keys=True) if matrix is not None else "none"

@@ -697,8 +697,9 @@ def ball_scaling_experiment(
     """
     cfg = cfg or ScalingConfig()
     deltas = sorted(float(x) for x in deltas)
-    if len(deltas) < 3:
-        raise ValueError("need at least 3 dyadic radii for a slope")
+    if len(set(deltas)) < 3:
+        # with fewer, the fitted radii can coincide and the slope is not determined
+        raise ValueError("need at least 3 distinct dyadic radii for a slope")
     if not check_submatrices(matrix).holds:
         raise ValueError("the row-submatrix condition must hold")
     if cfg.resolution and 2.0 / cfg.resolution > deltas[0]:
@@ -747,6 +748,12 @@ def ball_scaling_experiment(
                     threads=cfg.threads,
                 ),
             )
+            if est.norm <= 0:
+                # mu * chi_B is positive near a center on the surface: a 0 is a miss, not a value
+                raise ValueError(
+                    f"zero norm estimate at delta {delta} for center {cid}: no sample met the "
+                    "ball; raise n_tube or resolution"
+                )
             norms[(cid, delta)] = est.norm
             for p in p_list:
                 ratio = est.norm / ball.measure ** float(1 / p)
@@ -905,7 +912,13 @@ def restricted_estimate_scan(
             sup, max_id = ratio, set_id
         if idx == len(family) // 2 - 1:
             half_sup = sup
-    growth = sup / half_sup - 1.0 if half_sup > 0 else math.inf
+    if half_sup <= 0:
+        first_half = ", ".join(row["set_id"] for row in rows[: len(family) // 2])
+        raise ValueError(
+            f"zero norm estimate on every set of the first half ({first_half}): "
+            "the growth under doubling is undefined; raise n_tube or n_sets"
+        )
+    growth = sup / half_sup - 1.0
     return ScanReport(
         rows=rows,
         sup_ratio=sup,

@@ -557,7 +557,12 @@ def run_ineq6(matrix, params, seed, threads) -> SuiteResult:
             sup_half = max(sup_half, rep.ratio)
         if math.isfinite(rep2.ratio):
             sup_full = max(sup_full, rep2.ratio)
-    growth = abs(sup_full - sup_half) / sup_half if sup_half > 0 else math.inf
+    if sup_half <= 0:
+        raise ValueError(
+            f"zero shell estimate on every set ({', '.join(r[0] for r in rows)}): "
+            "the growth under doubling is undefined; raise n_samples"
+        )
+    growth = abs(sup_full - sup_half) / sup_half
     verdicts = [
         Verdict("sup-finite", math.isfinite(sup_half) and sup_half > 0,
                 f"sup LHS/RHS = {sup_half:.4f}"),

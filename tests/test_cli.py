@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from surfconv.cli import main
+from surfconv.cli import _load_schema, main
+from surfconv.schema import first_error
+from surfconv.suites import SuiteResult, Verdict
 
 
 def write_config(path, doc):
@@ -231,6 +234,49 @@ class TestConfigValidation:
         assert "suite 'lemma-mc' rejected the configuration" in err
         assert "non-finite frequency estimate" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"suite": "ball-scan", "seed": 6, "matrix": {"battery": "banded-3-2"},
+                 "params": {"deltas": [2.0, 0.5, 0.125], "n_tube": 16, "n_centers": 1}},
+                "zero norm estimate at delta 0.5 for center 0",
+            ),
+            (
+                {"suite": "restricted-scan", "seed": 2, "matrix": {"battery": "paraboloid-2-1"},
+                 "params": {"n_sets": 3, "n_tube": 16, "resolution": 8}},
+                "zero norm estimate on every set of the first half (ball-0)",
+            ),
+            (
+                {"suite": "ineq6", "seed": 0, "matrix": {"battery": "banded-3-2"},
+                 "params": {"n_sets": 2, "n_samples": 16}},
+                "zero shell estimate on every set (ball-0, box-1, sheared-box-1)",
+            ),
+            (
+                {"suite": "ball-scan", "seed": 6, "matrix": {"battery": "banded-3-2"},
+                 "params": {"deltas": [0.5, 1.0, 1.0], "n_tube": 100, "n_centers": 1}},
+                "need at least 3 distinct dyadic radii",
+            ),
+        ],
+    )
+    def test_zero_estimate_is_refused(self, tmp_path, capsys, doc, message):
+        # each wrote NaN or Infinity into payload.json, which is not JSON
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"suite {doc['suite']!r} rejected the configuration" in err
+        assert message in err
+        assert not out.exists()
+
+    def test_non_finite_payload_is_never_written(self, tmp_path, capsys, monkeypatch):
+        nan_result = SuiteResult("check-star", {"value": float("nan")}, [Verdict("v", True, "")])
+        monkeypatch.setattr("surfconv.cli.run_suite", lambda *args: nan_result)
+        out = tmp_path / "out"
+        assert run_cli(checkstar_config(tmp_path), out) == 2
+        assert "suite 'check-star' produced a non-finite result" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_battery_id_lists_known(self, tmp_path, capsys):
         cfg = checkstar_config(tmp_path, matrix={"battery": "no-such"})
         assert main(["run", "--config", cfg]) == 2
@@ -264,6 +310,20 @@ class TestSeedPrecedence:
         assert code == 2
         code, _ = self.run_seed(tmp_path, monkeypatch, env="-5")
         assert code == 2
+
+    def test_flag_must_be_nonnegative(self, tmp_path, monkeypatch, capsys):
+        assert self.run_seed(tmp_path, monkeypatch, flag=-1) == (2, None)
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_flag_must_be_positive(tmp_path, capsys, threads):
+    cfg = checkstar_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGenMatrix:
@@ -409,9 +469,8 @@ def test_tiny_negative_rho_in_one_dimension(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1)
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=_FREQUENCY_CONFIGS)
-def test_frequency_suites_keep_the_exit_contract(doc):
+def _check_exit_contract(doc):
+    assert first_error(doc, _load_schema()) is None  # the contract covers schema-valid configs
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp) / "c.json", doc)
         code = main(["run", "--config", cfg, "--out", str(Path(tmp) / "out")])
@@ -419,3 +478,119 @@ def test_frequency_suites_keep_the_exit_contract(doc):
         if code in (0, 1):
             text = (Path(tmp) / "out" / "payload.json").read_text()
             json.loads(text, parse_constant=_reject_constant)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_FREQUENCY_CONFIGS)
+def test_frequency_suites_keep_the_exit_contract(doc):
+    _check_exit_contract(doc)
+
+
+_BATTERY_MATRIX = st.fixed_dictionaries({"battery": st.sampled_from(
+    ["banded-3-2", "parabola-1-1", "paraboloid-2-1", "random-4-3", "degenerate-3-2"]
+)})
+_EXPONENT = st.sampled_from(["1", "5/4", "3/2", "5/3", "2", "7/3", "3", "0", "-1", "1/0", "x"])
+_SEED = st.integers(min_value=0, max_value=2**32)
+_THREADS = st.integers(min_value=1, max_value=2)
+
+
+def _suite_configs(suite, required, optional=None, matrix=_BATTERY_MATRIX):
+    """Schema-valid configs of one suite: `required` and `optional` map param names to strategies."""
+    doc = {
+        "suite": st.just(suite),
+        "seed": _SEED,
+        "params": st.fixed_dictionaries(required, optional=optional or {}),
+    }
+    if matrix is not None:
+        doc["matrix"] = matrix
+    return st.fixed_dictionaries(doc, optional={"threads": _THREADS})
+
+
+_INLINE_MATRIX = st.fixed_dictionaries({
+    "k": st.integers(1, 3),
+    "l": st.integers(1, 3),
+    "entries": st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=9),
+})
+_SUITE_CONFIGS = {
+    "check-star": st.fixed_dictionaries(
+        {"suite": st.just("check-star"), "seed": _SEED},
+        optional={"threads": _THREADS, "matrix": st.one_of(_BATTERY_MATRIX, _INLINE_MATRIX)},
+    ),
+    "typeset": _suite_configs(
+        "typeset", {"k": st.integers(1, 8), "d": st.integers(2, 12)}, matrix=None
+    ),
+    "ball-scan": _suite_configs(
+        "ball-scan",
+        {"n_tube": st.integers(16, 200), "n_centers": st.integers(1, 2)},
+        {
+            "deltas": st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125]), min_size=3, max_size=4),
+            "p_list": st.lists(_EXPONENT, max_size=3),
+            "n_outside": st.integers(8, 40),
+            "resolution": st.integers(8, 64),
+            "tolerance": st.floats(min_value=0.01, max_value=2.0),
+        },
+    ),
+    "restricted-scan": _suite_configs(
+        "restricted-scan",
+        {"n_sets": st.integers(2, 3), "n_tube": st.integers(16, 200), "resolution": st.integers(8, 64)},
+        {"p": _EXPONENT, "n_outside": st.integers(8, 40)},
+    ),
+    "ineq6": _suite_configs(
+        "ineq6", {"n_sets": st.integers(2, 3), "n_samples": st.integers(16, 200)}
+    ),
+}
+_TRANSFORM_CONFIGS = _suite_configs(
+    "transform-check",
+    {"cells": st.integers(8, 24)},
+    {"n_f": st.integers(1, 2), "y": st.lists(st.floats(-3.0, 3.0), max_size=4)},
+)
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_CONFIGS))
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_other_suites_keep_the_exit_contract(suite, data):
+    _check_exit_contract(data.draw(_SUITE_CONFIGS[suite]))
+
+
+# fewer examples: at k = 3 the oscillatory check alone takes about 2.5 s, whatever the params
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_TRANSFORM_CONFIGS)
+def test_transform_check_keeps_the_exit_contract(doc):
+    _check_exit_contract(doc)
+
+
+_TRACED_MODULES = [
+    f"surfconv.{name}"
+    for name in ["cli", "suites", "convolution", "gaussians", "pullback", "surface", "transform",
+                 "parallel"]
+]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"suite": "check-star", "seed": 1, "matrix": {"battery": "parabola-1-1"}},
+        {"suite": "lemma-mc", "seed": 1, "matrix": {"battery": "parabola-1-1"},
+         "params": {"n_w": 1, "n_y": 16, "n_radial": 4, "n_sphere": 4, "rho_list": [0.0]}},
+    ],
+)
+def test_single_thread_run_skips_heavy_imports(tmp_path, doc):
+    # start-up is a large share of a short run: jsonschema and concurrent.futures
+    # are not needed, and the modules the benchmark tracer patches must be loaded
+    cfg = write_config(tmp_path / "c.json", doc)
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]
+    script = (
+        "import json, sys\n"
+        "from surfconv.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (0, 1)
+    assert "jsonschema" not in modules
+    assert "concurrent.futures" not in modules
+    assert set(_TRACED_MODULES) <= set(modules)
