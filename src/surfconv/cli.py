@@ -10,6 +10,7 @@ across reruns of the same config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery import ThresholdTooHighError, generate_matrix, battery_entry
-from .rationals import frac_to_pair
+from .rationals import frac_str, frac_to_pair
 from .schema import first_error
 from .surface import CoefficientMatrix, min_submatrix_det
 from .suites import run_suite
@@ -43,7 +44,10 @@ def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
     if isinstance(o, Fraction):
-        return f"{o.numerator}/{o.denominator}"
+        return frac_str(o)
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        # shallow: json recurses into the field values itself
+        return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
@@ -156,6 +160,11 @@ def _load_schema() -> dict:
     )
 
 
+def _refuse_constant(literal: str):
+    # json.loads accepts NaN, Infinity and -Infinity, which are not JSON and pass every bound
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def _resolve_matrix(config: dict, config_dir: Path):
     spec = config.get("matrix")
     if spec is None:
@@ -177,10 +186,10 @@ def _resolve_matrix(config: dict, config_dir: Path):
 def cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
-        config = json.loads(config_path.read_text())
+        config = json.loads(config_path.read_text(), parse_constant=_refuse_constant)
     except OSError as exc:
         return _fail(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a literal _refuse_constant refused
         return _fail(f"config is not valid JSON: {exc}")
 
     error = first_error(config, _load_schema())
@@ -236,7 +245,7 @@ def cmd_run(args) -> int:
         "matrix": matrix.to_json() if matrix is not None else None,
         "params": params,
         "results": result.payload,
-        "verdicts": [v.to_json() for v in result.verdicts],
+        "verdicts": result.verdicts,
         "sample_counts": result.sample_counts,
         "passed": result.passed,
     }

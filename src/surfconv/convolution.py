@@ -28,8 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import ExponentPair, critical_q0, typeset, typeset_contains
-from .parallel import ordered_map
+from .parallel import seeded_map
 from .quadrature import ball_volume
+from .rationals import frac_str
 from .surface import CoefficientMatrix, check_submatrices, surface_heights
 
 
@@ -66,9 +67,6 @@ class BallSet:
     def contains(self, points: np.ndarray) -> np.ndarray:
         diff = np.asarray(points) - np.array(self.center)
         return np.einsum("...i,...i->...", diff, diff) <= self.radius**2
-
-    def translated(self, v) -> "BallSet":
-        return BallSet(tuple(np.array(self.center) + np.asarray(v)), self.radius)
 
 
 @dataclass(frozen=True)
@@ -127,13 +125,6 @@ class BoxUnionSet:
         for lo, hi in zip(self.lows, self.highs):
             out |= ((pts >= np.array(lo)) & (pts < np.array(hi))).all(axis=-1)
         return out
-
-    def translated(self, v) -> "BoxUnionSet":
-        v = np.asarray(v, dtype=float)
-        return BoxUnionSet(
-            tuple(tuple(np.array(lo) + v) for lo in self.lows),
-            tuple(tuple(np.array(hi) + v) for hi in self.highs),
-        )
 
 
 @dataclass(frozen=True)
@@ -235,43 +226,6 @@ class ShearedBoxSet:
             [heads, 2.0 * pts[..., k:] - surface_heights(self.matrix, heads)], axis=-1
         )
         return self.base.contains(unsheared)
-
-
-@dataclass(frozen=True)
-class TranslatedSet:
-    """A test set shifted by a vector; measure and shape are unchanged."""
-
-    base: object
-    shift: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", tuple(float(v) for v in self.shift))
-
-    @property
-    def kind(self) -> str:
-        return self.base.kind
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def measure(self) -> float:
-        return self.base.measure
-
-    def bounding_box(self):
-        lo, hi = self.base.bounding_box()
-        v = np.array(self.shift)
-        return lo + v, hi + v
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.base.contains(np.asarray(points) - np.array(self.shift))
-
-
-def translate_set(test_set, v):
-    if hasattr(test_set, "translated"):
-        return test_set.translated(v)
-    return TranslatedSet(test_set, tuple(v))
 
 
 def _squares_interval(lo: np.ndarray, hi: np.ndarray):
@@ -482,16 +436,21 @@ class SurfaceMeasure:
 # stratified Lq norms
 
 
+# Seeded chunks per stratum of lq_norm_mc and per shell_bilinear_estimate.  The chunk
+# layout picks the random streams, so another value moves every estimate.
+NORM_CHUNKS = 8
+SHELL_CHUNKS = 16
+
+
 @dataclass(frozen=True)
 class NormMcConfig:
     seed: int = 0x5EED
     n_tube: int = 4000
     n_outside: int = 400
-    chunks: int = 8
     threads: int = 1
 
     def __post_init__(self):
-        if self.n_tube < self.chunks or self.n_outside <= 0:
+        if self.n_tube < NORM_CHUNKS or self.n_outside <= 0:
             raise ValueError("sample counts too small for the chunk layout")
 
 
@@ -502,15 +461,6 @@ class NormEstimate:
     low_confidence: bool
     q: float
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "norm": self.norm,
-            "stderr": self.stderr,
-            "low_confidence": self.low_confidence,
-            "q": self.q,
-            "params": self.params,
-        }
 
 
 def _support_tube(measure: SurfaceMeasure, test_set):
@@ -571,13 +521,7 @@ def lq_norm_mc(
     v_box = float(np.prod(2.0 * head_half) * np.prod(tail_hi - tail_lo))
     v_out = max(v_box - v_tube, 0.0)
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2 * cfg.chunks)
-    counts = [cfg.n_tube // cfg.chunks] * cfg.chunks
-    counts[-1] += cfg.n_tube - sum(counts)
-
-    def tube_chunk(args):
-        seed_seq, n = args
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
+    def tube_chunk(rng, n):
         heads = c[:k] + rng.uniform(-1.0, 1.0, (n, k)) * head_half
         offs = rng.uniform(-1.0, 1.0, (n, l)) * band
         tails = c[k:] + surface_heights(measure.matrix, heads - c[:k]) + offs
@@ -585,9 +529,7 @@ def lq_norm_mc(
         g = measure.convolve_many(test_set, zs)
         return g**q
 
-    def outside_chunk(args):
-        seed_seq, n = args
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
+    def outside_chunk(rng, n):
         got = []
         attempts = 0
         while sum(len(a) for a in got) < n and attempts < 50:
@@ -602,10 +544,10 @@ def lq_norm_mc(
             return np.zeros(0)
         return measure.convolve_many(test_set, zs) ** q
 
-    n_out = [cfg.n_outside // cfg.chunks] * cfg.chunks
-    n_out[-1] += cfg.n_outside - sum(n_out)
-    tube_parts = ordered_map(tube_chunk, list(zip(seeds[: cfg.chunks], counts)), cfg.threads)
-    out_parts = ordered_map(outside_chunk, list(zip(seeds[cfg.chunks :], n_out)), cfg.threads)
+    # the tube draws from seq's first NORM_CHUNKS children, the outside from the next ones
+    seq = np.random.SeedSequence(cfg.seed)
+    tube_parts = seeded_map(tube_chunk, seq, cfg.n_tube, NORM_CHUNKS, cfg.threads)
+    out_parts = seeded_map(outside_chunk, seq, cfg.n_outside, NORM_CHUNKS, cfg.threads)
 
     tube_vals = np.concatenate(tube_parts)
     out_vals = np.concatenate(out_parts)
@@ -666,15 +608,6 @@ class ScalingReport:
     q0: float
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "norm_exponents": self.norm_exponents,
-            "ratio_slopes": self.ratio_slopes,
-            "q0": self.q0,
-            "params": self.params,
-        }
-
 
 def _fit_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
@@ -690,8 +623,8 @@ def ball_scaling_experiment(
 
     For each center on the surface and each delta, estimates
     N = ||mu * chi_B||_q0 and tabulates N / m_d(B)^(1/p) per p.  Slopes of
-    log-quantities against log delta are fit with the coarsest delta
-    dropped.  The height of the convolution is ~ delta^k on a tube of
+    log-quantities against log delta are fit with the finest (smallest)
+    delta dropped.  The height of the convolution is ~ delta^k on a tube of
     measure ~ delta^l, so the norm's delta-exponent is k + l/q0; the ratio's
     slope is that minus d/p, crossing zero exactly at the triangle vertex.
     """
@@ -769,7 +702,7 @@ def ball_scaling_experiment(
                     }
                 )
 
-    fit_deltas = deltas[1:]  # drop the coarsest
+    fit_deltas = deltas[1:]  # deltas ascend: drop the finest
     norm_exponents = {
         f"center{cid}": _fit_slope(fit_deltas, [norms[(cid, x)] for x in fit_deltas])
         for cid in range(len(centers))
@@ -781,7 +714,7 @@ def ball_scaling_experiment(
         for cid in range(len(centers)):
             vals = [norms[(cid, x)] / ball_volume(d, x) ** float(1 / p) for x in fit_deltas]
             per_center.append(_fit_slope(fit_deltas, vals))
-        ratio_slopes[f"{p.numerator}/{p.denominator}"] = float(np.mean(per_center))
+        ratio_slopes[frac_str(p)] = float(np.mean(per_center))
 
     return ScalingReport(
         rows=rows,
@@ -810,16 +743,6 @@ class ScanReport:
     half_sup: float
     growth: float
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "sup_ratio": self.sup_ratio,
-            "max_set_id": self.max_set_id,
-            "half_sup": self.half_sup,
-            "growth": self.growth,
-            "params": self.params,
-        }
 
 
 def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int, within_unit_ball: bool = True):
@@ -925,7 +848,7 @@ def restricted_estimate_scan(
         max_set_id=max_id,
         half_sup=half_sup,
         growth=growth,
-        params={"p": f"{p.numerator}/{p.denominator}", "n_sets": n_sets, "seed": cfg.seed,
+        params={"p": frac_str(p), "n_sets": n_sets, "seed": cfg.seed,
                 "resolution": resolution},
     )
 
@@ -941,15 +864,6 @@ class ShellEstimateReport:
     ratio: float
     stderr: float
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "params": self.params,
-        }
 
 
 def shell_bilinear_estimate(
@@ -978,13 +892,7 @@ def shell_bilinear_estimate(
     hi = 2.0 * lo
     shell_vol = float(np.prod(2.0 * (hi - lo)))
 
-    seeds = np.random.SeedSequence(seed).spawn(16)
-    counts = [n_samples // 16] * 16
-    counts[-1] += n_samples - sum(counts)
-
-    def chunk(args):
-        seed_seq, n = args
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
+    def chunk(rng, n):
         xs = f.sample(rng, n)
         mags = rng.uniform(lo, hi, (n, k))
         signs = rng.choice([-1.0, 1.0], (n, k))
@@ -992,7 +900,7 @@ def shell_bilinear_estimate(
         pts = np.concatenate([ys, (xs * ys) @ matrix.array], axis=1)
         return test_set.contains(pts).astype(float)
 
-    parts = ordered_map(chunk, list(zip(seeds, counts)), threads)
+    parts = seeded_map(chunk, np.random.SeedSequence(seed), n_samples, SHELL_CHUNKS, threads)
     hits = np.concatenate(parts)
     scale = f.l1_norm * shell_vol
     lhs = scale * float(hits.mean())

@@ -30,6 +30,7 @@ from typing import overload
 import numpy as np
 
 from .gaussians import GaussianSpec
+from .parallel import seeded_map
 from .quadrature import gauss_legendre_interval, sphere_rule
 from .surface import (
     CoefficientMatrix,
@@ -38,6 +39,10 @@ from .surface import (
     det_fraction,
     min_submatrix_det,
 )
+
+# Seeded chunks of y-samples per shell integral.  The chunk layout picks the random
+# streams, so another value moves every estimate.
+Y_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,6 @@ class McConfig:
     n_radial: int = 48
     n_sphere: int = 64
     truncation_radius: float = 12.0
-    y_chunks: int = 16
     threads: int = 1
 
     def __post_init__(self):
@@ -73,7 +77,6 @@ class McConfig:
             n_radial=2 * self.n_radial,
             n_sphere=2 * self.n_sphere,
             truncation_radius=self.truncation_radius,
-            y_chunks=self.y_chunks,
             threads=self.threads,
         )
 
@@ -87,15 +90,6 @@ class RatioReport:
     ratio: float
     stderr: float
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "params": self.params,
-        }
 
 
 def _require_coverage(w: GaussianSpec, radius: float, dim: int) -> None:
@@ -238,7 +232,7 @@ def _lhs_shell_integral(
     node side (built from v = C zeta) is built once per group, and the block
     is contracted with each rho's factor vector in its own matrix-vector
     product.  The block's exponents below the normal range give 0 without
-    calling exp.  The y-samples are drawn in y_chunks seeded chunks, so
+    calling exp.  The y-samples are drawn in Y_CHUNKS seeded chunks, so
     results depend neither on cfg.threads nor on which other rhos share the
     call.  node_mask, if given, selects among the nodes of the rule that all
     rhos share.
@@ -260,13 +254,7 @@ def _lhs_shell_integral(
         side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
         groups.append((group, side, [weights * radii**rho for rho in group]))
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.y_chunks)
-    counts = [cfg.n_y // cfg.y_chunks] * cfg.y_chunks
-    counts[-1] += cfg.n_y - sum(counts)
-
-    def chunk_values(args) -> list[np.ndarray]:
-        seed_seq, n = args
-        rng = np.random.Generator(np.random.PCG64(seed_seq))
+    def chunk_values(rng, n) -> list[np.ndarray]:
         ys = _shell_samples(rng, k, n)
         per_group = []
         for group, side, factors in groups:
@@ -279,9 +267,8 @@ def _lhs_shell_integral(
             per_group.append(out)
         return per_group
 
-    from .parallel import ordered_map
-
-    parts = ordered_map(chunk_values, list(zip(seeds, counts)), cfg.threads) if groups else []
+    seq = np.random.SeedSequence(cfg.seed)
+    parts = seeded_map(chunk_values, seq, cfg.n_y, Y_CHUNKS, cfg.threads) if groups else []
     shell_volume = 2.0**k
     estimates = {}
     for g, (group, _, _) in enumerate(groups):
@@ -461,14 +448,6 @@ class ChangeOfVariablesReport:
     rel_err: float
     params: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "closed_form": self.closed_form,
-            "quadrature": self.quadrature,
-            "rel_err": self.rel_err,
-            "params": self.params,
-        }
-
 
 def _split_circle_rule(kink_dirs: np.ndarray, n_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-circle rule split at the angles where any <C_i, theta> vanishes.
@@ -594,15 +573,6 @@ class PlancherelReport:
     ratio: float
     stderr: float
     params: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "weighted_integral": self.weighted_integral,
-            "l2_norm_sq": self.l2_norm_sq,
-            "ratio": self.ratio,
-            "stderr": self.stderr,
-            "params": self.params,
-        }
 
 
 def squared_fourier_weight(f: GaussianSpec) -> GaussianSpec:

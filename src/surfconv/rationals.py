@@ -2,7 +2,8 @@
 
 Rationals travel through every JSON interface as ``[numerator, denominator]``
 pairs of integers, so that no file format ever commits to a binary float for
-a quantity that is exact by construction.
+a quantity that is exact by construction.  Where a rational is a key, a
+label or a display value it is the string "numerator/denominator" instead.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ def frac_to_pair(x) -> list[int]:
     """Serialize an exact number as a reduced [numerator, denominator] pair."""
     f = Fraction(x)
     return [f.numerator, f.denominator]
+
+
+def frac_str(x) -> str:
+    """Format an exact number as "numerator/denominator", always with both parts."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
 
 
 def pair_to_frac(pair) -> Fraction:

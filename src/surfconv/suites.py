@@ -34,6 +34,7 @@ from .pullback import (
     pullback_weight_ratio,
     region_cover_factor,
 )
+from .rationals import frac_str
 from .surface import (
     CoefficientMatrix,
     check_submatrices,
@@ -54,9 +55,6 @@ class Verdict:
     passed: bool
     detail: str
 
-    def to_json(self) -> dict:
-        return {"check_id": self.check_id, "passed": bool(self.passed), "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -69,14 +67,6 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +91,13 @@ def run_check_star(matrix, params, seed, threads) -> SuiteResult:
                 mat.k,
                 mat.l,
                 rep.holds,
-                _frac_str(rep.min_abs_det),
+                frac_str(rep.min_abs_det),
                 ";".join(str(i + 1) for i in rep.witness_rows) if rep.witness_rows else "",
                 const if const is not None else "",
             ]
         )
         detail = (
-            f"min |det| = {_frac_str(rep.min_abs_det)}"
+            f"min |det| = {frac_str(rep.min_abs_det)}"
             if rep.holds
             else f"witness rows {[i + 1 for i in rep.witness_rows]} (1-based)"
         )
@@ -147,9 +137,9 @@ def run_typeset(matrix, params, seed, threads) -> SuiteResult:
         "k": k,
         "d": d,
         "typeset": ts.to_json(),
-        "q0": _frac_str(q0),
-        "p0": _frac_str(p0),
-        "ricci_gap": _frac_str(gap) if gap is not None else None,
+        "q0": frac_str(q0),
+        "p0": frac_str(p0),
+        "ricci_gap": frac_str(gap) if gap is not None else None,
     }
     verdicts = [
         Verdict("vertex-identity", identity, f"k + l/q0 = {Fraction(k) + Fraction(l)/q0}, d/p0 = {Fraction(d)/p0}"),
@@ -170,7 +160,7 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
     k, d = matrix.k, matrix.d
     deltas = params.get("deltas") or [2.0**-e for e in (3, 4, 5, 6)]
     p_list = (
-        [_parse_frac(s) for s in params["p_list"]]
+        [Fraction(s) for s in params["p_list"]]
         if "p_list" in params
         else _default_p_list(k, d)
     )
@@ -195,7 +185,7 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
     ]
     p0 = critical_p0(k, d)
     for p in p_list:
-        key = _frac_str(p)
+        key = frac_str(p)
         slope = rep.ratio_slopes[key]
         if Fraction(1) / p < Fraction(1) / p0:
             verdicts.append(
@@ -209,7 +199,7 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
     rows = [[r[c] for c in cols] for r in rep.rows]
     return SuiteResult(
         "ball-scan",
-        {"report": rep.to_json()},
+        {"report": rep},
         verdicts,
         {"ball_scan": (cols, rows)},
         {"n_tube": cfg.n_tube, "deltas": len(deltas), "centers": cfg.n_centers},
@@ -218,7 +208,7 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
 
 def run_restricted_scan(matrix, params, seed, threads) -> SuiteResult:
     k, d = matrix.k, matrix.d
-    p = _parse_frac(params["p"]) if "p" in params else _default_p_list(k, d)[1]
+    p = Fraction(params["p"]) if "p" in params else _default_p_list(k, d)[1]
     n_sets = int(params.get("n_sets", 12))
     cfg = NormMcConfig(
         seed=seed,
@@ -239,7 +229,7 @@ def run_restricted_scan(matrix, params, seed, threads) -> SuiteResult:
     rows = [[r[c] for c in cols] for r in rep.rows]
     return SuiteResult(
         "restricted-scan",
-        {"report": rep.to_json()},
+        {"report": rep},
         verdicts,
         {"restricted_scan": (cols, rows)},
         {"n_sets": n_sets, "n_tube": cfg.n_tube},

@@ -404,14 +404,6 @@ class JacobianBoundReport:
     n_violations: int
     worst: dict
 
-    def to_json(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "min_ratio": self.min_ratio,
-            "n_violations": self.n_violations,
-            "worst": self.worst,
-        }
-
 
 def verify_jacobian_bound(
     matrix: CoefficientMatrix, n_samples: int = 100_000, seed: int = 0

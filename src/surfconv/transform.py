@@ -16,7 +16,6 @@ cross-checks that realization against closed forms.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -101,29 +100,6 @@ class GridFunction:
         spacing = 2.0 * radius / cells
         return cls.from_callable(spec.evaluate, origin, spacing, (cells,) * spec.dim)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dim", self.dim])
-            w.writerow(["origin"] + [repr(o) for o in self.origin])
-            w.writerow(["spacing", repr(self.spacing)])
-            w.writerow(["extents"] + list(self.extents))
-            w.writerow(["values"])
-            for v in self.values.ravel():
-                w.writerow([repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        head = {r[0]: r[1:] for r in rows[:4]}
-        dim = int(head["dim"][0])
-        origin = tuple(float(x) for x in head["origin"])
-        spacing = float(head["spacing"][0])
-        extents = tuple(int(x) for x in head["extents"])
-        vals = np.array([float(r[0]) for r in rows[5:]]).reshape(extents)
-        return cls(dim=dim, origin=origin, spacing=spacing, values=vals)
-
 
 @dataclass(frozen=True)
 class PushforwardDensity:
@@ -183,14 +159,13 @@ def plane_transform(
     y,
     cells: int = 96,
     box_radius: float | None = None,
-    smoothing: bool = False,
     threads: int = 1,
 ) -> PushforwardDensity:
     """Pushforward of f dm_k under x -> L_y x, as a density on an l-grid.
 
-    Nearest-cell deposit by default; smoothing=True switches to a multilinear
-    (cloud-in-cell) deposit.  Mass landing outside the target box is counted
-    in leak_fraction rather than silently dropped.
+    Each source cell deposits its mass in the target cell holding its image.
+    Mass landing outside the target box is counted in leak_fraction rather
+    than silently dropped.
     """
     y = _check_transform_inputs(matrix, y)
     if f.dim != matrix.k:
@@ -211,30 +186,11 @@ def plane_transform(
         img = bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape))
         weights = vals * source_mass
         total = float(np.abs(weights).sum())
-        leaked = 0.0
-        if smoothing:
-            rel = (img - np.asarray(origin)) / spacing - 0.5
-            base = np.floor(rel).astype(int)
-            frac = rel - base
-            for corner in range(1 << l):
-                idx = base.copy()
-                cw = weights.copy()
-                for ax in range(l):
-                    if corner >> ax & 1:
-                        idx[:, ax] += 1
-                        cw = cw * frac[:, ax]
-                    else:
-                        cw = cw * (1.0 - frac[:, ax])
-                ok = np.all((idx >= 0) & (idx < cells), axis=1)
-                leaked += float(np.abs(cw[~ok]).sum())
-                if np.any(ok):
-                    np.add.at(acc, tuple(idx[ok].T), cw[ok])
-        else:
-            idx = np.floor((img - np.asarray(origin)) / spacing).astype(int)
-            ok = np.all((idx >= 0) & (idx < cells), axis=1)
-            leaked += float(np.abs(weights[~ok]).sum())
-            if np.any(ok):
-                np.add.at(acc, tuple(idx[ok].T), weights[ok])
+        idx = np.floor((img - np.asarray(origin)) / spacing).astype(int)
+        ok = np.all((idx >= 0) & (idx < cells), axis=1)
+        leaked = float(np.abs(weights[~ok]).sum())
+        if np.any(ok):
+            np.add.at(acc, tuple(idx[ok].T), weights[ok])
         return acc, leaked, total
 
     from .parallel import ordered_map
@@ -259,14 +215,6 @@ class PairingReport:
     rel_err: float
     leak_fraction: float
 
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_err": self.rel_err,
-            "leak_fraction": self.leak_fraction,
-        }
-
 
 def pairing_check(
     f: GridFunction,
@@ -275,7 +223,6 @@ def pairing_check(
     y,
     cells: int = 96,
     box_radius: float | None = None,
-    smoothing: bool = False,
 ) -> PairingReport:
     """Both sides of the defining pairing, each by its own grid quadrature.
 
@@ -286,7 +233,7 @@ def pairing_check(
     y = _check_transform_inputs(matrix, y)
     if h.dim != matrix.l:
         raise ValueError("h must live on an l-dimensional grid")
-    pf = plane_transform(f, matrix, y, cells=cells, box_radius=box_radius, smoothing=smoothing)
+    pf = plane_transform(f, matrix, y, cells=cells, box_radius=box_radius)
     tgrid = pf.grid
     axes = [tgrid.centers_1d(a) for a in range(tgrid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -312,14 +259,6 @@ class FourierReport:
     nyquist: float
     rows: tuple[dict, ...]
     excluded: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "max_rel_err": self.max_rel_err,
-            "nyquist": self.nyquist,
-            "rows": list(self.rows),
-            "excluded": list(self.excluded),
-        }
 
 
 def fourier_check(
@@ -404,9 +343,6 @@ class OscillatoryReport:
     sup_abs: float
     l1_norm: float
     argmax_u: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {"sup_abs": self.sup_abs, "l1_norm": self.l1_norm, "argmax_u": list(self.argmax_u)}
 
 
 def oscillatory_sup_bound(

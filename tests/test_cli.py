@@ -136,6 +136,30 @@ class TestRun:
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "suite, params, report_keys",
+        [
+            ("ball-scan", {"deltas": [0.125, 0.0625, 0.03125], "n_tube": 500, "n_outside": 50,
+                           "n_centers": 1, "resolution": 128, "tolerance": 0.5},
+             {"rows", "norm_exponents", "ratio_slopes", "q0", "params"}),
+            ("restricted-scan", {"n_sets": 4, "n_tube": 200, "resolution": 32},
+             {"rows", "sup_ratio", "max_set_id", "half_sup", "growth", "params"}),
+        ],
+    )
+    def test_report_and_verdict_wire_format(self, tmp_path, suite, params, report_keys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"suite": suite, "seed": 3, "matrix": {"battery": "paraboloid-2-1"}, "params": params},
+        )
+        out = tmp_path / "out"
+        assert run_cli(cfg, out) in (0, 1)
+        payload = json.loads((out / "payload.json").read_text())
+        assert set(payload["results"]["report"]) == report_keys
+        assert payload["verdicts"]
+        for verdict in payload["verdicts"]:
+            assert set(verdict) == {"check_id", "passed", "detail"}
+            assert isinstance(verdict["passed"], bool)
+
     def test_failing_check_exits_one(self, tmp_path, capsys):
         cfg = ballscan_config(tmp_path, tolerance=1e-6)
         assert run_cli(cfg, tmp_path / "out") == 1
@@ -159,6 +183,42 @@ class TestConfigValidation:
         p.write_text("{not json")
         assert main(["run", "--config", str(p)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe{}")
+        assert main(["run", "--config", str(p)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, literal",
+        [
+            (
+                {"suite": "ball-scan", "seed": 3, "matrix": {"battery": "paraboloid-2-1"},
+                 "params": {"tolerance": float("nan")}},
+                "NaN",
+            ),
+            (
+                {"suite": "ball-scan", "seed": 3, "matrix": {"battery": "paraboloid-2-1"},
+                 "params": {"deltas": [float("nan"), 0.5, 0.25]}},
+                "NaN",
+            ),
+            (
+                {"suite": "transform-check", "seed": 3, "matrix": {"battery": "paraboloid-2-1"},
+                 "params": {"y": [float("inf"), 1.0]}},
+                "Infinity",
+            ),
+        ],
+    )
+    def test_non_json_number_literals(self, tmp_path, capsys, monkeypatch, doc, literal):
+        # json.loads takes NaN and Infinity, and NaN passes every schema bound
+        monkeypatch.setattr("surfconv.cli.run_suite", lambda *args: pytest.fail("suite ran"))
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config is not valid JSON" in err and f"{literal} is not a JSON number" in err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -565,6 +625,23 @@ _TRACED_MODULES = [
     for name in ["cli", "suites", "convolution", "gaussians", "pullback", "surface", "transform",
                  "parallel"]
 ]
+
+
+def test_tracer_targets_exist():
+    # bench/tracing.py wraps package functions by name; a rename must fail here, not under --trace
+    import importlib.util
+
+    import surfconv.cli  # noqa: F401  (loads every module the tracer patches)
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("surfconv_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,6 @@ from surfconv.convolution import (
     restricted_estimate_scan,
     shell_bilinear_estimate,
     shell_sum_estimate,
-    translate_set,
 )
 from surfconv.gaussians import GaussianSpec
 from surfconv.quadrature import gauss_legendre_interval
@@ -114,14 +113,8 @@ class TestConvolveAt:
         E = BallSet((0.05, -0.1, 0.2), 0.25)
         v = np.array([0.3, -0.2, 0.15])
         a = mu_paraboloid.convolve_at(E, z)
-        b = mu_paraboloid.convolve_at(translate_set(E, v), z + v)
+        b = mu_paraboloid.convolve_at(BallSet(tuple(np.array(E.center) + v), E.radius), z + v)
         assert a == b
-
-    def test_translated_box_membership(self):
-        E = BoxUnionSet(((0.0, 0.0),), ((1.0, 1.0),))
-        T = translate_set(E, np.array([0.5, -0.25]))
-        probe = np.array([[0.6, -0.2], [0.4, 0.0], [1.4, 0.7]])
-        assert list(T.contains(probe)) == [True, False, True]
 
 
 def set_kinds(matrix, rng):
@@ -138,7 +131,6 @@ def set_kinds(matrix, rng):
         ),
         "tube": TangentTubeSet(matrix, tuple(y), 0.125, 0.05),
         "sheared": ShearedBoxSet(matrix, BoxUnionSet((tuple(box_lo),), (tuple(box_lo + 0.2),))),
-        "translated": translate_set(TangentTubeSet(matrix, tuple(y), 0.1, 0.04), rng.uniform(-0.2, 0.2, d)),
     }
 
 
@@ -186,7 +178,7 @@ def z_battery(mu, test_set, rng):
 
 
 class TestKernelOracle:
-    @pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared", "translated"])
+    @pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared"])
     @pytest.mark.parametrize("matrix,resolution", [(PARABOLOID, 64), (BANDED, 32)], ids=["k2", "k3"])
     def test_counts_match_brute_force(self, matrix, resolution, kind):
         rng = np.random.default_rng(resolution)
@@ -210,7 +202,7 @@ MIXED_SIGNS = CoefficientMatrix.from_rows([[1, -2], [Fraction(1, 2), 1], [-1, 3]
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["ball", "box-union", "tube", "sheared", "translated"]),
+    st.sampled_from(["ball", "box-union", "tube", "sheared"]),
     st.sampled_from([PARABOLOID, BANDED, MIXED_SIGNS]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
@@ -317,6 +309,18 @@ class TestBallScaling:
         )
         # deltas ascending; spacing <= delta/4 means res = 8/delta rounded up
         assert rep.params["resolutions"] == [256, 128, 64]
+
+    def test_fit_drops_the_smallest_radius(self):
+        rep = ball_scaling_experiment(
+            PARABOLOID,
+            [2.0**-e for e in (1, 2, 3, 4)],
+            [Fraction(4, 3)],
+            ScalingConfig(seed=2, resolution=64, n_tube=400, n_outside=50, n_centers=1),
+        )
+        norms = {row["delta"]: row["norm"] for row in rep.rows if row["center_id"] == 0}
+        kept = sorted(norms)[1:]
+        want = np.polyfit(np.log(kept), np.log([norms[x] for x in kept]), 1)[0]
+        assert rep.norm_exponents["center0"] == pytest.approx(want, rel=1e-12)
 
     def test_too_few_radii_rejected(self):
         with pytest.raises(ValueError):

@@ -132,7 +132,7 @@ def test_squared_fourier_weight_matches_modulus():
 
 def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     w = GaussianSpec(dim=3, amplitude=1.7, mean=(0.3, -0.2, 0.1), sigmas=(0.9, 0.6, 1.3))
-    cfg = McConfig(n_y=40, n_radial=8, n_sphere=8, y_chunks=3, seed=21)
+    cfg = McConfig(n_y=40, n_radial=8, n_sphere=8, seed=21)
     mask = np.arange(8 * 8) % 3 != 0
     fast = [
         _lhs_shell_integral(BANDED, [0.5], w, cfg)[0],
@@ -161,7 +161,7 @@ def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
 
 def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
     w = GaussianSpec(dim=3, amplitude=1.2, mean=(0.1, 0.4, -0.3), sigmas=(0.8, 1.1, 0.7))
-    cfg = McConfig(n_y=60, n_radial=8, n_sphere=8, y_chunks=4, seed=13)
+    cfg = McConfig(n_y=60, n_radial=8, n_sphere=8, seed=13)
     rhos = [-0.5, 0.0, 0.0, 1.0]
     shared = _lhs_shell_integral(BANDED, rhos, w, cfg)
     assert shared == [_lhs_shell_integral(BANDED, [rho], w, cfg)[0] for rho in rhos]

@@ -28,16 +28,6 @@ def test_grid_sampling_and_interpolation():
     assert f.interpolate(np.array([[99.0, 99.0]]))[0] == 0.0
 
 
-def test_grid_csv_roundtrip(tmp_path):
-    spec = GaussianSpec(dim=1, amplitude=2.0, mean=(0.1,), sigmas=(0.5,))
-    f = GridFunction.from_gaussian(spec, 32)
-    path = tmp_path / "grid.csv"
-    f.to_csv(path)
-    g = GridFunction.from_csv(path)
-    assert g.dim == f.dim and g.spacing == f.spacing
-    np.testing.assert_array_equal(g.values, f.values)
-
-
 def test_transform_conserves_mass():
     spec = GaussianSpec(dim=2, amplitude=1.0, mean=(0.2, 0.1), sigmas=(0.6, 0.8))
     f = GridFunction.from_gaussian(spec, 96)
