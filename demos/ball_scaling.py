@@ -27,7 +27,7 @@ def run_case(entry_id: str) -> None:
         matrix,
         [2.0**-e for e in (3, 4, 5, 6)],
         p_list,
-        ScalingConfig(seed=1234, n_tube=3000, n_outside=200, n_centers=3),
+        ScalingConfig(seed=1234, n_tube=3000, n_centers=3),
     )
 
     print(f"\n{entry_id}: k={k}, l={l}, d={d}, critical p0 = {p0}")

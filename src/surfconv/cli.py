@@ -165,22 +165,27 @@ def _refuse_constant(literal: str):
     raise ValueError(f"{literal} is not a JSON number")
 
 
-def _resolve_matrix(config: dict, config_dir: Path):
+def _resolve_matrix(config: dict, config_dir: Path, schema: dict):
     spec = config.get("matrix")
     if spec is None:
         return None, "none"
     if "battery" in spec:
         entry = battery_entry(spec["battery"])
         return entry.matrix, f"battery:{spec['battery']}"
-    if "path" in spec:
-        path = Path(spec["path"])
-        if not path.is_absolute():
-            path = config_dir / path
-        doc = json.loads(path.read_text())
-        mat = CoefficientMatrix.from_json(doc.get("matrix", doc))
-        return mat, f"path:{spec['path']}"
-    mat = CoefficientMatrix.from_json(spec)
-    return mat, "inline"
+    if "path" not in spec:
+        return CoefficientMatrix.from_json(spec), "inline"
+    # a relative path is read next to the config; an absolute one stands alone
+    doc = json.loads((config_dir / spec["path"]).read_text())
+    # a gen-matrix file wraps the matrix; either way it must pass the inline-matrix schema
+    prefix, obj = "$", doc
+    if isinstance(doc, dict) and "matrix" in doc:
+        prefix, obj = "$.matrix", doc["matrix"]
+    inline = next(s for s in schema["properties"]["matrix"]["oneOf"] if "entries" in s["required"])
+    error = first_error(obj, inline)
+    if error:
+        where, message = error
+        raise ValueError(f"{prefix}{where[1:]}: {message}")
+    return CoefficientMatrix.from_json(obj), f"path:{spec['path']}"
 
 
 def cmd_run(args) -> int:
@@ -192,7 +197,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:  # JSONDecodeError, or a literal _refuse_constant refused
         return _fail(f"config is not valid JSON: {exc}")
 
-    error = first_error(config, _load_schema())
+    schema = _load_schema()
+    error = first_error(config, schema)
     if error:
         where, message = error
         return _fail(f"config invalid at {where}: {message}")
@@ -222,11 +228,12 @@ def cmd_run(args) -> int:
         return _fail(exponent_error)
 
     try:
-        matrix, matrix_note = _resolve_matrix(config, config_path.parent)
+        matrix, matrix_note = _resolve_matrix(config, config_path.parent, schema)
     except KeyError as exc:
         return _fail(f"config invalid at $.matrix.battery: {exc.args[0]}")
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(f"config invalid at $.matrix: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        where = "$.matrix.path" if "path" in config.get("matrix", {}) else "$.matrix"
+        return _fail(f"config invalid at {where}: {exc}")
 
     t0 = time.perf_counter()
     try:
@@ -305,10 +312,19 @@ def cmd_report(args) -> int:
     if not paths:
         return _fail(f"no report.json found under {root}")
 
+    docs = []
+    for path in paths:  # every file is checked before any output is written
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            return _fail(f"cannot read run file {path}: {exc}")
+        if not isinstance(doc, dict) or not {"suite", "passed", "verdicts"} <= doc.keys():
+            return _fail(f"run file {path} is not a run report")
+        docs.append((path, doc))
+
     verdict_rows, curve_rows = [], []
     suites_seen, any_fail = [], False
-    for path in paths:
-        doc = json.loads(path.read_text())
+    for path, doc in docs:
         run_id = str(path.parent.relative_to(root)) if path.parent != root else "."
         suites_seen.append((run_id, doc["suite"], doc["passed"]))
         for v in doc["verdicts"]:

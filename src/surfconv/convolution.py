@@ -5,8 +5,8 @@ under y -> (y; heights(y)): a uniform y-grid, cells kept when their centers
 lie in the open ball, each atom carrying the full cell volume.  Everything
 downstream is built to avoid dense d-dimensional grids: pointwise
 convolution sums over atoms found by index-range queries on the y-grid, and
-L^q norms are stratified Monte Carlo with an analytically exact support
-tube.  That keeps the d = 5 experiments affordable: the atom positions are
+L^q norms are Monte Carlo over a support tube that provably contains
+supp(mu * chi_E) and has an exact volume.  That keeps the d = 5 experiments affordable: the atom positions are
 generated on the fly from grid indices and never need materializing.
 
 The batched kernel convolve_many first drops every z whose head-index
@@ -31,7 +31,13 @@ from .exponents import ExponentPair, critical_q0, typeset, typeset_contains
 from .parallel import seeded_map
 from .quadrature import ball_volume
 from .rationals import frac_str
-from .surface import CoefficientMatrix, check_submatrices, surface_heights
+from .surface import (
+    CoefficientMatrix,
+    check_submatrices,
+    sample_shell,
+    shell_measure,
+    surface_heights,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +439,10 @@ class SurfaceMeasure:
 
 
 # ---------------------------------------------------------------------------
-# stratified Lq norms
+# Lq norms
 
 
-# Seeded chunks per stratum of lq_norm_mc and per shell_bilinear_estimate.  The chunk
+# Seeded chunks of lq_norm_mc and of shell_bilinear_estimate.  The chunk
 # layout picks the random streams, so another value moves every estimate.
 NORM_CHUNKS = 8
 SHELL_CHUNKS = 16
@@ -446,11 +452,10 @@ SHELL_CHUNKS = 16
 class NormMcConfig:
     seed: int = 0x5EED
     n_tube: int = 4000
-    n_outside: int = 400
     threads: int = 1
 
     def __post_init__(self):
-        if self.n_tube < NORM_CHUNKS or self.n_outside <= 0:
+        if self.n_tube < NORM_CHUNKS:
             raise ValueError("sample counts too small for the chunk layout")
 
 
@@ -482,29 +487,18 @@ def _support_tube(measure: SurfaceMeasure, test_set):
     return c, head_half, band
 
 
-def _tube_membership(measure, c, head_half, band, zs):
-    k = measure.k
-    dh = zs[:, :k] - c[:k]
-    ok = (np.abs(dh) <= head_half).all(axis=1)
-    pred = c[k:] + surface_heights(measure.matrix, dh)
-    ok &= (np.abs(zs[:, k:] - pred) <= band).all(axis=1)
-    return ok
-
-
 def lq_norm_mc(
     measure: SurfaceMeasure,
     test_set,
     q: float,
     cfg: NormMcConfig | None = None,
 ) -> NormEstimate:
-    """(integral |mu * chi_E|^q)^(1/q) by two-stratum Monte Carlo.
+    """(integral |mu * chi_E|^q)^(1/q) by Monte Carlo over the support tube.
 
-    Stratum one samples the sheared tube that provably contains the
-    convolution's support; stratum two samples the rest of the enclosing
-    box, where the integrand should vanish identically (its average is still
-    accumulated honestly, as a coverage check).  Estimates combine with
-    exact stratum volumes; the error bar passes through the q-th root by the
-    delta method.
+    The sheared tube of _support_tube provably contains the convolution's
+    support, so uniform samples of the tube times its exact volume estimate
+    the whole integral; outside it the integrand is identically 0.  The
+    error bar passes through the q-th root by the delta method.
     """
     cfg = cfg or NormMcConfig()
     if q < 1:
@@ -515,12 +509,6 @@ def lq_norm_mc(
     k, l = measure.k, measure.l
     v_tube = float(np.prod(2.0 * head_half) * np.prod(2.0 * band))
 
-    h_lo, h_hi = _heights_interval(measure.matrix, -head_half, head_half)
-    tail_lo = c[k:] + h_lo - band
-    tail_hi = c[k:] + h_hi + band
-    v_box = float(np.prod(2.0 * head_half) * np.prod(tail_hi - tail_lo))
-    v_out = max(v_box - v_tube, 0.0)
-
     def tube_chunk(rng, n):
         heads = c[:k] + rng.uniform(-1.0, 1.0, (n, k)) * head_half
         offs = rng.uniform(-1.0, 1.0, (n, l)) * band
@@ -529,38 +517,11 @@ def lq_norm_mc(
         g = measure.convolve_many(test_set, zs)
         return g**q
 
-    def outside_chunk(rng, n):
-        got = []
-        attempts = 0
-        while sum(len(a) for a in got) < n and attempts < 50:
-            attempts += 1
-            heads = c[:k] + rng.uniform(-1.0, 1.0, (2 * n, k)) * head_half
-            tails = rng.uniform(tail_lo, tail_hi, (2 * n, l))
-            zs = np.concatenate([heads, tails], axis=1)
-            keep = ~_tube_membership(measure, c, head_half, band, zs)
-            got.append(zs[keep])
-        zs = np.concatenate(got)[:n] if got else np.zeros((0, measure.d))
-        if len(zs) == 0:
-            return np.zeros(0)
-        return measure.convolve_many(test_set, zs) ** q
-
-    # the tube draws from seq's first NORM_CHUNKS children, the outside from the next ones
-    seq = np.random.SeedSequence(cfg.seed)
-    tube_parts = seeded_map(tube_chunk, seq, cfg.n_tube, NORM_CHUNKS, cfg.threads)
-    out_parts = seeded_map(outside_chunk, seq, cfg.n_outside, NORM_CHUNKS, cfg.threads)
-
-    tube_vals = np.concatenate(tube_parts)
-    out_vals = np.concatenate(out_parts)
-    mean_t = float(tube_vals.mean())
-    var_t = float(tube_vals.var(ddof=1)) / len(tube_vals)
-    if len(out_vals) > 1 and v_out > 0:
-        mean_o = float(out_vals.mean())
-        var_o = float(out_vals.var(ddof=1)) / len(out_vals)
-    else:
-        mean_o, var_o = 0.0, 0.0
-
-    total = v_tube * mean_t + v_out * mean_o
-    var = v_tube**2 * var_t + v_out**2 * var_o
+    parts = seeded_map(tube_chunk, np.random.SeedSequence(cfg.seed), cfg.n_tube, NORM_CHUNKS,
+                       cfg.threads)
+    vals = np.concatenate(parts)
+    total = v_tube * float(vals.mean())
+    var = v_tube**2 * (float(vals.var(ddof=1)) / len(vals))
     if total <= 0:
         return NormEstimate(0.0, var**0.5, True, q, {"zero_estimate": True})
     norm = total ** (1.0 / q)
@@ -570,14 +531,7 @@ def lq_norm_mc(
         stderr=stderr,
         low_confidence=bool(stderr > 0.1 * norm),
         q=q,
-        params={
-            "n_tube": cfg.n_tube,
-            "n_outside": cfg.n_outside,
-            "seed": cfg.seed,
-            "tube_volume": v_tube,
-            "outside_volume": v_out,
-            "outside_hits": int(np.count_nonzero(out_vals)),
-        },
+        params={"n_tube": cfg.n_tube, "seed": cfg.seed, "tube_volume": v_tube},
     )
 
 
@@ -595,7 +549,6 @@ class ScalingConfig:
     seed: int = 0x5EED
     resolution: int | None = None           # default: spacing = delta_min / 4
     n_tube: int = 3000
-    n_outside: int = 200
     n_centers: int = 3
     threads: int = 1
 
@@ -674,12 +627,8 @@ def ball_scaling_experiment(
                 measures[delta],
                 ball,
                 q0,
-                NormMcConfig(
-                    seed=cfg.seed + 1000 * cid + j,
-                    n_tube=cfg.n_tube,
-                    n_outside=cfg.n_outside,
-                    threads=cfg.threads,
-                ),
+                NormMcConfig(seed=cfg.seed + 1000 * cid + j, n_tube=cfg.n_tube,
+                             threads=cfg.threads),
             )
             if est.norm <= 0:
                 # mu * chi_B is positive near a center on the surface: a 0 is a miss, not a value
@@ -888,15 +837,11 @@ def shell_bilinear_estimate(
     shell = tuple(int(n) for n in (shell or (0,) * k))
     if len(shell) != k:
         raise ValueError("shell multi-index must have k entries")
-    lo = np.array([2.0**n for n in shell])
-    hi = 2.0 * lo
-    shell_vol = float(np.prod(2.0 * (hi - lo)))
+    shell_vol = float(shell_measure(shell))
 
     def chunk(rng, n):
         xs = f.sample(rng, n)
-        mags = rng.uniform(lo, hi, (n, k))
-        signs = rng.choice([-1.0, 1.0], (n, k))
-        ys = mags * signs
+        ys = sample_shell(rng, shell, n)
         pts = np.concatenate([ys, (xs * ys) @ matrix.array], axis=1)
         return test_set.contains(pts).astype(float)
 

@@ -37,7 +37,8 @@ from .surface import (
     check_submatrices,
     comparability_constant,
     det_fraction,
-    min_submatrix_det,
+    sample_shell,
+    shell_measure,
 )
 
 # Seeded chunks of y-samples per shell integral.  The chunk layout picks the random
@@ -172,12 +173,6 @@ def _min_singular_value(matrix: CoefficientMatrix) -> float:
     return float(np.linalg.svd(matrix.array, compute_uv=False)[-1])
 
 
-def _shell_samples(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    mag = rng.uniform(1.0, 2.0, size=(n, k))
-    sign = rng.choice([-1.0, 1.0], size=(n, k))
-    return mag * sign
-
-
 def _region_mask(
     matrix: CoefficientMatrix,
     nodes: np.ndarray,
@@ -238,7 +233,8 @@ def _lhs_shell_integral(
     rhos share.
     Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
-    k, l = matrix.k, matrix.l
+    unit_shell = (0,) * matrix.k
+    l = matrix.l
     rhos = [float(rho) for rho in rhos]
     r_zeta = _zeta_radius(matrix, w, cfg)
     groups = []  # (distinct rhos, node side, factor vectors) per radial rule
@@ -255,7 +251,7 @@ def _lhs_shell_integral(
         groups.append((group, side, [weights * radii**rho for rho in group]))
 
     def chunk_values(rng, n) -> list[np.ndarray]:
-        ys = _shell_samples(rng, k, n)
+        ys = sample_shell(rng, unit_shell, n)
         per_group = []
         for group, side, factors in groups:
             out = np.empty((len(group), n))
@@ -269,7 +265,7 @@ def _lhs_shell_integral(
 
     seq = np.random.SeedSequence(cfg.seed)
     parts = seeded_map(chunk_values, seq, cfg.n_y, Y_CHUNKS, cfg.threads) if groups else []
-    shell_volume = 2.0**k
+    shell_volume = float(shell_measure(unit_shell))
     estimates = {}
     for g, (group, _, _) in enumerate(groups):
         vals = np.concatenate([part[g] for part in parts], axis=1)

@@ -35,11 +35,7 @@ from .pullback import (
     region_cover_factor,
 )
 from .rationals import frac_str
-from .surface import (
-    CoefficientMatrix,
-    check_submatrices,
-    comparability_constant,
-)
+from .surface import check_submatrices, comparability_constant
 from .transform import (
     GridFunction,
     fourier_check,
@@ -169,7 +165,6 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
         seed=seed,
         resolution=params.get("resolution"),
         n_tube=int(params.get("n_tube", 3000)),
-        n_outside=int(params.get("n_outside", 200)),
         n_centers=int(params.get("n_centers", 3)),
         threads=threads,
     )
@@ -213,7 +208,6 @@ def run_restricted_scan(matrix, params, seed, threads) -> SuiteResult:
     cfg = NormMcConfig(
         seed=seed,
         n_tube=int(params.get("n_tube", 2500)),
-        n_outside=int(params.get("n_outside", 200)),
         threads=threads,
     )
     rep = restricted_estimate_scan(

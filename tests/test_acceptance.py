@@ -285,7 +285,7 @@ def _scaling_case(matrix, tol):
         matrix,
         [2.0**-e for e in (3, 4, 5, 6)],
         plist,
-        ScalingConfig(seed=1234, n_tube=3000, n_outside=200, n_centers=3),
+        ScalingConfig(seed=1234, n_tube=3000, n_centers=3),
     )
     failures = []
     expected = float(k + matrix.l / critical_q0(k, d))

@@ -41,7 +41,6 @@ def ballscan_config(tmp_path, tolerance, name="bs.json"):
             "params": {
                 "deltas": [0.125, 0.0625, 0.03125],
                 "n_tube": 500,
-                "n_outside": 50,
                 "n_centers": 1,
                 "resolution": 128,
                 "tolerance": tolerance,
@@ -139,8 +138,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "suite, params, report_keys",
         [
-            ("ball-scan", {"deltas": [0.125, 0.0625, 0.03125], "n_tube": 500, "n_outside": 50,
-                           "n_centers": 1, "resolution": 128, "tolerance": 0.5},
+            ("ball-scan", {"deltas": [0.125, 0.0625, 0.03125], "n_tube": 500, "n_centers": 1,
+                           "resolution": 128, "tolerance": 0.5},
              {"rows", "norm_exponents", "ratio_slopes", "q0", "params"}),
             ("restricted-scan", {"n_sets": 4, "n_tube": 200, "resolution": 32},
              {"rows", "sup_ratio", "max_set_id", "half_sup", "growth", "params"}),
@@ -343,6 +342,38 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "$.matrix.battery" in err and "banded-3-2" in err
 
+    def test_outside_sample_count_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the norm estimator samples only the certified support tube: the knob is gone, not ignored
+        monkeypatch.setattr("surfconv.cli.run_suite", lambda *args: pytest.fail("suite ran"))
+        cfg = ballscan_config(tmp_path, tolerance=0.5)
+        doc = json.loads(Path(cfg).read_text())
+        doc["params"]["n_outside"] = 50
+        assert main(["run", "--config", write_config(Path(cfg), doc)]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at $.params" in err and "'n_outside' was unexpected" in err
+
+    @pytest.mark.parametrize(
+        "content, where, message",
+        [
+            ([[1, 1], [1, 1]], "$", "is not of type 'object'"),
+            ({"k": 2, "l": 1, "entries": [None, [1, 1]]}, "$.entries[0]",
+             "None is not of type 'array'"),
+            ({"matrix": {"k": 2, "entries": [[1, 1], [1, 1]]}}, "$.matrix",
+             "'l' is a required property"),
+            ({"k": 2, "l": 1, "entries": [[1.5, 2], [1, 1]]}, "$.entries[0][0]",
+             "1.5 is not of type 'integer'"),
+        ],
+        ids=["list", "null-entry", "missing-l", "fractional-entry"],
+    )
+    def test_matrix_file_is_schema_checked(self, tmp_path, capsys, content, where, message):
+        (tmp_path / "m.json").write_text(json.dumps(content))
+        cfg = checkstar_config(tmp_path, matrix={"path": "m.json"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config invalid at $.matrix.path: {where}: " in err and message in err
+        assert not out.exists()
+
 
 class TestSeedPrecedence:
     def run_seed(self, tmp_path, monkeypatch, flag=None, env=None, config_seed=7):
@@ -452,6 +483,23 @@ class TestReport:
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert main(["report", str(tmp_path)]) == 2  # exists but holds no runs
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"suite": "check-star", "pass', "cannot read run file"), ("[1, 2]", "is not a run report")],
+        ids=["truncated", "list"],
+    )
+    def test_bad_run_file_exits_two(self, tmp_path, capsys, text, message):
+        root = tmp_path / "runs"
+        run_cli(checkstar_config(tmp_path), root / "star")
+        bad = root / "broken" / "report.json"
+        bad.parent.mkdir()
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["report", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+        assert not (root / "summary.txt").exists() and not (root / "verdicts.csv").exists()
 
 
 def test_module_entry_point():
@@ -585,7 +633,6 @@ _SUITE_CONFIGS = {
         {
             "deltas": st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125]), min_size=3, max_size=4),
             "p_list": st.lists(_EXPONENT, max_size=3),
-            "n_outside": st.integers(8, 40),
             "resolution": st.integers(8, 64),
             "tolerance": st.floats(min_value=0.01, max_value=2.0),
         },
@@ -593,7 +640,7 @@ _SUITE_CONFIGS = {
     "restricted-scan": _suite_configs(
         "restricted-scan",
         {"n_sets": st.integers(2, 3), "n_tube": st.integers(16, 200), "resolution": st.integers(8, 64)},
-        {"p": _EXPONENT, "n_outside": st.integers(8, 40)},
+        {"p": _EXPONENT},
     ),
     "ineq6": _suite_configs(
         "ineq6", {"n_sets": st.integers(2, 3), "n_samples": st.integers(16, 200)}
