@@ -304,6 +304,26 @@ def cmd_run(args) -> int:
 # report
 
 
+def _object(required: dict) -> dict:
+    return {"type": "object", "required": list(required), "properties": required}
+
+
+_STRING, _BOOL, _NUMBER = {"type": "string"}, {"type": "boolean"}, {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_VERDICT = _object({"check_id": _STRING, "passed": _BOOL, "detail": _STRING})
+_CURVE_ROW = _object({"delta": _POSITIVE, "p_num": _NUMBER, "p_den": _POSITIVE, "norm": _NUMBER,
+                      "ratio": _NUMBER, "center_id": {"type": "integer"}})
+# every field of a report.json that cmd_report reads, with the values it can use
+_RUN_FILE_SCHEMA = {
+    **_object({"suite": _STRING, "passed": _BOOL,
+               "verdicts": {"type": "array", "items": _VERDICT}}),
+    "if": {"required": ["suite"], "properties": {"suite": {"const": "ball-scan"}}},
+    "then": _object({"results": _object({"report": _object(
+        {"rows": {"type": "array", "items": _CURVE_ROW}}
+    )})}),
+}
+
+
 def cmd_report(args) -> int:
     root = Path(args.run_dir)
     if not root.is_dir():
@@ -318,8 +338,9 @@ def cmd_report(args) -> int:
             doc = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read run file {path}: {exc}")
-        if not isinstance(doc, dict) or not {"suite", "passed", "verdicts"} <= doc.keys():
-            return _fail(f"run file {path} is not a run report")
+        error = first_error(doc, _RUN_FILE_SCHEMA)
+        if error:
+            return _fail(f"run file {path} is not a run report: {error[0]}: {error[1]}")
         docs.append((path, doc))
 
     verdict_rows, curve_rows = [], []

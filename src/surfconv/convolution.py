@@ -12,10 +12,12 @@ generated on the fly from grid indices and never need materializing.
 The batched kernel convolve_many first drops every z whose head-index
 window is certified empty by interval bounds on the heights over that window
 and the test set's bounding box alone (off the grid, outside the unit
-y-ball, or every tail outside the box).  For the rest it builds the window
-from per-axis tables broadcast to (B, n_1, ..., n_k), since heads and tails
-are sums of per-axis terms, and calls the set's membership test once per
-batch.
+y-ball, or every tail outside the box).  For the rest it hands the set's
+contains_coords one coordinate array per axis, once per batch: each head
+coordinate z_i - y_i is a (B, 1, ..., n_i, ..., 1) table and each tail a
+full (B, n_1, ..., n_k) array, since heads and tails are sums of per-axis
+terms.  Ball and box tests stay on the small head tables until the tail
+axes; no (B * window, d) point array is ever assembled.
 """
 
 from __future__ import annotations
@@ -70,9 +72,19 @@ class BallSet:
         c = np.array(self.center)
         return c - self.radius, c + self.radius
 
+    def contains_coords(self, coords) -> np.ndarray:
+        """Membership of broadcastable per-axis coordinate arrays.
+
+        The squares are summed in a fixed order, (sq0 + sq2 + ...) + (sq1 + sq3
+        + ...), each part left to right.  For d <= 7 that is the order of the
+        two-lane SSE sum-of-products loop in numpy 2.4, which computed the
+        shipped outputs, so they stay bit-identical.
+        """
+        sq = [np.square(x - c) for x, c in zip(coords, self.center)]
+        return sum(sq[0::2]) + sum(sq[1::2]) <= self.radius**2
+
     def contains(self, points: np.ndarray) -> np.ndarray:
-        diff = np.asarray(points) - np.array(self.center)
-        return np.einsum("...i,...i->...", diff, diff) <= self.radius**2
+        return self.contains_coords(np.moveaxis(np.asarray(points), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -125,12 +137,18 @@ class BoxUnionSet:
             return z, z
         return np.min(np.array(self.lows), axis=0), np.max(np.array(self.highs), axis=0)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points)
-        out = np.zeros(pts.shape[:-1], dtype=bool)
+    def contains_coords(self, coords) -> np.ndarray:
+        """Membership of broadcastable per-axis coordinate arrays, one axis at a time."""
+        out = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in coords)), dtype=bool)
         for lo, hi in zip(self.lows, self.highs):
-            out |= ((pts >= np.array(lo)) & (pts < np.array(hi))).all(axis=-1)
+            inside = True
+            for x, a, b in zip(coords, lo, hi):
+                inside = inside & (x >= a) & (x < b)
+            out |= inside
         return out
+
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        return self.contains_coords(np.moveaxis(np.asarray(points), -1, 0))
 
 
 @dataclass(frozen=True)
@@ -188,6 +206,9 @@ class TangentTubeSet:
         tail_ok = (np.abs(pts[..., k:] - pred) <= self.thickness).all(axis=-1)
         return head_ok & tail_ok
 
+    def contains_coords(self, coords) -> np.ndarray:
+        return _contains_stacked(self, coords)
+
 
 @dataclass(frozen=True)
 class ShearedBoxSet:
@@ -232,6 +253,19 @@ class ShearedBoxSet:
             [heads, 2.0 * pts[..., k:] - surface_heights(self.matrix, heads)], axis=-1
         )
         return self.base.contains(unsheared)
+
+    def contains_coords(self, coords) -> np.ndarray:
+        return _contains_stacked(self, coords)
+
+
+def _contains_stacked(test_set, coords) -> np.ndarray:
+    """test_set.contains on broadcast coordinate arrays stacked into (N, d) points.
+
+    For the sets whose test goes through a matmul: a per-axis sum would not
+    reproduce its rounding, and a flat (N, d) batch keeps its 2-D BLAS call.
+    """
+    pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
+    return test_set.contains(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
 
 
 def _squares_interval(lo: np.ndarray, hi: np.ndarray):
@@ -376,9 +410,10 @@ class SurfaceMeasure:
     def convolve_many(self, test_set, zs: np.ndarray, budget: int = 1_500_000) -> np.ndarray:
         """(mu * chi_E)(z) for a batch of z, sharing one cube index window.
 
-        z whose window is certified empty are skipped.  For the rest, per-axis
-        tables of shape (B, n_i) are broadcast into the (B, n_1, ..., n_k)
-        window, and E's membership test runs once per batch.
+        z whose window is certified empty are skipped.  For the rest, E's
+        contains_coords runs once per batch on per-axis coordinates over the
+        (B, n_1, ..., n_k) window: the heads z_i - y_i as (B, n_i) tables
+        (broadcast along the other axes), the tails as full arrays.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         out = np.zeros(len(zs))
@@ -404,15 +439,12 @@ class SurfaceMeasure:
             idx = [base[r, i].reshape(z.shape[:-1]) + offsets[i] for i in range(k)]
             y = [-1.0 + (ix + 0.5) * s for ix in idx]
             ysq = [yi**2 for yi in y]
+            # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid
             valid = sum(ysq) < 1.0
-            for ix in idx:
-                valid &= (ix >= 0) & (ix < self.resolution)
-            args = np.empty(valid.shape + (self.d,))
-            for i in range(k):
-                args[..., i] = z[..., i] - y[i]
-            for j in range(l):
-                args[..., k + j] = z[..., k + j] - sum(ysq[i] * arr[i, j] for i in range(k))
-            inside = test_set.contains(args.reshape(-1, self.d)).reshape(valid.shape)
+            coords = [z[..., i] - y[i] for i in range(k)]
+            coords += [z[..., k + j] - sum(ysq[i] * arr[i, j] for i in range(k))
+                       for j in range(l)]
+            inside = test_set.contains_coords(coords)
             out[r] = (valid & inside).reshape(len(r), -1).sum(axis=1) * s**k
         return out
 
@@ -789,6 +821,12 @@ def restricted_estimate_scan(
         raise ValueError(
             f"zero norm estimate on every set of the first half ({first_half}): "
             "the growth under doubling is undefined; raise n_tube or n_sets"
+        )
+    zero = [row["set_id"] for row in rows if row["ratio"] <= 0]
+    if zero:
+        # every set has positive measure, so mu * chi_E > 0 somewhere: a 0 is a miss
+        raise ValueError(
+            f"zero norm estimate on {', '.join(zero)}: no tube sample met the set; raise n_tube"
         )
     growth = sup / half_sup - 1.0
     return ScanReport(

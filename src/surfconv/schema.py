@@ -1,7 +1,8 @@
 """Run-config validation against `data/config.schema.json`, in the stdlib.
 
-Interprets only the JSON Schema 2020-12 keywords that the packaged schema
-uses, with the draft's semantics: a bool is not a number, `1.0` is an
+`cli` also checks the run files that `surfconv report` reads with it.
+Interprets only the JSON Schema 2020-12 keywords that these schemas use,
+with the draft's semantics: a bool is not a number, `1.0` is an
 integer, and NaN fails no bound.  Any other keyword raises, so a schema edit
 cannot be skipped silently.  Errors are yielded in the order jsonschema
 yields them (schema keywords in file order), so `first_error` reports the
@@ -19,6 +20,7 @@ _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
     "number": _number,
     "integer": lambda x: _number(x) and (isinstance(x, int) or x.is_integer()),
 }

@@ -546,6 +546,12 @@ def run_ineq6(matrix, params, seed, threads) -> SuiteResult:
             f"zero shell estimate on every set ({', '.join(r[0] for r in rows)}): "
             "the growth under doubling is undefined; raise n_samples"
         )
+    zero = [row[0] for row in rows if row[3] <= 0]
+    if zero:
+        # every set has positive measure and meets the shell: a 0 is a miss, not a value
+        raise ValueError(
+            f"zero shell estimate on {', '.join(zero)}: no sample met the set; raise n_samples"
+        )
     growth = abs(sup_full - sup_half) / sup_half
     verdicts = [
         Verdict("sup-finite", math.isfinite(sup_half) and sup_half > 0,

@@ -328,6 +328,31 @@ class TestConfigValidation:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"suite": "ineq6", "seed": 9, "matrix": {"battery": "banded-3-2"},
+                 "params": {"n_sets": 6, "n_samples": 20000}},
+                "zero shell estimate on ball-2: no sample met the set; raise n_samples",
+            ),
+            (
+                {"suite": "restricted-scan", "seed": 0, "matrix": {"battery": "paraboloid-2-1"},
+                 "params": {"n_sets": 8, "n_tube": 16, "resolution": 64}},
+                "zero norm estimate on boxes-7: no tube sample met the set; raise n_tube",
+            ),
+        ],
+        ids=["ineq6", "restricted-scan"],
+    )
+    def test_zero_row_is_refused(self, tmp_path, capsys, doc, message):
+        # one set of positive measure read 0 while the others did not; this exited 0
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"suite {doc['suite']!r} rejected the configuration: {message}" in err
+        assert not out.exists()
+
     def test_non_finite_payload_is_never_written(self, tmp_path, capsys, monkeypatch):
         nan_result = SuiteResult("check-star", {"value": float("nan")}, [Verdict("v", True, "")])
         monkeypatch.setattr("surfconv.cli.run_suite", lambda *args: nan_result)
@@ -486,8 +511,29 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "text, message",
-        [('{"suite": "check-star", "pass', "cannot read run file"), ("[1, 2]", "is not a run report")],
-        ids=["truncated", "list"],
+        [
+            ('{"suite": "check-star", "pass', "cannot read run file"),
+            ("[1, 2]", "is not a run report"),
+            ('{"suite": "x", "passed": true, "verdicts": [1]}',
+             "$.verdicts[0]: 1 is not of type 'object'"),
+            ('{"suite": "x", "passed": true, "verdicts": 5}',
+             "$.verdicts: 5 is not of type 'array'"),
+            ('{"suite": "x", "passed": true, "verdicts": [{"check_id": "a", "detail": ""}]}',
+             "$.verdicts[0]: 'passed' is a required property"),
+            ('{"suite": "x", "passed": "yes", "verdicts": []}',
+             "$.passed: 'yes' is not of type 'boolean'"),
+            ('{"suite": "ball-scan", "passed": true, "verdicts": [], "results": {"report": {}}}',
+             "$.results.report: 'rows' is a required property"),
+            ('{"suite": "ball-scan", "passed": true, "verdicts": [], '
+             '"results": {"report": {"rows": [1]}}}',
+             "$.results.report.rows[0]: 1 is not of type 'object'"),
+            ('{"suite": "ball-scan", "passed": true, "verdicts": [], '
+             '"results": {"report": {"rows": [{"delta": 0, "p_num": 1, "p_den": 1, "norm": 1.0, '
+             '"ratio": 1.0, "center_id": 0}]}}}',
+             "$.results.report.rows[0].delta: 0 is less than or equal to the minimum of 0"),
+        ],
+        ids=["truncated", "list", "verdict-not-object", "verdicts-not-list", "verdict-missing-key",
+             "passed-not-bool", "ball-scan-without-rows", "curve-row-not-object", "zero-delta"],
     )
     def test_bad_run_file_exits_two(self, tmp_path, capsys, text, message):
         root = tmp_path / "runs"

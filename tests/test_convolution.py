@@ -242,6 +242,117 @@ def test_support_tube_contains_every_atom_plus_set_point(kind, matrix, seed):
     assert (np.abs(zs[:, k:] - pred) <= band + 1e-12).all()
 
 
+def _plain_ball_test(ball, point) -> bool:
+    """Python floats, squares summed evens first, then odds, each left to right."""
+    sq = [(float(x) - c) * (float(x) - c) for x, c in zip(point, ball.center)]
+    even = odd = 0.0
+    for v in sq[0::2]:
+        even += v
+    for v in sq[1::2]:
+        odd += v
+    return even + odd <= ball.radius**2
+
+
+def _plain_box_test(boxes, point) -> bool:
+    return any(
+        all(a <= float(x) < b for x, a, b in zip(point, lo, hi))
+        for lo, hi in zip(boxes.lows, boxes.highs)
+    )
+
+
+def _membership_case(kind, matrix, rng):
+    """A test set, per-axis values that include its faces, and a point on its closed side.
+
+    The ball and the box union sit on dyadic coordinates, so c + 3r/5 and
+    c + 4r/5 put a point at distance exactly r, and face values are exact.
+    """
+    d = matrix.d
+    corner = rng.integers(-8, 9, d) / 16.0
+    if kind == "ball":
+        test_set = BallSet(tuple(corner), 0.625)
+        offsets = 0.625 * np.array([-1.0, -0.8, -0.6, 0.0, 0.6, 0.8, 1.0])
+        values = [c + offsets for c in test_set.center]
+        boundary = corner.copy()  # at distance exactly 5/8 from the center
+        boundary[0] += 0.6 * 0.625
+        boundary[-1] += 0.8 * 0.625
+    elif kind == "box-union":
+        test_set = BoxUnionSet(
+            (tuple(corner), tuple(corner + 0.5)), (tuple(corner + 0.25), tuple(corner + 0.75))
+        )
+        values = [np.array([corner[i], corner[i] + 0.25, corner[i] + 0.5, corner[i] + 0.75])
+                  for i in range(d)]
+        boundary = corner  # the low corner of the first box
+    else:
+        test_set = set_kinds(matrix, rng)[kind]
+        lo, hi = test_set.bounding_box()
+        values = [np.array([lo[i], hi[i]]) for i in range(d)]
+        boundary = None
+    lo, hi = test_set.bounding_box()
+    values = [np.concatenate([v, rng.uniform(a - 0.1, b + 0.1, 6)])
+              for v, a, b in zip(values, lo, hi)]
+    return test_set, values, boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ball", "box-union", "tube", "sheared"]),
+    st.sampled_from([PARABOLA, PARABOLOID, BANDED]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_contains_coords_matches_contains_on_stacked_points(kind, matrix, seed):
+    # convolve_many hands each set (B, 1, .., n_i, .., 1) head tables and full tail arrays
+    rng = np.random.default_rng(seed)
+    k, d = matrix.k, matrix.d
+    test_set, values, boundary = _membership_case(kind, matrix, rng)
+    n_rows, n = 3, 4
+    full = (n_rows,) + (n,) * k
+    coords = []
+    for i in range(d):
+        shape = [n_rows] + [n if a == i else 1 for a in range(k)] if i < k else list(full)
+        coords.append(rng.choice(values[i], size=shape))
+    if boundary is not None:  # the point at index (0, ..., 0) lies on the boundary
+        for x, v in zip(coords, boundary):
+            x[(0,) * x.ndim] = v
+    got = test_set.contains_coords(coords)
+    pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
+    assert got.shape == full
+    assert np.array_equal(got, test_set.contains(pts))
+    assert np.array_equal(got.ravel(), test_set.contains(pts.reshape(-1, d)))
+    if boundary is not None:
+        assert got[(0,) * got.ndim]
+        plain = _plain_ball_test if kind == "ball" else _plain_box_test
+        assert got.ravel().tolist() == [plain(test_set, p) for p in pts.reshape(-1, d)]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_ball_sums_squares_in_a_fixed_order(d):
+    # each radius puts r**2 exactly on the smaller of two sums of the same squares,
+    # evens-then-odds and left to right, so only the fixed order gets every row right
+    rng = np.random.default_rng(d)
+    points = rng.uniform(-1.0, 1.0, (4000, d))
+    center = tuple(float(c) for c in rng.uniform(-0.5, 0.5, d))
+    checked = differ = 0
+    for point in points:
+        # x * x: float ** 2 goes through libm pow, which may round differently
+        sq = [(float(x) - c) * (float(x) - c) for x, c in zip(point, center)]
+        fixed = sum(sq[0::2]) + sum(sq[1::2])
+        target = min(fixed, sum(sq))
+        r = math.sqrt(target)
+        for _ in range(4):
+            if r**2 == target:
+                break
+            r = math.nextafter(r, math.inf if r**2 < target else 0.0)
+        if r**2 != target or r <= 0:
+            continue
+        ball = BallSet(center, r)
+        assert _plain_ball_test(ball, point) == (fixed <= r**2)
+        assert bool(ball.contains(point[None, :])[0]) == (fixed <= r**2)
+        checked += 1
+        differ += fixed != sum(sq)
+    assert checked > 1000
+    assert differ > 10 or d <= 2
+
+
 class TestSetGeometry:
     def test_tangent_tube_measure(self):
         tube = TangentTubeSet(BANDED, (0.2, -0.1, 0.3), 0.125, 0.05)

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from surfconv.cli import _load_schema
+from surfconv.cli import _RUN_FILE_SCHEMA, _load_schema
 from surfconv.schema import KEYWORDS, SKIPPED, first_error
 
 SCHEMA = _load_schema()
@@ -147,3 +147,32 @@ def test_schema_uses_only_implemented_keywords():
 def test_unknown_keyword_raises():
     with pytest.raises(ValueError, match="'anyOf' is not implemented"):
         first_error({}, {"anyOf": [{"type": "object"}]})
+
+
+_ROW = {"delta": 0.5, "p_num": 1, "p_den": 1, "norm": 1.0, "ratio": 1.0, "center_id": 0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"suite": "x", "passed": True,
+         "verdicts": [{"check_id": "a", "passed": False, "detail": ""}]},
+        {"suite": "x", "passed": 1, "verdicts": []},
+        {"suite": "x", "passed": True, "verdicts": [1, {"check_id": "a"}]},
+        {"suite": "ball-scan", "passed": True, "verdicts": []},
+        {"suite": "ball-scan", "passed": True, "verdicts": [],
+         "results": {"report": {"rows": [_ROW]}}},
+        {"suite": "ball-scan", "passed": True, "verdicts": [],
+         "results": {"report": {"rows": [dict(_ROW, p_den=0, center_id=0.5)]}}},
+        {"passed": True, "verdicts": []},
+        [],
+    ],
+)
+def test_run_file_schema_agrees_with_the_oracle(doc):
+    # surfconv report checks every report.json against this schema before writing anything
+    errors = sorted(jsonschema.Draft202012Validator(_RUN_FILE_SCHEMA).iter_errors(doc),
+                    key=lambda e: (len(e.path), e.json_path))
+    mine = first_error(doc, _RUN_FILE_SCHEMA)
+    assert (mine is None) == (not errors)
+    if errors:
+        assert mine == (errors[0].json_path, errors[0].message)
