@@ -50,11 +50,13 @@ def main() -> None:
         print(f"  n_y = {n_y:>4}: ratio {rep.ratio:.6f} (stderr {rep.stderr:.1e})")
 
     print("\nsplitting the frequency integral across selected-row regions:")
-    cover = region_cover_factor(banded, 1.0, w, McConfig(seed=13, n_y=400))
+    cfg = McConfig(seed=13, n_y=400)
+    total = pullback_weight_ratio(banded, 1.0, w, cfg).lhs
+    cover = region_cover_factor(banded, 1.0, w, total, cfg)
     for q, val in cover["per_region"].items():
         print(f"  region Q = ({q}): lhs {val:.6f}")
     print(f"  sum / total = {cover['cover_factor']:.6f} (regions partition the shell)")
-    defining = region_cover_factor(banded, 1.0, w, McConfig(seed=13, n_y=400), mode="defining")
+    defining = region_cover_factor(banded, 1.0, w, total, cfg, mode="defining")
     print(f"  with overlapping defining regions instead: {defining['cover_factor']:.4f} >= 1")
 
     print("\nsquared-transform chain (weight |f^|^2, exponent cancels):")

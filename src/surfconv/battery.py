@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .surface import CoefficientMatrix, check_submatrices, min_submatrix_det
+from .surface import CoefficientMatrix, SubmatrixReport, check_submatrices
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,20 @@ class ThresholdTooHighError(RuntimeError):
 
 def generate_matrix(
     k: int, l: int, seed: int, min_det_threshold=1, max_rejections: int = 10_000
-) -> CoefficientMatrix:
+) -> tuple[CoefficientMatrix, SubmatrixReport]:
     """Draw integer matrices in [-9, 9] until the submatrix condition holds
-    with minimal |det| at least the threshold; exact-rational output."""
+    with minimal |det| at least the threshold; exact-rational output.
+
+    Returns the matrix and its submatrix report."""
     if not 1 <= l <= k:
         raise ValueError("need 1 <= l <= k")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     for _ in range(max_rejections):
         entries = rng.integers(-9, 10, size=(k, l))
         matrix = CoefficientMatrix.from_rows(entries.tolist())
-        if check_submatrices(matrix).holds and min_submatrix_det(matrix) >= min_det_threshold:
-            return matrix
+        report = check_submatrices(matrix)
+        if report.holds and report.min_abs_det >= min_det_threshold:
+            return matrix, report
     raise ThresholdTooHighError(
         f"no admissible matrix after {max_rejections} draws; lower the threshold"
     )

@@ -28,7 +28,7 @@ import numpy as np
 from .battery import ThresholdTooHighError, generate_matrix, battery_entry
 from .rationals import frac_str, frac_to_pair
 from .schema import first_error
-from .surface import CoefficientMatrix, min_submatrix_det
+from .surface import CoefficientMatrix
 from .suites import run_suite
 
 SEED_ENV = "SURFCONV_SEED"
@@ -128,7 +128,9 @@ def _fail(msg: str) -> int:
 
 def cmd_gen_matrix(args) -> int:
     try:
-        matrix = generate_matrix(args.k, args.l, seed=args.seed, min_det_threshold=args.threshold)
+        matrix, report = generate_matrix(
+            args.k, args.l, seed=args.seed, min_det_threshold=args.threshold
+        )
     except ValueError as exc:
         return _fail(str(exc))
     except ThresholdTooHighError as exc:
@@ -138,7 +140,7 @@ def cmd_gen_matrix(args) -> int:
         "matrix": matrix.to_json(),
         "seed": args.seed,
         "min_det_threshold": args.threshold,
-        "min_abs_det": frac_to_pair(min_submatrix_det(matrix)),
+        "min_abs_det": frac_to_pair(report.min_abs_det),
         "content_hash": matrix.content_hash(),
     }
     text = _canonical_json(doc)

@@ -407,7 +407,7 @@ class SurfaceMeasure:
         may_hit &= (tails - h_lo >= lo[k:] - _SKIP_SLACK).all(axis=1)
         return base, reach, may_hit
 
-    def convolve_many(self, test_set, zs: np.ndarray, budget: int = 1_500_000) -> np.ndarray:
+    def convolve_many(self, test_set, zs: np.ndarray) -> np.ndarray:
         """(mu * chi_E)(z) for a batch of z, sharing one cube index window.
 
         z whose window is certified empty are skipped.  For the rest, E's
@@ -432,7 +432,7 @@ class SurfaceMeasure:
         ]
         arr = self.matrix.array
         rows = np.flatnonzero(may_hit)
-        batch = max(1, budget // window)
+        batch = max(1, 1_500_000 // window)  # about 1.5e6 window points per batch
         for b0 in range(0, len(rows), batch):
             r = rows[b0 : b0 + batch]
             z = zs[r].reshape((len(r),) + (1,) * k + (self.d,))
@@ -726,15 +726,14 @@ class ScanReport:
     params: dict = field(default_factory=dict)
 
 
-def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int, within_unit_ball: bool = True):
-    """Deterministic family of test sets: balls, box unions, tangent tubes.
+def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int):
+    """Deterministic family of test sets inside [-1, 1]^d: balls, box unions, tangent tubes.
 
     Extending the family (larger n_sets, same seed) keeps the earlier sets
     as a prefix, which is what the doubling-stability checks rely on.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     k, d = matrix.k, matrix.d
-    bound = 1.0 if within_unit_ball else 2.0
     sets = []
     while len(sets) < n_sets:
         kind = len(sets) % 3
@@ -742,14 +741,14 @@ def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int, withi
             y = rng.uniform(-0.4, 0.4, k)
             center = np.concatenate([y, surface_heights(matrix, y)])
             radius = float(rng.choice([0.25, 0.125, 0.0625]))
-            if np.max(np.abs(center)) + radius <= bound:
+            if np.max(np.abs(center)) + radius <= 1.0:
                 sets.append((f"ball-{len(sets)}", BallSet(tuple(center), radius)))
                 continue
         if kind == 1:
             n_boxes = int(rng.integers(1, 4))
             lows, highs = [], []
             for _ in range(n_boxes):
-                lo = rng.uniform(-bound, bound - 0.2, d)
+                lo = rng.uniform(-1.0, 0.8, d)
                 hi = lo + rng.uniform(0.05, 0.2, d)
                 if not any(
                     all(lo[i] < h[i] and lw[i] < hi[i] for i in range(d))
@@ -769,7 +768,7 @@ def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int, withi
         b = a * a * float(np.abs(matrix.array).sum(axis=0).max() + 1.0)
         tube = TangentTubeSet(matrix, tuple(y0), a, b)
         lo, hi = tube.bounding_box()
-        if np.max(np.abs(np.concatenate([lo, hi]))) <= bound:
+        if np.max(np.abs(np.concatenate([lo, hi]))) <= 1.0:
             sets.append((f"tube-{len(sets)}", tube))
         else:
             y0 = y0 * 0.3
@@ -907,7 +906,6 @@ def shell_sum_estimate(
     n_min: int = -3,
     n_samples: int = 4000,
     seed: int = 0x5EED,
-    epsilon: float = 0.05,
     threads: int = 1,
 ) -> dict:
     """Sum of the shell estimates over all multi-indices n_min <= n_i <= 0.
@@ -920,6 +918,7 @@ def shell_sum_estimate(
     import itertools
 
     k, d = matrix.k, matrix.d
+    epsilon = 0.05
     shells = list(itertools.product(range(n_min, 1), repeat=k))
     per_shell = []
     total = 0.0

@@ -22,6 +22,7 @@ w = |f^|^2 all live here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .surface import (
     CoefficientMatrix,
     check_submatrices,
     comparability_constant,
+    comparable_rows,
     det_fraction,
     sample_shell,
     shell_measure,
@@ -45,30 +47,25 @@ from .surface import (
 # streams, so another value moves every estimate.
 Y_CHUNKS = 16
 
+# Largest tau-space radius of the quadratures.  It must cover at least 99.9%
+# of every weight's mass (validated analytically for Gaussians); the rules
+# tighten it to the ball holding all but 1e-9 of a more concentrated weight.
+TRUNCATION_RADIUS = 12.0
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan shared by the ratio estimators.
-
-    truncation_radius is the tau-space radius; it must cover at least 99.9%
-    of every weight's mass (validated analytically for Gaussians).  The zeta
-    rules derive their own radius from it through the matrix's smallest
-    singular value, and tighten adaptively when a weight is much more
-    concentrated than the configured radius.
-    """
+    """Sampling plan shared by the ratio estimators."""
 
     seed: int = 0x5EED
     n_y: int = 512
     n_radial: int = 48
     n_sphere: int = 64
-    truncation_radius: float = 12.0
     threads: int = 1
 
     def __post_init__(self):
         if self.n_y <= 0 or self.n_radial <= 0 or self.n_sphere <= 0:
             raise ValueError("sample and node counts must be positive")
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation radius must be positive")
 
     def doubled(self) -> "McConfig":
         """The same plan with twice the y-samples and denser quadrature."""
@@ -77,7 +74,6 @@ class McConfig:
             n_y=2 * self.n_y,
             n_radial=2 * self.n_radial,
             n_sphere=2 * self.n_sphere,
-            truncation_radius=self.truncation_radius,
             threads=self.threads,
         )
 
@@ -93,17 +89,27 @@ class RatioReport:
     params: dict = field(default_factory=dict)
 
 
-def _require_coverage(w: GaussianSpec, radius: float, dim: int) -> None:
-    outside = w.tail_outside_box(radius / math.sqrt(dim))
+def _check_inputs(matrix: CoefficientMatrix, rhos, w: GaussianSpec) -> None:
+    """What every ratio estimator needs: the row-submatrix condition, a weight
+    on R^k whose mass TRUNCATION_RADIUS covers, and convergent rhos."""
+    if not check_submatrices(matrix).holds:
+        raise ValueError("the row-submatrix condition must hold")
+    if w.dim != matrix.k:
+        raise ValueError("weight must live on R^k")
+    for rho in rhos:
+        if rho <= -matrix.l + 0.1:
+            raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
+    outside = w.tail_outside_box(TRUNCATION_RADIUS / math.sqrt(matrix.k))
     if outside > 1e-3:
         raise ValueError(
-            f"truncation radius {radius} covers only {1 - outside:.4%} of the weight's mass"
+            f"truncation radius {TRUNCATION_RADIUS} covers only {1 - outside:.4%} of the weight's mass"
         )
 
 
-def _ball_radius(w: GaussianSpec, tail: float = 1e-9) -> float:
-    """Radius of an origin-centered ball holding all but `tail` of w's mass."""
-    return math.sqrt(w.dim) * w.box_for_mass(tail)
+def _tau_radius(w: GaussianSpec) -> float:
+    """Radius of the tau ball: the origin-centered ball holding all but 1e-9
+    of w's mass, capped at TRUNCATION_RADIUS."""
+    return min(TRUNCATION_RADIUS, math.sqrt(w.dim) * w.box_for_mass(1e-9))
 
 
 def _radial_rule(rho: float, dim: int, r_max: float, n_radial: int):
@@ -141,14 +147,20 @@ def _excluded_core_bound(rho: float, dim: int, r_max: float, w_max: float) -> fl
     return w_max * sphere_area(dim) * eps ** (rho + dim) / (rho + dim)
 
 
+def _polar_rule(rho: float, dim: int, r_max: float, cfg: McConfig):
+    """The radial rule (see _radial_rule) and the sphere rule of a polar product rule."""
+    r, wr = _radial_rule(rho, dim, r_max, cfg.n_radial)
+    theta, wtheta = sphere_rule(dim, max(16, cfg.n_sphere // 2), cfg.n_sphere)
+    return r, wr, theta, wtheta
+
+
 def _polar_nodes(rho: float, dim: int, r_max: float, cfg: McConfig):
     """Polar product nodes (N, dim), weights (N,), and node radii r (N,).
 
     The rule depends on rho only through its sign (see _radial_rule); the
     caller multiplies the weights by radii**rho for the rho it integrates.
     """
-    r, wr = _radial_rule(rho, dim, r_max, cfg.n_radial)
-    theta, wtheta = sphere_rule(dim, max(16, cfg.n_sphere // 2), cfg.n_sphere)
+    r, wr, theta, wtheta = _polar_rule(rho, dim, r_max, cfg)
     nodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, dim)
     weights = np.multiply.outer(wr, wtheta).ravel()
     return nodes, weights, np.repeat(r, len(wtheta))
@@ -162,53 +174,45 @@ def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConf
     as (wr * r^exponent) @ W @ wtheta.  Returns the quadrature value and the
     analytic bound on the excluded core (nonzero only for exponent < 0).
     """
-    r, wr = _radial_rule(exponent, w.dim, r_max, cfg.n_radial)
-    theta, wtheta = sphere_rule(w.dim, max(16, cfg.n_sphere // 2), cfg.n_sphere)
+    r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
     block = w.evaluate_products(np.repeat(r[:, None], w.dim, axis=1), theta)
     val = float((wr * r**exponent) @ block @ wtheta)
     return val, _excluded_core_bound(exponent, w.dim, r_max, w.amplitude)
 
 
-def _min_singular_value(matrix: CoefficientMatrix) -> float:
-    return float(np.linalg.svd(matrix.array, compute_uv=False)[-1])
+def _region_masks(
+    matrix: CoefficientMatrix, rho: float, w: GaussianSpec, cfg: McConfig, mode: str
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Which zeta nodes of the rho rule belong to the region of each row set Q.
 
-
-def _region_mask(
-    matrix: CoefficientMatrix,
-    nodes: np.ndarray,
-    q_rows: tuple[int, ...],
-    constant: float,
-    mode: str,
-) -> np.ndarray:
-    """Which zeta nodes belong to the region of the row set Q.
-
-    mode "defining": |zeta| <= M |(C zeta)_i| for every i in Q; the regions
-    of different Q overlap.  mode "selected": the row-selection rule applied
-    to zeta yields exactly Q; the regions partition frequency space (up to
-    the measure-zero boundaries), so per-region contributions sum to the
-    total.  Membership is scale-invariant either way, both sides of the
-    inequality being 1-homogeneous in zeta.
+    The keys are the increasing (k - l)-row sets.  mode "defining":
+    |zeta| <= M |(C zeta)_i| for every i in Q; the regions of different Q
+    overlap.  mode "selected": the row-selection rule (see
+    surface.comparable_rows) applied to zeta yields exactly Q; the regions
+    partition frequency space (up to the measure-zero boundaries), so
+    per-region contributions sum to the total.  Membership is
+    scale-invariant either way, both sides of the inequality being
+    1-homogeneous in zeta.
     """
+    if mode not in ("defining", "selected"):
+        raise ValueError(f"unknown region mode {mode!r}")
     k, l = matrix.k, matrix.l
-    norms = np.linalg.norm(nodes, axis=1)
-    images = np.abs(nodes @ matrix.array.T)
-    valid = norms[:, None] <= constant * (1.0 + 1e-12) * images
-    if mode == "defining":
-        if not q_rows:
-            return np.ones(len(nodes), dtype=bool)
-        return valid[:, list(q_rows)].all(axis=1)
-    if mode == "selected":
-        first = np.cumsum(valid, axis=1) <= (k - l)
-        sel = valid & first
-        want = np.zeros(k, dtype=bool)
-        want[list(q_rows)] = True
-        return (sel == want).all(axis=1)
-    raise ValueError(f"unknown region mode {mode!r}")
+    nodes, _, _ = _polar_nodes(rho, l, _zeta_radius(matrix, w), cfg)
+    _, _, comparable, selected = comparable_rows(matrix, nodes, comparability_constant(matrix))
+    masks = {}
+    for q in itertools.combinations(range(k), k - l):
+        if mode == "defining":
+            masks[q] = comparable[:, list(q)].all(axis=1)
+        else:
+            want = np.zeros(k, dtype=bool)
+            want[list(q)] = True
+            masks[q] = (selected == want).all(axis=1)
+    return masks
 
 
-def _zeta_radius(matrix: CoefficientMatrix, w: GaussianSpec, cfg: McConfig) -> float:
+def _zeta_radius(matrix: CoefficientMatrix, w: GaussianSpec) -> float:
     """Radius of the zeta rule: C zeta covers the tau ball that holds w's mass."""
-    return 1.2 * min(cfg.truncation_radius, _ball_radius(w)) / _min_singular_value(matrix)
+    return 1.2 * _tau_radius(w) / float(np.linalg.svd(matrix.array, compute_uv=False)[-1])
 
 
 def _lhs_shell_integral(
@@ -236,7 +240,7 @@ def _lhs_shell_integral(
     unit_shell = (0,) * matrix.k
     l = matrix.l
     rhos = [float(rho) for rho in rhos]
-    r_zeta = _zeta_radius(matrix, w, cfg)
+    r_zeta = _zeta_radius(matrix, w)
     groups = []  # (distinct rhos, node side, factor vectors) per radial rule
     for negative in (False, True):
         group = list(dict.fromkeys(rho for rho in rhos if (rho < 0) == negative))
@@ -276,22 +280,35 @@ def _lhs_shell_integral(
     return [estimates.get(rho, (0.0, 0.0)) for rho in rhos]
 
 
-def _ratio_report(lhs: float, stderr: float, rhs: float, params: dict) -> RatioReport:
-    """The report for one rho; refuses a vanishing rhs and any number that is not finite."""
+def _ratio_report(
+    matrix: CoefficientMatrix,
+    rho: float,
+    w: GaussianSpec,
+    cfg: McConfig,
+    lhs: float,
+    stderr: float,
+    params: dict,
+) -> RatioReport:
+    """The report for one rho: lhs against the pulled-back side
+    integral |tau|^(rho - k + l) w(tau) over the tau ball.  Refuses a
+    vanishing rhs and any number that is not finite."""
+    rhs, core_bound = _weight_integral(w, rho - matrix.k + matrix.l, _tau_radius(w), cfg)
     if rhs <= 0:
         raise ValueError("degenerate weight: the pulled-back integral vanishes")
     ratio = lhs / rhs
     if not all(math.isfinite(x) for x in (lhs, stderr, rhs, ratio)):
         raise ValueError(
-            f"rho = {params['rho']}: non-finite frequency estimate "
+            f"rho = {rho}: non-finite frequency estimate "
             f"(lhs {lhs}, rhs {rhs}, stderr {stderr})"
         )
+    params = {
+        "rho": rho,
+        **params,
+        "n_y": cfg.n_y,
+        "seed": cfg.seed,
+        "rhs_excluded_core_bound": core_bound,
+    }
     return RatioReport(lhs=lhs, rhs=rhs, ratio=ratio, stderr=stderr, params=params)
-
-
-def _check_rho(matrix: CoefficientMatrix, rho: float) -> None:
-    if rho <= -matrix.l + 0.1:
-        raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
 
 
 @overload
@@ -335,27 +352,12 @@ def pullback_weight_ratio(
     an estimate is not finite, e.g. when |zeta|^rho overflows.
     """
     cfg = cfg or McConfig()
-    if not check_submatrices(matrix).holds:
-        raise ValueError("the row-submatrix condition must hold")
-    if w.dim != matrix.k:
-        raise ValueError("weight must live on R^k")
     rhos = [float(r) for r in np.atleast_1d(rho)]
-    for r in rhos:
-        _check_rho(matrix, r)
-    _require_coverage(w, cfg.truncation_radius, matrix.k)
-
-    r_tau = min(cfg.truncation_radius, _ball_radius(w))
-    reports = []
-    for r, (lhs, stderr) in zip(rhos, _lhs_shell_integral(matrix, rhos, w, cfg)):
-        rhs, core_bound = _weight_integral(w, r - matrix.k + matrix.l, r_tau, cfg)
-        params = {
-            "rho": r,
-            "w_id": w_id,
-            "n_y": cfg.n_y,
-            "seed": cfg.seed,
-            "rhs_excluded_core_bound": core_bound,
-        }
-        reports.append(_ratio_report(lhs, stderr, rhs, params))
+    _check_inputs(matrix, rhos, w)
+    reports = [
+        _ratio_report(matrix, r, w, cfg, lhs, stderr, {"w_id": w_id})
+        for r, (lhs, stderr) in zip(rhos, _lhs_shell_integral(matrix, rhos, w, cfg))
+    ]
     return reports if np.ndim(rho) else reports[0]
 
 
@@ -370,68 +372,54 @@ def region_weight_ratio(
 ) -> RatioReport:
     """pullback_weight_ratio with zeta restricted to the region of a row set Q.
 
-    Empty regions are legal and reported with zero mass.  See _region_mask
+    Empty regions are legal and reported with zero mass.  See _region_masks
     for the two membership modes; "selected" regions partition frequency
     space, "defining" regions overlap (their total measures the overlap).
     """
     cfg = cfg or McConfig()
     q_rows = tuple(int(i) for i in q_rows)
-    if len(q_rows) != matrix.k - matrix.l or sorted(set(q_rows)) != sorted(q_rows):
-        raise ValueError(f"Q must be {matrix.k - matrix.l} distinct rows")
-    _check_rho(matrix, rho)
-    _require_coverage(w, cfg.truncation_radius, matrix.k)
-    constant = comparability_constant(matrix)
-
-    nodes, _, _ = _polar_nodes(rho, matrix.l, _zeta_radius(matrix, w, cfg), cfg)
-    mask = _region_mask(matrix, nodes, q_rows, constant, mode)
+    _check_inputs(matrix, [rho], w)
+    mask = _region_masks(matrix, rho, w, cfg, mode).get(tuple(sorted(q_rows)))
+    if mask is None:
+        raise ValueError(f"Q must be {matrix.k - matrix.l} distinct rows of 0..{matrix.k - 1}")
     ((lhs, stderr),) = _lhs_shell_integral(matrix, [rho], w, cfg, node_mask=mask)
-    r_tau = min(cfg.truncation_radius, _ball_radius(w))
-    rhs, core_bound = _weight_integral(w, rho - matrix.k + matrix.l, r_tau, cfg)
     params = {
-        "rho": rho,
         "w_id": w_id,
         "q_rows": list(q_rows),
         "mode": mode,
-        "n_y": cfg.n_y,
-        "seed": cfg.seed,
         "empty_region": bool(not mask.any()),
-        "rhs_excluded_core_bound": core_bound,
     }
-    return _ratio_report(lhs, stderr, rhs, params)
+    return _ratio_report(matrix, rho, w, cfg, lhs, stderr, params)
 
 
 def region_cover_factor(
     matrix: CoefficientMatrix,
     rho: float,
     w: GaussianSpec,
+    total_lhs: float,
     cfg: McConfig | None = None,
     mode: str = "selected",
 ) -> dict:
-    """Sum of per-region lhs over all Q against the unrestricted lhs.
+    """Sum of per-region lhs over all Q against the unrestricted lhs total_lhs.
 
-    In "selected" mode the regions partition frequency space and the factor
-    is 1 up to float summation order; in "defining" mode the factor measures
-    how much the overlapping regions overcount (always >= 1 up to MC noise).
-    The polar nodes are built once and every region's mask is taken from
-    them; each region's lhs is the masked shell integral, equal to
-    region_weight_ratio(...).lhs, without that function's rhs.
+    total_lhs is pullback_weight_ratio(matrix, rho, w, cfg).lhs, which the
+    caller already holds.  In "selected" mode the regions partition
+    frequency space and the factor is 1 up to float summation order; in
+    "defining" mode the factor measures how much the overlapping regions
+    overcount (always >= 1 up to MC noise).  Each region's lhs is the masked
+    shell integral, equal to region_weight_ratio(...).lhs, without that
+    function's rhs.
     """
-    import itertools
-
     cfg = cfg or McConfig()
-    k, l = matrix.k, matrix.l
-    total = pullback_weight_ratio(matrix, rho, w, cfg)
-    constant = comparability_constant(matrix)
-    nodes, _, _ = _polar_nodes(rho, l, _zeta_radius(matrix, w, cfg), cfg)
+    _check_inputs(matrix, [rho], w)
     parts = {}
-    for q in itertools.combinations(range(k), k - l):
-        mask = _region_mask(matrix, nodes, q, constant, mode)
+    for q, mask in _region_masks(matrix, rho, w, cfg, mode).items():
         ((parts[q], _),) = _lhs_shell_integral(matrix, [rho], w, cfg, node_mask=mask)
     s = float(sum(parts.values()))
     return {
-        "total_lhs": total.lhs,
+        "total_lhs": total_lhs,
         "sum_of_regions": s,
-        "cover_factor": s / total.lhs if total.lhs > 0 else math.nan,
+        "cover_factor": s / total_lhs if total_lhs > 0 else math.nan,
         "per_region": {"-".join(str(i) for i in q): v for q, v in parts.items()},
         "mode": mode,
     }
@@ -484,8 +472,7 @@ def change_of_variables_check(
 
     The y_Q integrals use windows scaled per zeta node by 1/|(C zeta)_i| so
     the Gaussian slice is always resolved; the zeta rule is polar with the
-    circle split at the Jacobian's kink directions (l = 2) or with plain
-    panels per ray (l = 1).
+    circle split at the Jacobian's kink directions when l = 2.
     """
     cfg = cfg or McConfig()
     k, l = matrix.k, matrix.l
@@ -506,16 +493,9 @@ def change_of_variables_check(
     if head_det == 0.0:
         raise ValueError("the fixed rows form a singular submatrix")
     scaled = y_head[:, None] * head_mat
-    r_g = min(cfg.truncation_radius, _ball_radius(g))
-    r_zeta = 1.2 * r_g / float(np.linalg.svd(scaled, compute_uv=False)[-1])
+    r_zeta = 1.2 * _tau_radius(g) / float(np.linalg.svd(scaled, compute_uv=False)[-1])
 
-    if l == 1:
-        r, wr = gauss_legendre_interval(cfg.n_radial, 0.0, r_zeta)
-        theta = np.array([[1.0], [-1.0]])
-        wtheta = np.array([1.0, 1.0])
-        znodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, 1)
-        zweights = np.multiply.outer(wr, wtheta).ravel()
-    elif l == 2:
+    if l == 2:
         r, wr = gauss_legendre_interval(cfg.n_radial, 0.0, r_zeta)
         theta, wtheta = _split_circle_rule(matrix.array, max(8, cfg.n_sphere // 4))
         znodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, 2)

@@ -298,8 +298,10 @@ def run_lemma_mc(matrix, params, seed, threads) -> SuiteResult:
 
     cover_rows = []
     if k > l:
-        cov_sel = region_cover_factor(matrix, float(rho_list[0]), weights[0], cfg, mode="selected")
-        cov_def = region_cover_factor(matrix, float(rho_list[0]), weights[0], cfg, mode="defining")
+        # the lhs of the (rho_list[0], w00) row is the unrestricted total of the cover
+        total = per_weight[0][0][0].lhs
+        cov_sel = region_cover_factor(matrix, rhos[0], weights[0], total, cfg, mode="selected")
+        cov_def = region_cover_factor(matrix, rhos[0], weights[0], total, cfg, mode="defining")
         payload["cover"] = {"selected": cov_sel, "defining": cov_def}
         verdicts.append(
             Verdict(

@@ -273,6 +273,23 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
     return math.sqrt(float(best_sq))
 
 
+def comparable_rows(
+    matrix: CoefficientMatrix, zetas: np.ndarray, constant: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The row-selection rule for each zeta of a batch zetas (N, l).
+
+    Returns |zeta| (N,), |C zeta| (N, k), the mask (N, k) of the rows with
+    |zeta| <= M |(C zeta)_i|, and the mask (N, k) of the selected rows: the
+    first k - l comparable rows in increasing index order.  A relative slack
+    of 1e-12 absorbs the float rounding of the exact constant M.
+    """
+    norms = np.linalg.norm(zetas, axis=1)
+    images = np.abs(zetas @ matrix.array.T)
+    comparable = norms[:, None] <= constant * (1.0 + 1e-12) * images
+    selected = comparable & (np.cumsum(comparable, axis=1) <= matrix.k - matrix.l)
+    return norms, images, comparable, selected
+
+
 def select_comparable_rows(
     matrix: CoefficientMatrix, zeta, constant: float | None = None
 ) -> tuple[int, ...]:
@@ -280,20 +297,17 @@ def select_comparable_rows(
 
     For every nonzero zeta at least k - l rows satisfy the comparability
     inequality with the exact constant, so the first k - l satisfying rows
-    (in increasing index order) always exist.  A relative slack of 1e-12
-    absorbs the float rounding of the exact constant.
+    (see comparable_rows) always exist.
     """
     zeta = np.asarray(zeta, dtype=float)
     if zeta.ndim != 1 or zeta.shape[0] != matrix.l:
         raise ValueError(f"zeta must be a vector of length {matrix.l}")
-    norm = float(np.linalg.norm(zeta))
-    if norm == 0.0:
-        raise ValueError("row selection is undefined at zeta = 0")
     if constant is None:
         constant = comparability_constant(matrix)
-    w = np.abs(row_images(matrix, zeta))
-    valid = norm <= constant * (1.0 + 1e-12) * w
-    picked = np.flatnonzero(valid)[: matrix.k - matrix.l]
+    norms, _, _, selected = comparable_rows(matrix, zeta[None, :], constant)
+    if norms[0] == 0.0:
+        raise ValueError("row selection is undefined at zeta = 0")
+    picked = np.flatnonzero(selected[0])
     if picked.size < matrix.k - matrix.l:
         raise RowSelectionError(
             f"only {picked.size} rows comparable, need {matrix.k - matrix.l}; "
@@ -433,11 +447,7 @@ def verify_jacobian_bound(
         n = min(chunk, n_samples - done)
         y = rng.uniform(1.0, 2.0, size=(n, k)) * rng.choice([-1.0, 1.0], size=(n, k))
         zeta = rng.standard_normal(size=(n, l))
-        norms = np.linalg.norm(zeta, axis=1)
-        w = np.abs(zeta @ matrix.array.T)
-        valid = norms[:, None] <= m * (1.0 + 1e-12) * w
-        first = np.cumsum(valid, axis=1) <= (k - l)
-        sel = valid & first  # mask of the k - l selected rows per sample
+        norms, w, _, sel = comparable_rows(matrix, zeta, m)
         head_code = ((~sel) @ bits).astype(int)
         det_of = np.vectorize(dets.__getitem__)(head_code)
         jac = np.where(sel, w, np.abs(y)).prod(axis=1) * det_of

@@ -92,10 +92,9 @@ class GridFunction:
         return cls(dim=len(extents), origin=origin, spacing=spacing, values=vals)
 
     @classmethod
-    def from_gaussian(cls, spec: GaussianSpec, cells: int, radius: float | None = None) -> "GridFunction":
+    def from_gaussian(cls, spec: GaussianSpec, cells: int) -> "GridFunction":
         """Sample a Gaussian on a centered box covering essentially all its mass."""
-        if radius is None:
-            radius = spec.box_for_mass(1e-9)
+        radius = spec.box_for_mass(1e-9)
         origin = tuple(m - radius for m in spec.mean)
         spacing = 2.0 * radius / cells
         return cls.from_callable(spec.evaluate, origin, spacing, (cells,) * spec.dim)
@@ -146,11 +145,14 @@ def _source_slabs(f: GridFunction, n_groups: int = 16):
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _slab_points(f: GridFunction, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _slab_points(
+    f: GridFunction, matrix: CoefficientMatrix, y: np.ndarray, a: int, b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images L_y x (N, l) of the slab's source cell centers x, and f's values there (N,)."""
     axes = [f.centers_1d(0)[a:b]] + [f.centers_1d(ax) for ax in range(1, f.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return pts, f.values[a:b].ravel()
+    return bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape)), f.values[a:b].ravel()
 
 
 def plane_transform(
@@ -158,7 +160,6 @@ def plane_transform(
     matrix: CoefficientMatrix,
     y,
     cells: int = 96,
-    box_radius: float | None = None,
     threads: int = 1,
 ) -> PushforwardDensity:
     """Pushforward of f dm_k under x -> L_y x, as a density on an l-grid.
@@ -171,7 +172,7 @@ def plane_transform(
     if f.dim != matrix.k:
         raise ValueError("source grid dimension must equal k")
     l = matrix.l
-    radius = default_target_radius(f, matrix, y) if box_radius is None else float(box_radius)
+    radius = default_target_radius(f, matrix, y)
     spacing = 2.0 * radius / cells
     origin = (-radius,) * l
     extents = (cells,) * l
@@ -181,9 +182,8 @@ def plane_transform(
 
     def deposit(slab: tuple[int, int]) -> tuple[np.ndarray, float, float]:
         a, b = slab
-        pts, vals = _slab_points(f, a, b)
+        img, vals = _slab_points(f, matrix, y, a, b)
         acc = np.zeros(extents)
-        img = bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape))
         weights = vals * source_mass
         total = float(np.abs(weights).sum())
         idx = np.floor((img - np.asarray(origin)) / spacing).astype(int)
@@ -222,7 +222,6 @@ def pairing_check(
     matrix: CoefficientMatrix,
     y,
     cells: int = 96,
-    box_radius: float | None = None,
 ) -> PairingReport:
     """Both sides of the defining pairing, each by its own grid quadrature.
 
@@ -233,7 +232,7 @@ def pairing_check(
     y = _check_transform_inputs(matrix, y)
     if h.dim != matrix.l:
         raise ValueError("h must live on an l-dimensional grid")
-    pf = plane_transform(f, matrix, y, cells=cells, box_radius=box_radius)
+    pf = plane_transform(f, matrix, y, cells=cells)
     tgrid = pf.grid
     axes = [tgrid.centers_1d(a) for a in range(tgrid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -242,8 +241,7 @@ def pairing_check(
 
     rhs = 0.0
     for a, b in _source_slabs(f):
-        pts, vals = _slab_points(f, a, b)
-        img = bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape))
+        img, vals = _slab_points(f, matrix, y, a, b)
         rhs += float(np.sum(vals * h.interpolate(img)))
     rhs *= f.cell_volume
 
@@ -267,7 +265,6 @@ def fourier_check(
     y,
     zeta_list,
     cells: int = 128,
-    box_radius: float | None = None,
 ) -> FourierReport:
     """Compare the transform of Tf(y; .) against the closed form f^(y * C zeta).
 
@@ -289,7 +286,7 @@ def fourier_check(
     if any(m != 0.0 for m in spec.mean):
         raise ValueError("fourier_check requires a centered Gaussian")
     y = _check_transform_inputs(matrix, y)
-    f = GridFunction.from_gaussian(spec, cells=cells, radius=box_radius)
+    f = GridFunction.from_gaussian(spec, cells=cells)
     pf = plane_transform(f, matrix, y, cells=cells)
     nyquist = 1.0 / (2.0 * pf.grid.spacing)
 
@@ -310,8 +307,7 @@ def fourier_check(
     if kept:
         zmat = np.stack(kept, axis=0)
         for a, b in _source_slabs(f):
-            pts, vals = _slab_points(f, a, b)
-            img = bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape))
+            img, vals = _slab_points(f, matrix, y, a, b)
             sums += np.exp(-2j * math.pi * (zmat @ img.T)) @ vals
         sums *= f.cell_volume
     for z, disc in zip(kept, sums):
@@ -368,7 +364,7 @@ def oscillatory_sup_bound(
     l1 = 0.0
     g = np.zeros(u.shape[0], dtype=complex)
     for a, b in _source_slabs(f):
-        pts, vals = _slab_points(f, a, b)
+        img, vals = _slab_points(f, matrix, y, a, b)
         w = vals * f.cell_volume
         l1 += float(np.abs(w).sum())
         if s == 0.0:
@@ -376,7 +372,6 @@ def oscillatory_sup_bound(
             # bit-level tie to l1 for nonnegative f (a matmul would not)
             g += w.sum()
             continue
-        img = bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape))
         # distance from each u to each image point, in manageable chunks
         for lo in range(0, u.shape[0], 256):
             hi = min(lo + 256, u.shape[0])

@@ -249,10 +249,10 @@ def test_08_weighted_frequency_identity(capsys):
             drift = abs(r2.ratio - r1.ratio) / r1.ratio
             if drift > 0.10:
                 failures.append(f"w {i}, rho {rho}: drift {drift:.2%}")
-    cover = region_cover_factor(
-        BANDED, 1.0, random_gaussian(np.random.default_rng(803), dim=3),
-        McConfig(seed=804, n_y=300),
-    )
+    w = random_gaussian(np.random.default_rng(803), dim=3)
+    cfg = McConfig(seed=804, n_y=300)
+    total = pullback_weight_ratio(BANDED, 1.0, w, cfg).lhs
+    cover = region_cover_factor(BANDED, 1.0, w, total, cfg)
     if not 0.98 <= cover["cover_factor"] <= 1.10:
         failures.append(f"region cover factor {cover['cover_factor']:.4f}")
     announce(capsys, 8, "frequency-weight identity: oracle, stability, region cover", failures)

@@ -39,15 +39,15 @@ def test_unknown_entry_lists_known_ids():
 
 
 def test_generator_is_deterministic():
-    a = generate_matrix(3, 2, seed=11)
-    b = generate_matrix(3, 2, seed=11)
+    a, report = generate_matrix(3, 2, seed=11)
+    b, _ = generate_matrix(3, 2, seed=11)
     assert a.entries == b.entries
-    assert check_submatrices(a).holds
+    assert report == check_submatrices(a) and report.holds
 
 
 def test_generator_respects_threshold():
-    m = generate_matrix(4, 2, seed=2, min_det_threshold=5)
-    assert min_submatrix_det(m) >= 5
+    m, report = generate_matrix(4, 2, seed=2, min_det_threshold=5)
+    assert min_submatrix_det(m) == report.min_abs_det >= 5
 
 
 def test_frozen_random_entry_is_pinned():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from surfconv.battery import battery_entry
 from surfconv.gaussians import GaussianSpec
 from surfconv.pullback import (
     McConfig,
@@ -17,6 +18,7 @@ from surfconv.pullback import (
     region_weight_ratio,
     squared_fourier_weight,
 )
+from surfconv.suites import run_lemma_mc
 from surfconv.surface import CoefficientMatrix
 
 BANDED = CoefficientMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
@@ -75,14 +77,28 @@ def test_matrix_homogeneity_power():
 
 
 def test_region_cover_partition_sums_to_total():
-    cov = region_cover_factor(BANDED, 0.0, W3, McConfig(n_y=800, seed=29), mode="selected")
+    cfg = McConfig(n_y=800, seed=29)
+    total = pullback_weight_ratio(BANDED, 0.0, W3, cfg).lhs
+    cov = region_cover_factor(BANDED, 0.0, W3, total, cfg, mode="selected")
     assert cov["cover_factor"] == pytest.approx(1.0, abs=1e-9)
     assert set(cov["per_region"]) == {"0", "1", "2"}
 
 
 def test_region_cover_defining_overcounts():
-    cov = region_cover_factor(BANDED, 0.0, W3, McConfig(n_y=800, seed=29), mode="defining")
+    cfg = McConfig(n_y=800, seed=29)
+    total = pullback_weight_ratio(BANDED, 0.0, W3, cfg).lhs
+    cov = region_cover_factor(BANDED, 0.0, W3, total, cfg, mode="defining")
     assert cov["cover_factor"] >= 1.0 - 1e-9
+
+
+def test_lemma_cover_total_is_the_lhs_of_its_first_row():
+    # the cover reuses the lhs of the (rho_list[0], w00) row instead of recomputing it
+    params = {"rho_list": [0.5, 1.0], "n_w": 2, "n_y": 64, "n_radial": 12, "n_sphere": 12}
+    result = run_lemma_mc(battery_entry("banded-3-2").matrix, params, seed=5, threads=1)
+    first = result.payload["rows"][0]
+    assert (first["rho"], first["w_id"]) == (0.5, "w00")
+    for mode in ("selected", "defining"):
+        assert result.payload["cover"][mode]["total_lhs"] == first["lhs"]
 
 
 def test_middle_row_selected_region_is_empty():
@@ -97,6 +113,8 @@ def test_region_validation():
     with pytest.raises(ValueError):
         region_weight_ratio(BANDED, 0.0, W3, (0, 1), McConfig(n_y=100))
     with pytest.raises(ValueError):
+        region_weight_ratio(BANDED, 0.0, W3, (3,), McConfig(n_y=100))
+    with pytest.raises(ValueError):
         pullback_weight_ratio(BANDED, -2.5, W3, McConfig(n_y=100))
     with pytest.raises(ValueError):
         pullback_weight_ratio(
@@ -104,6 +122,12 @@ def test_region_validation():
         )
     with pytest.raises(ValueError):
         pullback_weight_ratio(BANDED, 0.0, GaussianSpec(dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 1.0)), McConfig(n_y=100))
+
+
+def test_region_ratio_refuses_a_weight_off_r_k():
+    w1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,))
+    with pytest.raises(ValueError, match=r"weight must live on R\^k"):
+        region_weight_ratio(battery_entry("banded-3-2").matrix, 0.0, w1, (0,), McConfig(n_y=100))
 
 
 @pytest.mark.parametrize("q", [(0,), (1,), (2,)])
@@ -173,7 +197,8 @@ def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
 @pytest.mark.parametrize("mode", ["selected", "defining"])
 def test_cover_regions_equal_region_weight_ratio_lhs(mode):
     cfg = McConfig(n_y=64, n_radial=12, n_sphere=12, seed=9)
-    cov = region_cover_factor(BANDED, 0.5, W3, cfg, mode=mode)
+    total = pullback_weight_ratio(BANDED, 0.5, W3, cfg).lhs
+    cov = region_cover_factor(BANDED, 0.5, W3, total, cfg, mode=mode)
     for label, lhs in cov["per_region"].items():
         q = tuple(int(i) for i in label.split("-"))
         assert lhs == region_weight_ratio(BANDED, 0.5, W3, q, cfg, mode=mode).lhs
