@@ -18,11 +18,20 @@ coordinate z_i - y_i is a (B, 1, ..., n_i, ..., 1) table and each tail a
 full (B, n_1, ..., n_k) array, since heads and tails are sums of per-axis
 terms.  Ball and box tests stay on the small head tables until the tail
 axes; no (B * window, d) point array is ever assembled.
+
+A batch holds at most _BATCH_POINTS = 65 536 window points.  Its full-window
+arrays (the tails, the validity sum and mask, and the ball's squares and
+running sums) are written with out= ufunc calls into this thread's scratch
+buffers (_scratch), which grow to the largest batch and are never shrunk,
+so a run faults them in once instead of on every call.  The arithmetic is
+the same as with fresh arrays, in the same order, so every count is
+bit-identical.  No result a public function returns is a scratch view.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,9 +88,26 @@ class BallSet:
         + ...), each part left to right.  For d <= 7 that is the order of the
         two-lane SSE sum-of-products loop in numpy 2.4, which computed the
         shipped outputs, so they stay bit-identical.
+
+        Full-size squares and sums are written into this thread's scratch
+        buffers; the returned mask is a new array.
         """
-        sq = [np.square(x - c) for x, c in zip(coords, self.center)]
-        return sum(sq[0::2]) + sum(sq[1::2]) <= self.radius**2
+        shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
+        even, odd, tmp = _scratch("ball", 3, shape)
+
+        def squares(axes):
+            # a full-size square lives in tmp until _ordered_sum has added it
+            for i in axes:
+                x, c = coords[i], self.center[i]
+                if np.shape(x) == shape:
+                    yield np.square(np.subtract(x, c, out=tmp), out=tmp)
+                else:
+                    yield np.square(x - c)
+
+        d = len(coords)
+        total = np.add(_ordered_sum(squares(range(0, d, 2)), even),
+                       _ordered_sum(squares(range(1, d, 2)), odd), out=even)
+        return np.less_equal(total, self.radius**2)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return self.contains_coords(np.moveaxis(np.asarray(points), -1, 0))
@@ -258,6 +284,44 @@ class ShearedBoxSet:
         return _contains_stacked(self, coords)
 
 
+# Window points per batch of convolve_many.  At d = 5 the batch's scratch
+# (two tails, the ball's two sums and its square, the mask) is about 2.6 MB.
+_BATCH_POINTS = 65_536
+
+_SCRATCH = threading.local()
+
+
+def _scratch(key: str, count: int, shape, dtype=float) -> list:
+    """count arrays of `shape`, views of this thread's scratch buffer `key`.
+
+    Each thread has its own buffers, so concurrent calls never share one.  A
+    buffer grows to the largest request and is never shrunk.  The next
+    request for `key` on this thread overwrites the views, so a public
+    function never returns one.
+    """
+    n = math.prod(shape)
+    buf = getattr(_SCRATCH, key, None)
+    if buf is None or buf.size < count * n:
+        buf = np.empty(count * n, dtype)
+        setattr(_SCRATCH, key, buf)
+    return [buf[i * n : (i + 1) * n].reshape(shape) for i in range(count)]
+
+
+def _ordered_sum(terms, out: np.ndarray):
+    """The builtin sum(terms), ((0 + t0) + t1) + ..., bit for bit.
+
+    Each partial sum of out's shape is written into out, so the full-size
+    ones allocate nothing; the smaller ones are new arrays.
+    """
+    acc = 0
+    for t in terms:
+        if np.broadcast_shapes(np.shape(acc), np.shape(t)) == out.shape:
+            acc = np.add(acc, t, out=out)
+        else:
+            acc = acc + t
+    return acc
+
+
 def _contains_stacked(test_set, coords) -> np.ndarray:
     """test_set.contains on broadcast coordinate arrays stacked into (N, d) points.
 
@@ -411,9 +475,11 @@ class SurfaceMeasure:
         """(mu * chi_E)(z) for a batch of z, sharing one cube index window.
 
         z whose window is certified empty are skipped.  For the rest, E's
-        contains_coords runs once per batch on per-axis coordinates over the
-        (B, n_1, ..., n_k) window: the heads z_i - y_i as (B, n_i) tables
-        (broadcast along the other axes), the tails as full arrays.
+        contains_coords runs once per batch of at most _BATCH_POINTS window
+        points, on per-axis coordinates over the (B, n_1, ..., n_k) window:
+        the heads z_i - y_i as (B, n_i) tables (broadcast along the other
+        axes), the tails as full arrays.  The tails and the validity sum and
+        mask live in this thread's scratch buffers; the returned array is new.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         out = np.zeros(len(zs))
@@ -422,7 +488,8 @@ class SurfaceMeasure:
             return out
         k, l, s = self.k, self.l, self.spacing
         base, reach, may_hit = self._head_windows(lo, hi, zs)
-        window = math.prod(2 * int(r) + 1 for r in reach)
+        dims = tuple(2 * int(r) + 1 for r in reach)
+        window = math.prod(dims)
         if window > 40_000_000:
             raise ValueError("test set too wide for this resolution's index window")
         # offsets[i] runs along window axis i and is 1 wide on the others
@@ -432,20 +499,25 @@ class SurfaceMeasure:
         ]
         arr = self.matrix.array
         rows = np.flatnonzero(may_hit)
-        batch = max(1, 1_500_000 // window)  # about 1.5e6 window points per batch
+        batch = max(1, _BATCH_POINTS // window)
         for b0 in range(0, len(rows), batch):
             r = rows[b0 : b0 + batch]
             z = zs[r].reshape((len(r),) + (1,) * k + (self.d,))
             idx = [base[r, i].reshape(z.shape[:-1]) + offsets[i] for i in range(k)]
             y = [-1.0 + (ix + 0.5) * s for ix in idx]
             ysq = [yi**2 for yi in y]
-            # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid
-            valid = sum(ysq) < 1.0
+            shape = (len(r),) + dims
+            tails = _scratch("tails", l, shape)
+            (valid,) = _scratch("valid", 1, shape, bool)
+            # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid;
+            # tails[0] holds the sum until the first tail overwrites it
+            np.less(_ordered_sum(ysq, tails[0]), 1.0, out=valid)
             coords = [z[..., i] - y[i] for i in range(k)]
-            coords += [z[..., k + j] - sum(ysq[i] * arr[i, j] for i in range(k))
-                       for j in range(l)]
-            inside = test_set.contains_coords(coords)
-            out[r] = (valid & inside).reshape(len(r), -1).sum(axis=1) * s**k
+            for j, tail in enumerate(tails):
+                heights = _ordered_sum((ysq[i] * arr[i, j] for i in range(k)), tail)
+                coords.append(np.subtract(z[..., k + j], heights, out=tail))
+            valid &= test_set.contains_coords(coords)
+            out[r] = valid.reshape(len(r), -1).sum(axis=1) * s**k
         return out
 
     def convolve_at(self, test_set, z) -> float:
@@ -791,6 +863,8 @@ def restricted_estimate_scan(
     """
     cfg = cfg or NormMcConfig()
     p = Fraction(p)
+    if not check_submatrices(matrix).holds:
+        raise ValueError("the row-submatrix condition must hold")
     k, d = matrix.k, matrix.d
     q0 = critical_q0(k, d)
     ts = typeset(k, d)

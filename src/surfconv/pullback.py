@@ -89,16 +89,34 @@ class RatioReport:
     params: dict = field(default_factory=dict)
 
 
+def _finite_power(base: float, exponent: float) -> bool:
+    try:
+        return math.isfinite(base**exponent)
+    except OverflowError:
+        return False
+
+
 def _check_inputs(matrix: CoefficientMatrix, rhos, w: GaussianSpec) -> None:
     """What every ratio estimator needs: the row-submatrix condition, a weight
-    on R^k whose mass TRUNCATION_RADIUS covers, and convergent rhos."""
+    on R^k whose mass TRUNCATION_RADIUS covers, and convergent rhos whose
+    quadrature weights r^rho (zeta side) and r^(rho - k + l) (tau side) stay
+    finite out to the rule's radius."""
     if not check_submatrices(matrix).holds:
         raise ValueError("the row-submatrix condition must hold")
     if w.dim != matrix.k:
         raise ValueError("weight must live on R^k")
+    r_tau = _tau_radius(w)
+    r_zeta = _zeta_radius(matrix, w)
     for rho in rhos:
         if rho <= -matrix.l + 0.1:
             raise ValueError(f"rho = {rho} too negative for a convergent frequency integral")
+        for side, radius, exponent in (("zeta", r_zeta, rho),
+                                       ("tau", r_tau, rho - matrix.k + matrix.l)):
+            if not _finite_power(radius, exponent):
+                raise ValueError(
+                    f"rho = {rho}: non-finite frequency estimate (the {side} quadrature "
+                    f"weight {radius:.6g}^{exponent:g} overflows)"
+                )
     outside = w.tail_outside_box(TRUNCATION_RADIUS / math.sqrt(matrix.k))
     if outside > 1e-3:
         raise ValueError(

@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -183,11 +183,31 @@ class SubmatrixReport:
         }
 
 
+def _cached_on_matrix(fn):
+    """fn(matrix), computed once per CoefficientMatrix and kept on it.
+
+    The value goes into the instance __dict__, as with cached_property, so
+    it lives and dies with the matrix; a module-level cache would keep every
+    matrix ever drawn, e.g. the up to 10 000 rejections of generate_matrix.
+    """
+    key = f"_cached_{fn.__name__}"
+
+    @wraps(fn)
+    def cached(matrix: CoefficientMatrix):
+        if key not in matrix.__dict__:
+            matrix.__dict__[key] = fn(matrix)
+        return matrix.__dict__[key]
+
+    return cached
+
+
+@_cached_on_matrix
 def check_submatrices(matrix: CoefficientMatrix) -> SubmatrixReport:
     """Exactly test that every l x l row submatrix of C is nonsingular.
 
     Returns the minimum |det| over all row choices and, on failure, the
-    lexicographically first singular row set.
+    lexicographically first singular row set.  Cached per matrix: every
+    call with the same matrix returns the same frozen report.
     """
     best: Fraction | None = None
     for rows in itertools.combinations(range(matrix.k), matrix.l):
@@ -249,6 +269,7 @@ def row_images(matrix: CoefficientMatrix, zeta) -> np.ndarray:
 # comparability constant and row selection
 
 
+@_cached_on_matrix
 def comparability_constant(matrix: CoefficientMatrix) -> float:
     """Least M with |zeta|_2 <= M * max_{i in P} |(C zeta)_i| for all zeta, P.
 
@@ -256,7 +277,7 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
     norm of C_P^{-1}; the maximum of |C_P^{-1} s|_2 over the cube |s|_inf <= 1
     is attained at a sign vector, so the square of the answer is an exact
     rational maximized over sign patterns.  The float conversion at the end
-    can overestimate by at most a few ulp.
+    can overestimate by at most a few ulp.  Cached per matrix.
     """
     best_sq = Fraction(0)
     l = matrix.l

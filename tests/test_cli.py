@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -278,7 +279,8 @@ class TestConfigValidation:
         assert "coarser than the smallest delta" in err
 
     def test_non_finite_frequency_estimate(self, tmp_path, capsys):
-        # |zeta|^400 overflows: lhs and rhs would be inf and the ratio nan
+        # |zeta|^400 overflows: lhs and rhs would be inf and the ratio nan.  The
+        # input check refuses rho before any quadrature runs, so numpy warns of nothing.
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -288,10 +290,31 @@ class TestConfigValidation:
                 "params": {"n_w": 1, "n_y": 32, "n_radial": 8, "n_sphere": 8, "rho_list": [400]},
             },
         )
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert "suite 'lemma-mc' rejected the configuration" in err
-        assert "non-finite frequency estimate" in err
+        assert "rho = 400.0: non-finite frequency estimate" in err
+
+    def test_restricted_scan_refuses_a_singular_row_submatrix(self, tmp_path, capsys):
+        # rows 1 and 2 of a 2 x 1 matrix are its 1 x 1 submatrices; the second is 0
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "suite": "restricted-scan",
+                "seed": 1,
+                "matrix": {"k": 2, "l": 1, "entries": [[1, 1], [0, 1]]},
+                "params": {"n_sets": 3, "n_tube": 16, "resolution": 16},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "suite 'restricted-scan' rejected the configuration" in err
+        assert "the row-submatrix condition must hold" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "doc, message",

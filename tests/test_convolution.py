@@ -9,6 +9,9 @@ Oracles used here:
 """
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import erf
 
@@ -196,6 +199,79 @@ class TestKernelOracle:
         mu = SurfaceMeasure(PARABOLOID, 64)
         zs = np.random.default_rng(1).uniform(-1.0, 1.0, (20, 3))
         assert np.array_equal(mu.convolve_many(BoxUnionSet((), ()), zs), np.zeros(20))
+
+
+def tube_zs(mu, test_set, n, seed):
+    """n z drawn as lq_norm_mc draws them: uniform in the set's support tube."""
+    rng = np.random.default_rng(seed)
+    c, head_half, band = _support_tube(mu, test_set)
+    k, l = mu.k, mu.l
+    heads = c[:k] + rng.uniform(-1.0, 1.0, (n, k)) * head_half
+    offs = rng.uniform(-1.0, 1.0, (n, l)) * band
+    return np.concatenate([heads, c[k:] + surface_heights(mu.matrix, heads - c[:k]) + offs], axis=1)
+
+
+def surface_ball(matrix, y, radius):
+    y = np.asarray(y, dtype=float)
+    return BallSet(tuple(np.concatenate([y, surface_heights(matrix, y)])), radius)
+
+
+class TestKernelScratch:
+    def test_concurrent_calls_match_sequential_ones(self):
+        # one measure, more threads than cores, three window sizes: each thread keeps
+        # its own scratch, so no call sees another's tails, sums or mask
+        mu = SurfaceMeasure(BANDED, 128)
+        balls = [surface_ball(BANDED, (0.1, -0.2, 0.15), 1 / 16),
+                 surface_ball(BANDED, (-0.3, 0.1, 0.0), 1 / 8),
+                 surface_ball(BANDED, (0.2, 0.2, -0.1), 3 / 32),
+                 surface_ball(BANDED, (0.0, -0.1, 0.3), 1 / 16)]
+        jobs = [(ball, tube_zs(mu, ball, 1000, seed)) for seed, ball in enumerate(balls)]
+        expected = [mu.convolve_many(ball, zs) for ball, zs in jobs]
+        assert all(np.count_nonzero(e) > 20 for e in expected)
+
+        def rounds(job):
+            return [mu.convolve_many(*job) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(rounds, job) for job in jobs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(expected, got):
+            for run in runs:
+                assert np.array_equal(run, want)
+
+    def test_warm_call_allocates_no_full_window_arrays(self):
+        # one lq_norm_mc chunk (375 z) at the first center of the shipped k = 3 ball scan
+        mu = SurfaceMeasure(BANDED, 256)
+        ball = surface_ball(BANDED, (0.0, 0.0, 0.0), 1 / 32)
+        zs = tube_zs(mu, ball, 375, 3)
+        first = mu.convolve_many(ball, zs)  # grows this thread's scratch
+        tracemalloc.start()
+        try:
+            second = mu.convolve_many(ball, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(first) > 0 and np.array_equal(first, second)
+        assert peak < 1_000_000
+
+    def test_results_are_not_scratch_views(self):
+        mu = SurfaceMeasure(PARABOLOID, 64)
+        rng = np.random.default_rng(5)
+        a, b = surface_ball(PARABOLOID, (0.1, 0.2), 0.2), surface_ball(PARABOLOID, (-0.3, 0.0), 0.1)
+        pts_a, pts_b = rng.uniform(-0.5, 0.5, (2, 500, 3))
+        counts = mu.convolve_many(a, tube_zs(mu, a, 200, 1))  # grows the scratch first
+        kept_counts = counts.copy()
+        mask = a.contains(pts_a)
+        kept_mask = mask.copy()
+        b.contains(pts_b)
+        mu.convolve_many(b, tube_zs(mu, b, 300, 2))
+        assert np.array_equal(mask, kept_mask) and np.array_equal(counts, kept_counts)
+        assert mask.any() and counts.any()
 
 
 MIXED_SIGNS = CoefficientMatrix.from_rows([[1, -2], [Fraction(1, 2), 1], [-1, 3]])

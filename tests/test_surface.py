@@ -96,6 +96,14 @@ def test_submatrix_condition_witness_is_first_failure():
         min_submatrix_det(DEGENERATE)
 
 
+def test_exact_checks_are_computed_once_per_matrix():
+    fresh = CoefficientMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
+    report, constant = check_submatrices(fresh), comparability_constant(fresh)
+    assert check_submatrices(fresh) is report and comparability_constant(fresh) is constant
+    assert report == check_submatrices(BANDED) and constant == comparability_constant(BANDED)
+    assert fresh == BANDED and hash(fresh) == hash(BANDED)  # the cache leaves eq and hash alone
+
+
 def test_comparability_constant_values():
     # l = 1 star matrices: some |c_i| = max, constant 1 after normalizing;
     # the banded 3x2 matrix needs sqrt(5)
