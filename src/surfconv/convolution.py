@@ -16,8 +16,10 @@ y-ball, or every tail outside the box).  For the rest it hands the set's
 contains_coords one coordinate array per axis, once per batch: each head
 coordinate z_i - y_i is a (B, 1, ..., n_i, ..., 1) table and each tail a
 full (B, n_1, ..., n_k) array, since heads and tails are sums of per-axis
-terms.  Ball and box tests stay on the small head tables until the tail
-axes; no (B * window, d) point array is ever assembled.
+terms.  contains_coords is each set's only membership test, and every set
+runs it per axis, so the head tests stay on the small tables until the tail
+axes and no (B * window, d) point array is ever assembled.  Other callers
+pass points as columns, points.T.
 
 A batch holds at most _BATCH_POINTS = 65 536 window points.  Its full-window
 arrays (the tails, the validity sum and mask, and the ball's squares and
@@ -109,9 +111,6 @@ class BallSet:
                        _ordered_sum(squares(range(1, d, 2)), odd), out=even)
         return np.less_equal(total, self.radius**2)
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.contains_coords(np.moveaxis(np.asarray(points), -1, 0))
-
 
 @dataclass(frozen=True)
 class BoxUnionSet:
@@ -173,9 +172,6 @@ class BoxUnionSet:
             out |= inside
         return out
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.contains_coords(np.moveaxis(np.asarray(points), -1, 0))
-
 
 @dataclass(frozen=True)
 class TangentTubeSet:
@@ -222,18 +218,22 @@ class TangentTubeSet:
         hi = np.concatenate([y0 + self.half_width, base + slope])
         return lo, hi
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        k = self.matrix.k
-        pts = np.asarray(points)
-        y0, base, jac = self._tangent()
-        dh = pts[..., :k] - y0
-        head_ok = (np.abs(dh) <= self.half_width).all(axis=-1)
-        pred = base + dh @ jac
-        tail_ok = (np.abs(pts[..., k:] - pred) <= self.thickness).all(axis=-1)
-        return head_ok & tail_ok
-
     def contains_coords(self, coords) -> np.ndarray:
-        return _contains_stacked(self, coords)
+        """Membership of broadcastable per-axis coordinate arrays, one axis at a time.
+
+        Each tail's tangent prediction is base_j + sum_i (x_i - y0_i) jac[i, j],
+        the sum taken left to right.
+        """
+        k = self.matrix.k
+        y0, base, jac = self._tangent()
+        dh = [x - c for x, c in zip(coords[:k], y0)]
+        inside = True
+        for x in dh:
+            inside = inside & (np.abs(x) <= self.half_width)
+        for j, u in enumerate(coords[k:]):
+            pred = base[j] + sum(x * jac[i, j] for i, x in enumerate(dh))
+            inside = inside & (np.abs(u - pred) <= self.thickness)
+        return inside
 
 
 @dataclass(frozen=True)
@@ -271,17 +271,16 @@ class ShearedBoxSet:
             np.concatenate([hi[:k], (hi[k:] + h_hi) / 2.0]),
         )
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        k = self.matrix.k
-        pts = np.asarray(points)
-        heads = pts[..., :k]
-        unsheared = np.concatenate(
-            [heads, 2.0 * pts[..., k:] - surface_heights(self.matrix, heads)], axis=-1
-        )
-        return self.base.contains(unsheared)
-
     def contains_coords(self, coords) -> np.ndarray:
-        return _contains_stacked(self, coords)
+        """Membership of broadcastable per-axis coordinate arrays, unsheared per axis.
+
+        Tail j becomes 2 u_j - sum_i x_i^2 c_ij, the sum taken left to right.
+        """
+        k, arr = self.matrix.k, self.matrix.array
+        sq = [x * x for x in coords[:k]]
+        tails = [2.0 * u - sum(x * arr[i, j] for i, x in enumerate(sq))
+                 for j, u in enumerate(coords[k:])]
+        return self.base.contains_coords(list(coords[:k]) + tails)
 
 
 # Window points per batch of convolve_many.  At d = 5 the batch's scratch
@@ -320,16 +319,6 @@ def _ordered_sum(terms, out: np.ndarray):
         else:
             acc = acc + t
     return acc
-
-
-def _contains_stacked(test_set, coords) -> np.ndarray:
-    """test_set.contains on broadcast coordinate arrays stacked into (N, d) points.
-
-    For the sets whose test goes through a matmul: a per-axis sum would not
-    reproduce its rounding, and a flat (N, d) batch keeps its 2-D BLAS call.
-    """
-    pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
-    return test_set.contains(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
 
 
 def _squares_interval(lo: np.ndarray, hi: np.ndarray):
@@ -478,8 +467,9 @@ class SurfaceMeasure:
         contains_coords runs once per batch of at most _BATCH_POINTS window
         points, on per-axis coordinates over the (B, n_1, ..., n_k) window:
         the heads z_i - y_i as (B, n_i) tables (broadcast along the other
-        axes), the tails as full arrays.  The tails and the validity sum and
-        mask live in this thread's scratch buffers; the returned array is new.
+        axes), the tails as full arrays.  Every set tests them per axis, with
+        no stacked point array.  The tails and the validity sum and mask live
+        in this thread's scratch buffers; the returned array is new.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         out = np.zeros(len(zs))
@@ -953,8 +943,8 @@ def shell_bilinear_estimate(
     def chunk(rng, n):
         xs = f.sample(rng, n)
         ys = sample_shell(rng, shell, n)
-        pts = np.concatenate([ys, (xs * ys) @ matrix.array], axis=1)
-        return test_set.contains(pts).astype(float)
+        tails = (xs * ys) @ matrix.array
+        return test_set.contains_coords([*ys.T, *tails.T]).astype(float)
 
     parts = seeded_map(chunk, np.random.SeedSequence(seed), n_samples, SHELL_CHUNKS, threads)
     hits = np.concatenate(parts)

@@ -245,6 +245,47 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg]) == 2
         assert "matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, unexpected",
+        [
+            ({"suite": "ball-scan", "seed": 1, "matrix": {"battery": "paraboloid-2-1"},
+              "params": {"deltas": [0.5, 0.25, 0.125], "n_tube": 64, "n_centers": 1, "n_w": 7}},
+             "n_w"),
+            ({"suite": "typeset", "seed": 0, "params": {"k": 3, "d": 5, "n_tube": 100}}, "n_tube"),
+            ({"suite": "check-star", "seed": 7, "params": {"n_tube": 100}}, "n_tube"),
+        ],
+    )
+    def test_params_the_suite_never_reads_are_refused(self, tmp_path, capsys, doc, unexpected):
+        # the payload would record them under params although they had no effect
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert (
+            "config invalid at $.params: Additional properties are not allowed "
+            f"('{unexpected}' was unexpected)"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"suite": "lemma-mc", "seed": 1, "matrix": {"battery": "parabola-1-1"},
+              "params": {"n_w": 1, "n_y": 16, "n_radial": 4, "n_sphere": 4, "rho_list": []}},
+             "$.params.rho_list"),
+            ({"suite": "ball-scan", "seed": 1, "matrix": {"battery": "paraboloid-2-1"},
+              "params": {"deltas": [0.5, 0.25, 0.125], "n_tube": 64, "n_centers": 1,
+                         "p_list": []}},
+             "$.params.p_list"),
+        ],
+    )
+    def test_empty_exponent_lists_are_refused(self, tmp_path, capsys, doc, where):
+        # an empty rho_list ran the default list; an empty p_list gave no rows and no verdicts
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config invalid at {where}: [] should be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_denominator_matrix_entry(self, tmp_path, capsys):
         cfg = checkstar_config(tmp_path, seed=1, matrix={"k": 2, "l": 1, "entries": [[1, 0], [2, 3]]})
         assert main(["run", "--config", cfg]) == 2
@@ -571,9 +612,16 @@ class TestReport:
         assert not (root / "summary.txt").exists() and not (root / "verdicts.csv").exists()
 
 
+def _src_env() -> dict:
+    """The environment with the checkout's src first on PYTHONPATH, for child interpreters."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "surfconv", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "surfconv", "--help"], capture_output=True, text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "gen-matrix" in proc.stdout
@@ -603,31 +651,40 @@ def _reject_constant(name):
     raise ValueError(f"payload holds {name}")
 
 
+_BATTERY_MATRIX = st.fixed_dictionaries({"battery": st.sampled_from(
+    ["banded-3-2", "parabola-1-1", "paraboloid-2-1", "random-4-3", "degenerate-3-2"]
+)})
+_EXPONENT = st.sampled_from(["1", "5/4", "3/2", "5/3", "2", "7/3", "3", "0", "-1", "1/0", "x"])
+_SEED = st.integers(min_value=0, max_value=2**32)
+_THREADS = st.integers(min_value=1, max_value=2)
+
+
+def _suite_configs(suite, required, optional=None, matrix=_BATTERY_MATRIX):
+    """Schema-valid configs of one suite: `required` and `optional` map param names to strategies."""
+    doc = {
+        "suite": st.just(suite),
+        "seed": _SEED,
+        "params": st.fixed_dictionaries(required, optional=optional or {}),
+    }
+    if matrix is not None:
+        doc["matrix"] = matrix
+    return st.fixed_dictionaries(doc, optional={"threads": _THREADS})
+
+
 _RHO = st.one_of(
     st.floats(min_value=-3.0, max_value=6.0),
     st.sampled_from([-1.5, -0.95, 0.0, 40.0, 400.0, 1e6]),
 )
-_FREQUENCY_CONFIGS = st.fixed_dictionaries(
-    {
-        "suite": st.sampled_from(["lemma-mc", "plancherel"]),
-        "seed": st.integers(min_value=0, max_value=2**32),
-        "threads": st.integers(min_value=1, max_value=2),
-        "matrix": st.fixed_dictionaries(
-            {"battery": st.sampled_from(
-                ["banded-3-2", "parabola-1-1", "paraboloid-2-1", "random-4-3", "degenerate-3-2"]
-            )}
-        ),
-        "params": st.fixed_dictionaries(
-            {
-                "n_w": st.integers(min_value=1, max_value=2),
-                "n_f": st.integers(min_value=1, max_value=2),
-                "n_y": st.integers(min_value=16, max_value=48),
-                "n_radial": st.integers(min_value=4, max_value=8),
-                "n_sphere": st.integers(min_value=4, max_value=8),
-            },
-            optional={"rho_list": st.lists(_RHO, max_size=3)},
-        ),
-    }
+_QUADRATURE_PARAMS = {
+    "n_y": st.integers(min_value=16, max_value=48),
+    "n_radial": st.integers(min_value=4, max_value=8),
+    "n_sphere": st.integers(min_value=4, max_value=8),
+}
+# each suite draws only the params it reads: the schema refuses the others
+_FREQUENCY_CONFIGS = st.one_of(
+    _suite_configs("lemma-mc", {"n_w": st.integers(1, 2), **_QUADRATURE_PARAMS},
+                   {"rho_list": st.lists(_RHO, min_size=1, max_size=3)}),
+    _suite_configs("plancherel", {"n_f": st.integers(1, 2), **_QUADRATURE_PARAMS}),
 )
 
 
@@ -663,26 +720,6 @@ def test_frequency_suites_keep_the_exit_contract(doc):
     _check_exit_contract(doc)
 
 
-_BATTERY_MATRIX = st.fixed_dictionaries({"battery": st.sampled_from(
-    ["banded-3-2", "parabola-1-1", "paraboloid-2-1", "random-4-3", "degenerate-3-2"]
-)})
-_EXPONENT = st.sampled_from(["1", "5/4", "3/2", "5/3", "2", "7/3", "3", "0", "-1", "1/0", "x"])
-_SEED = st.integers(min_value=0, max_value=2**32)
-_THREADS = st.integers(min_value=1, max_value=2)
-
-
-def _suite_configs(suite, required, optional=None, matrix=_BATTERY_MATRIX):
-    """Schema-valid configs of one suite: `required` and `optional` map param names to strategies."""
-    doc = {
-        "suite": st.just(suite),
-        "seed": _SEED,
-        "params": st.fixed_dictionaries(required, optional=optional or {}),
-    }
-    if matrix is not None:
-        doc["matrix"] = matrix
-    return st.fixed_dictionaries(doc, optional={"threads": _THREADS})
-
-
 _INLINE_MATRIX = st.fixed_dictionaries({
     "k": st.integers(1, 3),
     "l": st.integers(1, 3),
@@ -701,7 +738,7 @@ _SUITE_CONFIGS = {
         {"n_tube": st.integers(16, 200), "n_centers": st.integers(1, 2)},
         {
             "deltas": st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125]), min_size=3, max_size=4),
-            "p_list": st.lists(_EXPONENT, max_size=3),
+            "p_list": st.lists(_EXPONENT, min_size=1, max_size=3),
             "resolution": st.integers(8, 64),
             "tolerance": st.floats(min_value=0.01, max_value=2.0),
         },
@@ -779,9 +816,8 @@ def test_single_thread_run_skips_heavy_imports(tmp_path, doc):
         f"code = main({argv!r})\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env())
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code in (0, 1)
     assert "jsonschema" not in modules

@@ -139,8 +139,9 @@ def set_kinds(matrix, rng):
 
 
 def brute_force_counts(mu, test_set, zs):
-    pts = mu.points
-    return np.array([np.count_nonzero(test_set.contains(z - pts)) for z in zs]) * mu.spacing**mu.k
+    cols = mu.points.T
+    counts = [np.count_nonzero(test_set.contains_coords(z[:, None] - cols)) for z in zs]
+    return np.array(counts) * mu.spacing**mu.k
 
 
 def kernel_keeps(mu, test_set, z):
@@ -165,7 +166,7 @@ def z_battery(mu, test_set, rng):
     k, d = mu.k, mu.d
     lo, hi = test_set.bounding_box()
     cand = rng.uniform(lo, hi, (200_000, d))
-    in_set = cand[test_set.contains(cand)][:60]
+    in_set = cand[test_set.contains_coords(cand.T)][:60]
     support = mu.points[rng.integers(0, len(mu.points), len(in_set))] + in_set
     battery = [support]
     starts = [z for z in support if kernel_keeps(mu, test_set, z)][:4]
@@ -266,9 +267,9 @@ class TestKernelScratch:
         pts_a, pts_b = rng.uniform(-0.5, 0.5, (2, 500, 3))
         counts = mu.convolve_many(a, tube_zs(mu, a, 200, 1))  # grows the scratch first
         kept_counts = counts.copy()
-        mask = a.contains(pts_a)
+        mask = a.contains_coords(pts_a.T)
         kept_mask = mask.copy()
-        b.contains(pts_b)
+        b.contains_coords(pts_b.T)
         mu.convolve_many(b, tube_zs(mu, b, 300, 2))
         assert np.array_equal(mask, kept_mask) and np.array_equal(counts, kept_counts)
         assert mask.any() and counts.any()
@@ -289,7 +290,7 @@ def test_contained_points_lie_in_the_bounding_box(kind, matrix, seed):
     test_set = set_kinds(matrix, rng)[kind]
     lo, hi = test_set.bounding_box()
     pts = lo + (hi - lo) * rng.uniform(-0.05, 1.05, (4000, matrix.d))
-    inside = pts[test_set.contains(pts)]
+    inside = pts[test_set.contains_coords(pts.T)]
     assert ((inside >= lo - _SKIP_SLACK) & (inside <= hi + _SKIP_SLACK)).all()
 
 
@@ -309,7 +310,7 @@ def test_support_tube_contains_every_atom_plus_set_point(kind, matrix, seed):
     d, k = matrix.d, matrix.k
     corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(d, -1).T
     cand = np.concatenate([corners, lo + (hi - lo) * rng.uniform(0.0, 1.0, (2000, d))])
-    es = cand[test_set.contains(cand)][:300]
+    es = cand[test_set.contains_coords(cand.T)][:300]
     assert len(es) > 0
     zs = (mu.points[:, None, :] + es[None, :, :]).reshape(-1, d)
     dh = zs[:, :k] - c[:k]
@@ -336,13 +337,42 @@ def _plain_box_test(boxes, point) -> bool:
     )
 
 
+def _plain_tube_test(tube, point) -> bool:
+    """Python floats; each tail predicted as base_j + sum_i (x_i - y0_i) jac_ij, left to right."""
+    k, c, y0 = tube.matrix.k, tube.matrix.array.tolist(), tube.y0
+    x = [float(v) for v in point]
+    dh = [x[i] - y0[i] for i in range(k)]
+    if any(abs(v) > tube.half_width for v in dh):
+        return False
+    for j, u in enumerate(x[k:]):
+        base = sum(y0[i] * y0[i] * c[i][j] for i in range(k))
+        pred = base + sum(dh[i] * (2.0 * c[i][j] * y0[i]) for i in range(k))
+        if abs(u - pred) > tube.thickness:
+            return False
+    return True
+
+
+def _plain_sheared_test(sheared, point) -> bool:
+    """Python floats; tail j unsheared to 2 u_j - sum_i x_i^2 c_ij, left to right."""
+    k, c = sheared.matrix.k, sheared.matrix.array.tolist()
+    x = [float(v) for v in point]
+    tails = [2.0 * u - sum(x[i] * x[i] * c[i][j] for i in range(k)) for j, u in enumerate(x[k:])]
+    return _plain_box_test(sheared.base, x[:k] + tails)
+
+
+_PLAIN_TESTS = {"ball": _plain_ball_test, "box-union": _plain_box_test,
+                "tube": _plain_tube_test, "sheared": _plain_sheared_test}
+
+
 def _membership_case(kind, matrix, rng):
     """A test set, per-axis values that include its faces, and a point on its closed side.
 
-    The ball and the box union sit on dyadic coordinates, so c + 3r/5 and
-    c + 4r/5 put a point at distance exactly r, and face values are exact.
+    Every set sits on dyadic coordinates, so face values are exact: c + 3r/5
+    and c + 4r/5 put a point at distance exactly r from the ball's center,
+    the tube's tangent predictions are exact, and so is the unshearing of a
+    point over the sheared box's low corner.
     """
-    d = matrix.d
+    k, d = matrix.k, matrix.d
     corner = rng.integers(-8, 9, d) / 16.0
     if kind == "ball":
         test_set = BallSet(tuple(corner), 0.625)
@@ -358,25 +388,36 @@ def _membership_case(kind, matrix, rng):
         values = [np.array([corner[i], corner[i] + 0.25, corner[i] + 0.5, corner[i] + 0.75])
                   for i in range(d)]
         boundary = corner  # the low corner of the first box
+    elif kind == "tube":
+        y0 = corner[:k] / 2.0
+        test_set = TangentTubeSet(matrix, tuple(y0), 0.125, 0.0625)
+        head = y0 + 0.125
+        pred = surface_heights(matrix, y0) + (head - y0) @ (2.0 * matrix.array * y0[:, None])
+        values = [y + 0.125 * np.array([-1.0, 0.0, 1.0]) for y in y0]
+        values += [p + 0.0625 * np.array([-1.0, 0.0, 1.0]) for p in pred]
+        boundary = np.concatenate([head, pred + 0.0625])  # a corner of the tube
     else:
-        test_set = set_kinds(matrix, rng)[kind]
-        lo, hi = test_set.bounding_box()
-        values = [np.array([lo[i], hi[i]]) for i in range(d)]
-        boundary = None
+        test_set = ShearedBoxSet(matrix, BoxUnionSet((tuple(corner),), (tuple(corner + 0.5),)))
+        y = corner[:k]
+        h = surface_heights(matrix, y)
+        values = [np.array([c, c + 0.5]) for c in y]
+        values += [(np.array([c, c + 0.5]) + hj) / 2.0 for c, hj in zip(corner[k:], h)]
+        boundary = np.concatenate([y, (corner[k:] + h) / 2.0])  # unshears to the low corner
     lo, hi = test_set.bounding_box()
     values = [np.concatenate([v, rng.uniform(a - 0.1, b + 0.1, 6)])
               for v, a, b in zip(values, lo, hi)]
     return test_set, values, boundary
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["ball", "box-union", "tube", "sheared"]),
     st.sampled_from([PARABOLA, PARABOLOID, BANDED]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_contains_coords_matches_contains_on_stacked_points(kind, matrix, seed):
-    # convolve_many hands each set (B, 1, .., n_i, .., 1) head tables and full tail arrays
+def test_contains_coords_on_tables_and_columns_matches_a_plain_oracle(kind, matrix, seed):
+    # convolve_many hands each set (B, 1, .., n_i, .., 1) head tables and full tail
+    # arrays; shell_bilinear_estimate hands it (N,) columns
     rng = np.random.default_rng(seed)
     k, d = matrix.k, matrix.d
     test_set, values, boundary = _membership_case(kind, matrix, rng)
@@ -386,18 +427,14 @@ def test_contains_coords_matches_contains_on_stacked_points(kind, matrix, seed):
     for i in range(d):
         shape = [n_rows] + [n if a == i else 1 for a in range(k)] if i < k else list(full)
         coords.append(rng.choice(values[i], size=shape))
-    if boundary is not None:  # the point at index (0, ..., 0) lies on the boundary
-        for x, v in zip(coords, boundary):
-            x[(0,) * x.ndim] = v
+    for x, v in zip(coords, boundary):  # the point at index (0, ..., 0) lies on the boundary
+        x[(0,) * x.ndim] = v
     got = test_set.contains_coords(coords)
-    pts = np.stack(np.broadcast_arrays(*coords), axis=-1)
+    pts = np.stack(np.broadcast_arrays(*coords), axis=-1).reshape(-1, d)
     assert got.shape == full
-    assert np.array_equal(got, test_set.contains(pts))
-    assert np.array_equal(got.ravel(), test_set.contains(pts.reshape(-1, d)))
-    if boundary is not None:
-        assert got[(0,) * got.ndim]
-        plain = _plain_ball_test if kind == "ball" else _plain_box_test
-        assert got.ravel().tolist() == [plain(test_set, p) for p in pts.reshape(-1, d)]
+    assert got[(0,) * got.ndim]
+    assert np.array_equal(got.ravel(), test_set.contains_coords(pts.T))
+    assert got.ravel().tolist() == [_PLAIN_TESTS[kind](test_set, p) for p in pts]
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -422,7 +459,7 @@ def test_ball_sums_squares_in_a_fixed_order(d):
             continue
         ball = BallSet(center, r)
         assert _plain_ball_test(ball, point) == (fixed <= r**2)
-        assert bool(ball.contains(point[None, :])[0]) == (fixed <= r**2)
+        assert bool(ball.contains_coords(point[:, None])[0]) == (fixed <= r**2)
         checked += 1
         differ += fixed != sum(sq)
     assert checked > 1000
@@ -441,11 +478,11 @@ class TestSetGeometry:
         assert abs(sh.measure - base.measure / 4.0) < 1e-12
         rng = np.random.default_rng(3)
         pts = rng.uniform(-1, 1, (2000, 5))
-        direct = sh.contains(pts)
+        direct = sh.contains_coords(pts.T)
         unsheared = np.concatenate(
             [pts[:, :3], 2 * pts[:, 3:] - surface_heights(BANDED, pts[:, :3])], axis=1
         )
-        assert np.array_equal(direct, base.contains(unsheared))
+        assert np.array_equal(direct, base.contains_coords(unsheared.T))
 
     def test_sheared_box_monte_carlo_volume(self):
         base = BoxUnionSet(((-0.5, -0.5, -0.5, -0.4, -0.4),), ((0.5, 0.5, 0.5, 0.4, 0.4),))
@@ -453,7 +490,7 @@ class TestSetGeometry:
         lo, hi = sh.bounding_box()
         rng = np.random.default_rng(3)
         smp = rng.uniform(lo, hi, (200_000, 5))
-        mc_vol = float(np.prod(hi - lo)) * sh.contains(smp).mean()
+        mc_vol = float(np.prod(hi - lo)) * sh.contains_coords(smp.T).mean()
         assert abs(mc_vol - sh.measure) / sh.measure < 0.05
 
 
