@@ -220,9 +220,8 @@ def cmd_run(args) -> int:
     else:
         seed = int(config["seed"])
 
-    if args.threads is not None and args.threads < 1:
-        return _fail(f"--threads must be at least 1, got {args.threads}")
-    threads = args.threads if args.threads is not None else int(config.get("threads", 1))
+    if args.threads not in (None, 1):
+        return _fail(f"--threads: only 1 is supported, got {args.threads}")
     suite = config["suite"]
     params = config.get("params", {})
     exponent_error = _exponent_error(params)
@@ -239,7 +238,7 @@ def cmd_run(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        result = run_suite(suite, matrix, params, seed, threads)
+        result = run_suite(suite, matrix, params, seed)
     except (ValueError, KeyError) as exc:
         return _fail(f"suite {suite!r} rejected the configuration: {exc}")
     wall = time.perf_counter() - t0
@@ -271,12 +270,7 @@ def cmd_run(args) -> int:
         _write_atomic(out_dir / fname, _csv_text(columns, rows, config_hash, matrix_json))
         csv_names.append(fname)
 
-    report_doc = dict(
-        payload_doc,
-        wall_clock_seconds=wall,
-        threads=threads,
-        tables=sorted(csv_names),
-    )
+    report_doc = dict(payload_doc, wall_clock_seconds=wall, tables=sorted(csv_names))
     _write_atomic(out_dir / "report.json", _canonical_json(report_doc))
 
     stable = ["payload.json"] + sorted(csv_names)
@@ -425,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, help=f"override the seed (beats ${SEED_ENV} and the config)"
     )
     run.add_argument("--out", help="output directory (default runs/<suite>-<hash8>)")
-    run.add_argument("--threads", type=int, help="worker threads for the heavy loops")
+    run.add_argument("--threads", type=int, help="accepted for compatibility; only 1 is allowed")
     run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="merge finished runs into one summary")

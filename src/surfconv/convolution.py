@@ -546,7 +546,6 @@ SHELL_CHUNKS = 16
 class NormMcConfig:
     seed: int = 0x5EED
     n_tube: int = 4000
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_tube < NORM_CHUNKS:
@@ -611,8 +610,7 @@ def lq_norm_mc(
         g = measure.convolve_many(test_set, zs)
         return g**q
 
-    parts = seeded_map(tube_chunk, np.random.SeedSequence(cfg.seed), cfg.n_tube, NORM_CHUNKS,
-                       cfg.threads)
+    parts = seeded_map(tube_chunk, np.random.SeedSequence(cfg.seed), cfg.n_tube, NORM_CHUNKS)
     vals = np.concatenate(parts)
     total = v_tube * float(vals.mean())
     var = v_tube**2 * (float(vals.var(ddof=1)) / len(vals))
@@ -644,7 +642,6 @@ class ScalingConfig:
     resolution: int | None = None           # default: spacing = delta_min / 4
     n_tube: int = 3000
     n_centers: int = 3
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -721,8 +718,7 @@ def ball_scaling_experiment(
                 measures[delta],
                 ball,
                 q0,
-                NormMcConfig(seed=cfg.seed + 1000 * cid + j, n_tube=cfg.n_tube,
-                             threads=cfg.threads),
+                NormMcConfig(seed=cfg.seed + 1000 * cid + j, n_tube=cfg.n_tube),
             )
             if est.norm <= 0:
                 # mu * chi_B is positive near a center on the surface: a 0 is a miss, not a value
@@ -923,7 +919,6 @@ def shell_bilinear_estimate(
     n_samples: int = 20000,
     seed: int = 0x5EED,
     shell: tuple | None = None,
-    threads: int = 1,
 ) -> ShellEstimateReport:
     """MC check of the shell-restricted bilinear bound.
 
@@ -946,7 +941,7 @@ def shell_bilinear_estimate(
         tails = (xs * ys) @ matrix.array
         return test_set.contains_coords([*ys.T, *tails.T]).astype(float)
 
-    parts = seeded_map(chunk, np.random.SeedSequence(seed), n_samples, SHELL_CHUNKS, threads)
+    parts = seeded_map(chunk, np.random.SeedSequence(seed), n_samples, SHELL_CHUNKS)
     hits = np.concatenate(parts)
     scale = f.l1_norm * shell_vol
     lhs = scale * float(hits.mean())
@@ -970,7 +965,6 @@ def shell_sum_estimate(
     n_min: int = -3,
     n_samples: int = 4000,
     seed: int = 0x5EED,
-    threads: int = 1,
 ) -> dict:
     """Sum of the shell estimates over all multi-indices n_min <= n_i <= 0.
 
@@ -990,8 +984,7 @@ def shell_sum_estimate(
     rhs_base = f.lp_norm(d / k) * test_set.measure ** (k / d - epsilon)
     for i, shell in enumerate(shells):
         rep = shell_bilinear_estimate(
-            matrix, f, test_set, n_samples=n_samples, seed=seed + i, shell=shell,
-            threads=threads,
+            matrix, f, test_set, n_samples=n_samples, seed=seed + i, shell=shell
         )
         total += rep.lhs
         slack = 2.0 ** (epsilon * sum(n + 1 for n in shell))

@@ -61,7 +61,6 @@ class McConfig:
     n_y: int = 512
     n_radial: int = 48
     n_sphere: int = 64
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_y <= 0 or self.n_radial <= 0 or self.n_sphere <= 0:
@@ -74,7 +73,6 @@ class McConfig:
             n_y=2 * self.n_y,
             n_radial=2 * self.n_radial,
             n_sphere=2 * self.n_sphere,
-            threads=self.threads,
         )
 
 
@@ -250,9 +248,8 @@ def _lhs_shell_integral(
     is contracted with each rho's factor vector in its own matrix-vector
     product.  The block's exponents below the normal range give 0 without
     calling exp.  The y-samples are drawn in Y_CHUNKS seeded chunks, so
-    results depend neither on cfg.threads nor on which other rhos share the
-    call.  node_mask, if given, selects among the nodes of the rule that all
-    rhos share.
+    results do not depend on which other rhos share the call.  node_mask, if
+    given, selects among the nodes of the rule that all rhos share.
     Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
     unit_shell = (0,) * matrix.k
@@ -286,7 +283,7 @@ def _lhs_shell_integral(
         return per_group
 
     seq = np.random.SeedSequence(cfg.seed)
-    parts = seeded_map(chunk_values, seq, cfg.n_y, Y_CHUNKS, cfg.threads) if groups else []
+    parts = seeded_map(chunk_values, seq, cfg.n_y, Y_CHUNKS) if groups else []
     shell_volume = float(shell_measure(unit_shell))
     estimates = {}
     for g, (group, _, _) in enumerate(groups):

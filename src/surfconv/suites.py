@@ -1,6 +1,6 @@
 """Experiment suites: named, configuration-driven bundles of checks.
 
-Each suite takes (matrix, params, seed, threads), runs its experiments, and
+Each suite takes (matrix, params, seed), runs its experiments, and
 returns a SuiteResult whose payload is a pure function of those inputs.
 Wall-clock measurement and file writing stay in the CLI layer so payloads
 can be compared byte for byte across runs.
@@ -68,7 +68,7 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def run_check_star(matrix, params, seed, threads) -> SuiteResult:
+def run_check_star(matrix, params, seed) -> SuiteResult:
     if matrix is None:
         cases = [(e.entry_id, e.matrix, e.expect_star) for e in load_battery()]
     else:
@@ -114,7 +114,7 @@ def run_check_star(matrix, params, seed, threads) -> SuiteResult:
     return SuiteResult("check-star", payload, verdicts, {"star": table}, {"matrices": len(cases)})
 
 
-def run_typeset(matrix, params, seed, threads) -> SuiteResult:
+def run_typeset(matrix, params, seed) -> SuiteResult:
     k, d = int(params["k"]), int(params["d"])
     ts = typeset(k, d)
     q0, p0 = critical_q0(k, d), critical_p0(k, d)
@@ -152,7 +152,7 @@ def _default_p_list(k: int, d: int):
     return [p0, lo, hi]
 
 
-def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
+def run_ball_scan(matrix, params, seed) -> SuiteResult:
     k, d = matrix.k, matrix.d
     deltas = params.get("deltas") or [2.0**-e for e in (3, 4, 5, 6)]
     p_list = (
@@ -166,7 +166,6 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
         resolution=params.get("resolution"),
         n_tube=int(params.get("n_tube", 3000)),
         n_centers=int(params.get("n_centers", 3)),
-        threads=threads,
     )
     rep = ball_scaling_experiment(matrix, deltas, p_list, cfg)
     expected = rep.params["expected_norm_exponent"]
@@ -201,14 +200,13 @@ def run_ball_scan(matrix, params, seed, threads) -> SuiteResult:
     )
 
 
-def run_restricted_scan(matrix, params, seed, threads) -> SuiteResult:
+def run_restricted_scan(matrix, params, seed) -> SuiteResult:
     k, d = matrix.k, matrix.d
     p = Fraction(params["p"]) if "p" in params else _default_p_list(k, d)[1]
     n_sets = int(params.get("n_sets", 12))
     cfg = NormMcConfig(
         seed=seed,
         n_tube=int(params.get("n_tube", 2500)),
-        threads=threads,
     )
     rep = restricted_estimate_scan(
         matrix, p, n_sets=n_sets, cfg=cfg, resolution=int(params.get("resolution", 128))
@@ -230,7 +228,7 @@ def run_restricted_scan(matrix, params, seed, threads) -> SuiteResult:
     )
 
 
-def run_lemma_mc(matrix, params, seed, threads) -> SuiteResult:
+def run_lemma_mc(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     rho_list = params.get("rho_list") or [0.0, 1.0, float(d - 2 * l)]
     n_w = int(params.get("n_w", 20))
@@ -239,7 +237,6 @@ def run_lemma_mc(matrix, params, seed, threads) -> SuiteResult:
         n_y=int(params.get("n_y", 512)),
         n_radial=int(params.get("n_radial", 48)),
         n_sphere=int(params.get("n_sphere", 64)),
-        threads=threads,
     )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     weights = [random_gaussian(rng, k, normalized=False) for _ in range(n_w)]
@@ -341,7 +338,7 @@ def run_lemma_mc(matrix, params, seed, threads) -> SuiteResult:
     )
 
 
-def run_transform_check(matrix, params, seed, threads) -> SuiteResult:
+def run_transform_check(matrix, params, seed) -> SuiteResult:
     k, l = matrix.k, matrix.l
     if k > 3:
         raise ValueError("transform-check needs k <= 3 (dense source grids)")
@@ -356,7 +353,7 @@ def run_transform_check(matrix, params, seed, threads) -> SuiteResult:
         f_spec = random_gaussian(rng, k, sigma_range=(0.5, 0.9), mean_radius=0.4)
         h_spec = random_gaussian(rng, l, sigma_range=(0.6, 1.2), mean_radius=0.5)
         f = GridFunction.from_gaussian(f_spec, cells)
-        pf = plane_transform(f, matrix, y, cells=cells, threads=threads)
+        pf = plane_transform(f, matrix, y, cells=cells)
         worst_leak = max(worst_leak, pf.leak_fraction)
         h = GridFunction.from_gaussian(h_spec, cells)
         rep = pairing_check(f, h, matrix, y, cells=cells)
@@ -410,7 +407,7 @@ def run_transform_check(matrix, params, seed, threads) -> SuiteResult:
     )
 
 
-def run_plancherel(matrix, params, seed, threads) -> SuiteResult:
+def run_plancherel(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     n_f = int(params.get("n_f", 20))
     cfg = McConfig(
@@ -418,7 +415,6 @@ def run_plancherel(matrix, params, seed, threads) -> SuiteResult:
         n_y=int(params.get("n_y", 400)),
         n_radial=int(params.get("n_radial", 48)),
         n_sphere=int(params.get("n_sphere", 64)),
-        threads=threads,
     )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     rows, drifts = [], []
@@ -517,7 +513,7 @@ def _shell_set_family(matrix, f, n_sets, seed):
     return sets
 
 
-def run_ineq6(matrix, params, seed, threads) -> SuiteResult:
+def run_ineq6(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     n_sets = int(params.get("n_sets", 8))
     n_samples = int(params.get("n_samples", 20000))
@@ -534,10 +530,8 @@ def run_ineq6(matrix, params, seed, threads) -> SuiteResult:
     rows = []
     sup_half, sup_full = 0.0, 0.0
     for set_id, ts in family:
-        rep = shell_bilinear_estimate(matrix, f, ts, n_samples=n_samples, seed=seed, threads=threads)
-        rep2 = shell_bilinear_estimate(
-            matrix, f, ts, n_samples=2 * n_samples, seed=seed, threads=threads
-        )
+        rep = shell_bilinear_estimate(matrix, f, ts, n_samples=n_samples, seed=seed)
+        rep2 = shell_bilinear_estimate(matrix, f, ts, n_samples=2 * n_samples, seed=seed)
         rows.append([set_id, ts.kind, ts.measure, rep.lhs, rep.rhs, rep.ratio, rep.stderr])
         if math.isfinite(rep.ratio):
             sup_half = max(sup_half, rep.ratio)
@@ -572,8 +566,7 @@ def run_ineq6(matrix, params, seed, threads) -> SuiteResult:
 
     if k == 1 and l == 1:
         box = BoxUnionSet(((1.1, 0.05),), ((1.9, 0.9),))
-        rep = shell_bilinear_estimate(matrix, f, box, n_samples=max(n_samples, 200000), seed=seed + 7,
-                                      threads=threads)
+        rep = shell_bilinear_estimate(matrix, f, box, n_samples=max(n_samples, 200000), seed=seed + 7)
         oracle = _shell_oracle_1d(matrix, f, box)
         rel = abs(rep.lhs - oracle) / oracle
         payload["closed_form_1d"] = {"mc": rep.lhs, "oracle": oracle, "rel_err": rel}
@@ -583,7 +576,6 @@ def run_ineq6(matrix, params, seed, threads) -> SuiteResult:
 
     shell_sum = shell_sum_estimate(
         matrix, f, family[0][1], n_min=-2, n_samples=max(500, n_samples // 8), seed=seed,
-        threads=threads,
     )
     payload["shell_sum"] = shell_sum
 
@@ -608,7 +600,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, matrix, params, seed: int, threads: int = 1) -> SuiteResult:
+def run_suite(name: str, matrix, params, seed: int) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    return SUITES[name](matrix, params, seed, threads)
+    return SUITES[name](matrix, params, seed)

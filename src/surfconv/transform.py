@@ -137,8 +137,8 @@ def default_target_radius(f: GridFunction, matrix: CoefficientMatrix, y) -> floa
 def _source_slabs(f: GridFunction, n_groups: int = 16):
     """Split source rows (axis 0) into a fixed number of contiguous groups.
 
-    The group count is independent of thread count so that the deposit order,
-    and hence the float sums, never depend on parallelism.
+    The group count fixes the deposit order, and hence the float sums: another
+    value moves payload bytes.
     """
     n0 = f.extents[0]
     bounds = np.linspace(0, n0, min(n_groups, n0) + 1).astype(int)
@@ -160,7 +160,6 @@ def plane_transform(
     matrix: CoefficientMatrix,
     y,
     cells: int = 96,
-    threads: int = 1,
 ) -> PushforwardDensity:
     """Pushforward of f dm_k under x -> L_y x, as a density on an l-grid.
 
@@ -195,7 +194,7 @@ def plane_transform(
 
     from .parallel import ordered_map
 
-    results = ordered_map(deposit, slabs, threads)
+    results = ordered_map(deposit, slabs)
     acc = np.zeros(extents)
     leaked = 0.0
     total = 0.0

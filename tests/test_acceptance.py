@@ -307,17 +307,17 @@ def test_10_ball_scaling_necessity(capsys):
 
 def test_11_shell_bilinear_and_restricted(capsys):
     failures = []
-    res = run_suite("ineq6", PARABOLA, {"n_sets": 8, "n_samples": 60_000}, seed=1101, threads=1)
+    res = run_suite("ineq6", PARABOLA, {"n_sets": 8, "n_samples": 60_000}, seed=1101)
     for v in res.verdicts:
         if not v.passed:
             failures.append(f"ineq6 parabola {v.check_id}: {v.detail}")
     if not any(v.check_id == "closed-form-1d" for v in res.verdicts):
         failures.append("1-d closed-form check missing")
-    res_b = run_suite("ineq6", BANDED, {"n_sets": 8, "n_samples": 30_000}, seed=1102, threads=1)
+    res_b = run_suite("ineq6", BANDED, {"n_sets": 8, "n_samples": 30_000}, seed=1102)
     for v in res_b.verdicts:
         if not v.passed:
             failures.append(f"ineq6 banded {v.check_id}: {v.detail}")
-    scan = run_suite("restricted-scan", PARABOLOID, {"n_sets": 10}, seed=1103, threads=1)
+    scan = run_suite("restricted-scan", PARABOLOID, {"n_sets": 10}, seed=1103)
     for v in scan.verdicts:
         if not v.passed:
             failures.append(f"restricted scan {v.check_id}: {v.detail}")

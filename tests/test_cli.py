@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output files, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from surfconv.cli import _load_schema, main
 from surfconv.schema import first_error
-from surfconv.suites import SuiteResult, Verdict
+from surfconv.suites import SUITES, SuiteResult, Verdict, run_suite
 
 
 def write_config(path, doc):
@@ -66,6 +67,7 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert report["wall_clock_seconds"] > 0
         assert report["tables"] == ["star.csv"]
+        assert "threads" not in report
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == json.loads((tmp_path / "config.json").read_text())
@@ -106,27 +108,6 @@ class TestRun:
         assert leftovers == []
         for name in ("payload.json", "star.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    @pytest.mark.parametrize(
-        "suite, params",
-        [
-            ("lemma-mc", {"n_w": 2, "n_y": 48, "n_radial": 8, "n_sphere": 8, "rho_list": [0.0, 1.0]}),
-            ("plancherel", {"n_f": 2, "n_y": 48, "n_radial": 8, "n_sphere": 8}),
-        ],
-    )
-    def test_thread_count_does_not_change_bytes(self, tmp_path, suite, params):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"suite": suite, "seed": 5, "matrix": {"battery": "banded-3-2"}, "params": params},
-        )
-        outs = {}
-        for threads in (1, 2):
-            out = tmp_path / f"t{threads}"
-            assert main(["run", "--config", cfg, "--out", str(out), "--threads", str(threads)]) in (0, 1)
-            outs[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
-            outs[threads]["payload.json"] = (out / "payload.json").read_bytes()
-        assert len(outs[1]) >= 2
-        assert outs[1] == outs[2]
 
     def test_manifest_hashes_match_files(self, tmp_path):
         cfg = checkstar_config(tmp_path)
@@ -441,6 +422,17 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config invalid at $.params" in err and "'n_outside' was unexpected" in err
 
+    def test_thread_count_key_is_refused(self, tmp_path, capsys):
+        # one ordered loop runs every suite: the key is gone, not ignored
+        cfg = checkstar_config(tmp_path, threads=1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "config invalid at $: Additional properties are not allowed ('threads' was unexpected)"
+        ) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content, where, message",
         [
@@ -497,13 +489,29 @@ class TestSeedPrecedence:
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_threads_flag_must_be_positive(tmp_path, capsys, threads):
+@pytest.mark.parametrize("threads", ["0", "-2", "2"])
+def test_threads_flag_accepts_only_one(tmp_path, capsys, threads):
     cfg = checkstar_config(tmp_path)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
-    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert f"--threads: only 1 is supported, got {threads}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_threads_flag_one_changes_no_byte(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"suite": "lemma-mc", "seed": 5, "matrix": {"battery": "banded-3-2"},
+         "params": {"n_w": 2, "n_y": 48, "n_radial": 8, "n_sphere": 8, "rho_list": [0.0, 1.0]}},
+    )
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert run_cli(cfg, plain) in (0, 1)
+    assert main(["run", "--config", cfg, "--out", str(flagged), "--threads", "1"]) in (0, 1)
+    names = sorted(p.name for p in plain.iterdir() if p.name != "report.json")
+    assert "manifest.json" in names and any(n.endswith(".csv") for n in names)
+    assert names == sorted(p.name for p in flagged.iterdir() if p.name != "report.json")
+    for name in names:
+        assert (plain / name).read_bytes() == (flagged / name).read_bytes(), name
 
 
 class TestGenMatrix:
@@ -568,6 +576,14 @@ class TestReport:
         assert main(["report", str(passing_root)]) == 1
         out = capsys.readouterr().out
         assert "overall: FAIL" in out and "failing checks:" in out
+
+    def test_reads_a_report_that_records_threads(self, passing_root, capsys):
+        # report.json files written before the thread path went carry a threads field
+        old = passing_root / "star" / "report.json"
+        doc = json.loads(old.read_text())
+        old.write_text(json.dumps(dict(doc, threads=1)))
+        assert main(["report", str(passing_root)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2
@@ -656,7 +672,6 @@ _BATTERY_MATRIX = st.fixed_dictionaries({"battery": st.sampled_from(
 )})
 _EXPONENT = st.sampled_from(["1", "5/4", "3/2", "5/3", "2", "7/3", "3", "0", "-1", "1/0", "x"])
 _SEED = st.integers(min_value=0, max_value=2**32)
-_THREADS = st.integers(min_value=1, max_value=2)
 
 
 def _suite_configs(suite, required, optional=None, matrix=_BATTERY_MATRIX):
@@ -668,7 +683,7 @@ def _suite_configs(suite, required, optional=None, matrix=_BATTERY_MATRIX):
     }
     if matrix is not None:
         doc["matrix"] = matrix
-    return st.fixed_dictionaries(doc, optional={"threads": _THREADS})
+    return st.fixed_dictionaries(doc)
 
 
 _RHO = st.one_of(
@@ -728,7 +743,7 @@ _INLINE_MATRIX = st.fixed_dictionaries({
 _SUITE_CONFIGS = {
     "check-star": st.fixed_dictionaries(
         {"suite": st.just("check-star"), "seed": _SEED},
-        optional={"threads": _THREADS, "matrix": st.one_of(_BATTERY_MATRIX, _INLINE_MATRIX)},
+        optional={"matrix": st.one_of(_BATTERY_MATRIX, _INLINE_MATRIX)},
     ),
     "typeset": _suite_configs(
         "typeset", {"k": st.integers(1, 8), "d": st.integers(2, 12)}, matrix=None
@@ -780,6 +795,12 @@ _TRACED_MODULES = [
 ]
 
 
+def test_suites_take_matrix_params_seed():
+    for name, fn in SUITES.items():
+        assert list(inspect.signature(fn).parameters) == ["matrix", "params", "seed"], name
+    assert list(inspect.signature(run_suite).parameters) == ["name", "matrix", "params", "seed"]
+
+
 def test_tracer_targets_exist():
     # bench/tracing.py wraps package functions by name; a rename must fail here, not under --trace
     import importlib.util
@@ -809,7 +830,7 @@ def test_single_thread_run_skips_heavy_imports(tmp_path, doc):
     # start-up is a large share of a short run: jsonschema and concurrent.futures
     # are not needed, and the modules the benchmark tracer patches must be loaded
     cfg = write_config(tmp_path / "c.json", doc)
-    argv = ["run", "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "out")]
     script = (
         "import json, sys\n"
         "from surfconv.cli import main\n"

@@ -1,4 +1,4 @@
-"""Seeded-chunk Monte Carlo: the streams each chunk draws, and their independence of threads."""
+"""Seeded-chunk Monte Carlo: the streams each chunk draws, and how the draws split."""
 
 import numpy as np
 
@@ -24,11 +24,3 @@ def test_remainder_lands_on_the_last_chunk():
     sizes = seeded_map(lambda rng, n: n, np.random.SeedSequence(0), 23, 5)
     assert sizes == [4, 4, 4, 4, 7]
     assert seeded_map(lambda rng, n: n, np.random.SeedSequence(0), 3, 4) == [0, 0, 0, 3]
-
-
-def test_thread_count_does_not_change_draws():
-    one = seeded_map(draws, np.random.SeedSequence(5), 1001, 16, threads=1)
-    two = seeded_map(draws, np.random.SeedSequence(5), 1001, 16, threads=2)
-    assert len(one) == len(two) == 16
-    for a, b in zip(one, two):
-        np.testing.assert_array_equal(a, b)

@@ -94,7 +94,7 @@ def test_region_cover_defining_overcounts():
 def test_lemma_cover_total_is_the_lhs_of_its_first_row():
     # the cover reuses the lhs of the (rho_list[0], w00) row instead of recomputing it
     params = {"rho_list": [0.5, 1.0], "n_w": 2, "n_y": 64, "n_radial": 12, "n_sphere": 12}
-    result = run_lemma_mc(battery_entry("banded-3-2").matrix, params, seed=5, threads=1)
+    result = run_lemma_mc(battery_entry("banded-3-2").matrix, params, seed=5)
     first = result.payload["rows"][0]
     assert (first["rho"], first["w_id"]) == (0.5, "w00")
     for mode in ("selected", "defining"):
@@ -202,12 +202,6 @@ def test_cover_regions_equal_region_weight_ratio_lhs(mode):
     for label, lhs in cov["per_region"].items():
         q = tuple(int(i) for i in label.split("-"))
         assert lhs == region_weight_ratio(BANDED, 0.5, W3, q, cfg, mode=mode).lhs
-
-
-def test_thread_count_does_not_change_bits():
-    r1 = pullback_weight_ratio(BANDED, 0.0, W3, McConfig(n_y=600, seed=31, threads=1))
-    r4 = pullback_weight_ratio(BANDED, 0.0, W3, McConfig(n_y=600, seed=31, threads=4))
-    assert r1.lhs == r4.lhs and r1.stderr == r4.stderr
 
 
 def test_doubling_reduces_or_keeps_error_one_d():

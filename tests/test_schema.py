@@ -93,7 +93,7 @@ def test_shipped_configs_are_valid():
     [
         ({"suite": "check-star", "seed": 1.0}, None),
         ({"suite": "check-star", "seed": True}, "$.seed"),
-        ({"suite": "check-star", "seed": 0, "threads": 1.5}, "$.threads"),
+        ({"suite": "check-star", "seed": 0, "threads": 1}, "$"),
         ({"suite": "typeset", "seed": 0}, "$"),
         ({"suite": "typeset", "seed": 0, "params": {"k": 3}}, "$.params"),
         ({"suite": "ball-scan", "seed": 0, "matrix": {"battery": "banded-3-2"},

@@ -2,11 +2,11 @@
 
 tests/data/shipped_digests.json holds, for every configs/*.json, the sha256
 of payload.json, of every CSV table and of manifest.json (report.json holds
-the wall clock and stays out).  The test reruns each config through the CLI
-at one and two threads and compares.  The matmul-heavy suites may round
-differently on another numpy or BLAS kernel, so the file also records the
-numpy version and the OpenBLAS core it was made with; a different
-environment fails with a message saying so.
+the wall clock and stays out).  The test runs each config once through the
+CLI and compares.  The matmul-heavy suites may round differently on another
+numpy or BLAS kernel, so the file also records the numpy version and the
+OpenBLAS core it was made with; a different environment fails with a message
+saying so.
 
 A change that means to move these bytes regenerates the file with
 
@@ -30,7 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 BENCH_CONFIGS = ROOT / "bench" / "configs"
 DIGESTS = Path(__file__).resolve().parent / "data" / "shipped_digests.json"
-THREADS = (1, 2)
 
 
 def openblas_core() -> str | None:
@@ -51,10 +50,10 @@ def environment() -> dict:
     return {"numpy": np.__version__, "openblas_core": openblas_core()}
 
 
-def run_digests(config: Path, out: Path, threads: int) -> dict:
+def run_digests(config: Path, out: Path) -> dict:
     """sha256 of every byte-stable output of one CLI run of `config`."""
-    code = main(["run", "--config", str(config), "--out", str(out), "--threads", str(threads)])
-    assert code == 0, f"{config.name} at --threads {threads} exited {code}"
+    code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code == 0, f"{config.name} exited {code}"
     names = ["payload.json", "manifest.json"] + sorted(p.name for p in out.glob("*.csv"))
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
@@ -79,14 +78,12 @@ def test_shipped_outputs_match_recorded_digests(tmp_path):
     if sorted(recorded["configs"]) != [Path(n).stem for n in shipped]:
         problems.append(f"digests cover {sorted(recorded['configs'])}, configs holds {shipped}")
     for stem, want in sorted(recorded["configs"].items()):
-        for threads in THREADS:
-            got = run_digests(CONFIGS / f"{stem}.json", tmp_path / f"{stem}-t{threads}", threads)
-            for fname in sorted(set(want) | set(got)):
-                if got.get(fname) != want.get(fname):
-                    problems.append(
-                        f"{stem} --threads {threads}: {fname} has digest {got.get(fname)}, "
-                        f"recorded {want.get(fname)}"
-                    )
+        got = run_digests(CONFIGS / f"{stem}.json", tmp_path / stem)
+        for fname in sorted(set(want) | set(got)):
+            if got.get(fname) != want.get(fname):
+                problems.append(
+                    f"{stem}: {fname} has digest {got.get(fname)}, recorded {want.get(fname)}"
+                )
     assert not problems, "\n".join(problems)
 
 
@@ -97,7 +94,7 @@ if __name__ == "__main__":
         doc = {
             "environment": environment(),
             "configs": {
-                p.stem: run_digests(p, Path(tmp) / p.stem, 1)
+                p.stem: run_digests(p, Path(tmp) / p.stem)
                 for p in sorted(CONFIGS.glob("*.json"))
             },
         }
