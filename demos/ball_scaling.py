@@ -13,7 +13,9 @@ stays bounded, above it the estimate degenerates as delta -> 0.
 
 from fractions import Fraction
 
-from surfconv import ScalingConfig, ball_scaling_experiment, battery_entry, critical_p0
+from surfconv.battery import battery_entry
+from surfconv.convolution import ScalingConfig, ball_scaling_experiment
+from surfconv.exponents import critical_p0
 
 
 def run_case(entry_id: str) -> None:

@@ -10,7 +10,7 @@ exponent pairs land.
 
 from fractions import Fraction
 
-from surfconv import (
+from surfconv.exponents import (
     ExponentPair,
     critical_p0,
     critical_q0,

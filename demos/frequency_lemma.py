@@ -12,16 +12,15 @@ import math
 
 import numpy as np
 
-from surfconv import (
-    CoefficientMatrix,
-    GaussianSpec,
+from surfconv.battery import battery_entry
+from surfconv.gaussians import GaussianSpec, random_gaussian
+from surfconv.pullback import (
     McConfig,
-    battery_entry,
     plancherel_ratio,
     pullback_weight_ratio,
     region_cover_factor,
 )
-from surfconv.gaussians import random_gaussian
+from surfconv.surface import CoefficientMatrix
 
 
 def one_d_oracle(c: float, rho: float) -> float:

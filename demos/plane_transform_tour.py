@@ -12,10 +12,10 @@ transform, then validate three contracts numerically:
 
 import numpy as np
 
-from surfconv import (
-    GaussianSpec,
+from surfconv.battery import battery_entry
+from surfconv.gaussians import GaussianSpec
+from surfconv.transform import (
     GridFunction,
-    battery_entry,
     fourier_check,
     oscillatory_sup_bound,
     pairing_check,

@@ -9,14 +9,15 @@ exact rational arithmetic; only the shell audit samples.
 
 import numpy as np
 
-from surfconv import (
+from surfconv.battery import load_battery
+from surfconv.surface import (
     check_submatrices,
     comparability_constant,
-    load_battery,
+    jacobian_bound_constant,
     min_submatrix_det,
     select_comparable_rows,
+    verify_jacobian_bound,
 )
-from surfconv.surface import jacobian_bound_constant, verify_jacobian_bound
 
 
 def main() -> None:

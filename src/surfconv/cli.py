@@ -10,6 +10,7 @@ across reruns of the same config and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import io
@@ -320,6 +321,14 @@ _RUN_FILE_SCHEMA = {
 }
 
 
+def _report_csv(columns, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
 def cmd_report(args) -> int:
     root = Path(args.run_dir)
     if not root.is_dir():
@@ -363,20 +372,11 @@ def cmd_report(args) -> int:
                     ]
                 )
 
-    buf = io.StringIO()
-    buf.write("run,suite,check_id,passed,detail\n")
-    for row in verdict_rows:
-        detail = str(row[4]).replace('"', "'")
-        cells = [str(row[0]), str(row[1]), str(row[2]), _csv_cell(row[3]), f'"{detail}"']
-        buf.write(",".join(cells) + "\n")
-    _write_atomic(root / "verdicts.csv", buf.getvalue())
-
+    verdict_columns = ["run", "suite", "check_id", "passed", "detail"]
+    _write_atomic(root / "verdicts.csv", _report_csv(verdict_columns, verdict_rows))
     if curve_rows:
-        buf = io.StringIO()
-        buf.write("run,delta,log2_delta,p,norm,log2_norm,ratio,center_id\n")
-        for row in curve_rows:
-            buf.write(",".join(_csv_cell(x) for x in row) + "\n")
-        _write_atomic(root / "curves.csv", buf.getvalue())
+        curve_columns = ["run", "delta", "log2_delta", "p", "norm", "log2_norm", "ratio", "center_id"]
+        _write_atomic(root / "curves.csv", _report_csv(curve_columns, curve_rows))
 
     lines = [f"overall: {'FAIL' if any_fail else 'PASS'}"]
     lines.append(f"runs: {len(suites_seen)}, checks: {len(verdict_rows)}")

@@ -32,6 +32,7 @@ bit-identical.  No result a public function returns is a scratch view.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -383,16 +384,20 @@ class SurfaceMeasure:
         return -1.0 + (np.arange(self.resolution) + 0.5) * self.spacing
 
     def _inside_counts(self) -> int:
-        """Number of grid cells whose centers lie in the open unit ball."""
+        """Number of grid cells whose centers lie in the open unit ball.
+
+        The squares add left to right, as in `_source_grid`: a table over the
+        first two axes, then one axis at a time over each tuple of the rest,
+        so no array is larger than resolution² entries.
+        """
         c2 = self._axis_centers() ** 2
-        if self.k == 1:
-            return int((c2 < 1.0).sum())
-        if self.k == 2:
-            return int((c2[:, None] + c2[None, :] < 1.0).sum())
+        head = c2 if self.k == 1 else c2[:, None] + c2[None, :]
         count = 0
-        pair = c2[:, None] + c2[None, :]
-        for a in c2:
-            count += int((pair + a < 1.0).sum())
+        for rest in itertools.product(c2, repeat=max(self.k - 2, 0)):
+            s = head
+            for a in rest:
+                s = s + a
+            count += int((s < 1.0).sum())
         return count
 
     @property
@@ -973,8 +978,6 @@ def shell_sum_estimate(
     shell sums converge geometrically.  Reports per-shell lhs values, the
     cumulative sum, and the epsilon-weighted bound side.
     """
-    import itertools
-
     k, d = matrix.k, matrix.d
     epsilon = 0.05
     shells = list(itertools.product(range(n_min, 1), repeat=k))

@@ -82,11 +82,8 @@ def ricci_gap(k: int, d: int) -> Fraction | None:
     _check_dims(k, d)
     if k * (k + 3) >= 2 * d:
         return None
-    den = 6 * d - k * k - 5 * k
-    # k(k+3) < 2d forces den = 6d - k^2 - 5k > 6d - 2d - 2k^2/k... keep a guard
-    if den <= 0:
-        raise InvalidDimensionError(f"degenerate band denominator for k={k}, d={d}")
-    return Fraction(2 * k, den)
+    # k(k + 3) < 2d gives 6d - k^2 - 5k > 2k^2 + 4k > 0
+    return Fraction(2 * k, 6 * d - k * k - 5 * k)
 
 
 def critical_q0(k: int, d: int) -> Fraction:

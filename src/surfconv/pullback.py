@@ -32,7 +32,7 @@ import numpy as np
 
 from .gaussians import GaussianSpec
 from .parallel import seeded_map
-from .quadrature import gauss_legendre_interval, sphere_rule
+from .quadrature import gauss_legendre_interval, sphere_area, sphere_rule
 from .surface import (
     CoefficientMatrix,
     check_submatrices,
@@ -158,8 +158,6 @@ def _excluded_core_bound(rho: float, dim: int, r_max: float, w_max: float) -> fl
     if rho >= 0:
         return 0.0
     eps = r_max * 2.0**-40
-    from .quadrature import sphere_area
-
     return w_max * sphere_area(dim) * eps ** (rho + dim) / (rho + dim)
 
 

@@ -34,6 +34,7 @@ from .pullback import (
     pullback_weight_ratio,
     region_cover_factor,
 )
+from .quadrature import gauss_legendre_interval
 from .rationals import frac_str
 from .surface import check_submatrices, comparability_constant
 from .transform import (
@@ -267,12 +268,8 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
             f"max ratio drift under sample doubling {max(drifts):.2%}",
         )
     ]
-    payload = {
-        "rows": [
-            dict(zip(["rho", "w_id", "lhs", "rhs", "ratio", "stderr", "ratio_doubled", "drift"], r))
-            for r in rows
-        ]
-    }
+    columns = ["rho", "w_id", "lhs", "rhs", "ratio", "stderr", "ratio_doubled", "drift"]
+    payload = {"rows": [dict(zip(columns, r)) for r in rows]}
 
     if k == 1 and l == 1:
         c = abs(float(matrix.entries[0][0]))
@@ -318,12 +315,7 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
             for q_label, lhs in cov["per_region"].items():
                 cover_rows.append([mode, q_label, lhs, cov["total_lhs"], cov["cover_factor"]])
 
-    tables = {
-        "lemma_mc": (
-            ["rho", "w_id", "lhs", "rhs", "ratio", "stderr", "ratio_doubled", "drift"],
-            rows,
-        )
-    }
+    tables = {"lemma_mc": (columns, rows)}
     if cover_rows:
         tables["cover"] = (
             ["mode", "q_rows", "region_lhs", "total_lhs", "cover_factor"],
@@ -435,20 +427,16 @@ def run_plancherel(matrix, params, seed) -> SuiteResult:
         Verdict("exponent-identity", exponent_zero,
                 f"(d - 2l) - (k - l) = {d - 2 * l} - {k - l} = 0 exactly"),
     ]
+    columns = ["f_id", "weighted_integral", "l2_norm_sq", "ratio", "stderr", "ratio_doubled", "drift"]
     payload = {
-        "rows": [
-            dict(zip(["f_id", "weighted_integral", "l2_norm_sq", "ratio", "stderr",
-                      "ratio_doubled", "drift"], r))
-            for r in rows
-        ],
+        "rows": [dict(zip(columns, r)) for r in rows],
         "all_ratios_finite": all(math.isfinite(r[3]) for r in rows),
     }
     return SuiteResult(
         "plancherel",
         payload,
         verdicts,
-        {"plancherel": (["f_id", "weighted_integral", "l2_norm_sq", "ratio", "stderr",
-                         "ratio_doubled", "drift"], rows)},
+        {"plancherel": (columns, rows)},
         {"n_f": n_f, "n_y": cfg.n_y},
     )
 
@@ -461,8 +449,6 @@ def _interval_mass(f: GaussianSpec, a: float, b: float) -> float:
 
 def _shell_oracle_1d(matrix, f, box_set) -> float:
     """Exact unit-shell bilinear value for k = l = 1 and a box-union set."""
-    from .quadrature import gauss_legendre_interval
-
     c = float(matrix.array[0, 0])
     total = 0.0
     for lo, hi in zip(box_set.lows, box_set.highs):
@@ -555,11 +541,9 @@ def run_ineq6(matrix, params, seed) -> SuiteResult:
         Verdict("doubling-stability", growth < 0.25,
                 f"sup moved {growth:.2%} when samples doubled"),
     ]
+    columns = ["set_id", "kind", "measure", "lhs", "rhs", "ratio", "stderr"]
     payload = {
-        "rows": [
-            dict(zip(["set_id", "kind", "measure", "lhs", "rhs", "ratio", "stderr"], r))
-            for r in rows
-        ],
+        "rows": [dict(zip(columns, r)) for r in rows],
         "sup_ratio": sup_half,
         "sup_ratio_doubled": sup_full,
     }
@@ -583,7 +567,7 @@ def run_ineq6(matrix, params, seed) -> SuiteResult:
         "ineq6",
         payload,
         verdicts,
-        {"ineq6": (["set_id", "kind", "measure", "lhs", "rhs", "ratio", "stderr"], rows)},
+        {"ineq6": (columns, rows)},
         {"n_sets": len(family), "n_samples": n_samples},
     )
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianSpec
+from .parallel import ordered_map
 from .surface import CoefficientMatrix, adjoint_image, bilinear_forms, check_submatrices
 
 
@@ -191,8 +192,6 @@ def plane_transform(
         if np.any(ok):
             np.add.at(acc, tuple(idx[ok].T), weights[ok])
         return acc, leaked, total
-
-    from .parallel import ordered_map
 
     results = ordered_map(deposit, slabs)
     acc = np.zeros(extents)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, output files, determinism."""
 
+import csv
 import hashlib
 import inspect
 import json
@@ -585,6 +586,22 @@ class TestReport:
         assert main(["report", str(passing_root)]) == 0
         assert "overall: PASS" in capsys.readouterr().out
 
+    def test_csv_cells_round_trip(self, passing_root):
+        # a comma in a run id and a double quote in a detail stay inside their fields
+        (passing_root / "scan").rename(passing_root / "a,b")
+        star = passing_root / "star" / "report.json"
+        doc = json.loads(star.read_text())
+        doc["verdicts"][0]["detail"] = 'say "hi", twice'
+        star.write_text(json.dumps(doc))
+        assert main(["report", str(passing_root)]) == 0
+        tables = {}
+        for name in ("verdicts.csv", "curves.csv"):
+            with open(passing_root / name, newline="") as fh:
+                tables[name] = rows = list(csv.reader(fh))
+            assert {len(r) for r in rows} == {len(rows[0])}, name
+            assert any(r[0] == "a,b" for r in rows[1:]), name
+        assert 'say "hi", twice' in [r[4] for r in tables["verdicts.csv"]]
+
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert main(["report", str(tmp_path)]) == 2  # exists but holds no runs
@@ -816,6 +833,22 @@ def test_tracer_targets_exist():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_package_import_loads_no_layer():
+    # the package holds only its docstring; each name is imported from its module
+    script = (
+        "import json, sys\n"
+        "import surfconv\n"
+        "bare = sorted(sys.modules)\n"
+        "import surfconv.cli\n"
+        "print(json.dumps([bare, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env())
+    bare, with_cli = json.loads(proc.stdout)
+    assert [m for m in bare if m.startswith("surfconv.") or m == "numpy"] == []
+    assert set(_TRACED_MODULES) <= set(with_cli)
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surfconv.battery import load_battery
 from surfconv.convolution import (
     _SKIP_SLACK,
     BallSet,
@@ -88,6 +89,13 @@ class TestMeasureAtoms:
         mu = SurfaceMeasure(BANDED, 512)  # 512^3 atom candidates
         with pytest.raises(MemoryError):
             mu.points
+
+    @pytest.mark.filterwarnings("ignore:row-submatrix condition fails")
+    @pytest.mark.parametrize("entry", load_battery(), ids=lambda e: e.entry_id)
+    def test_atom_count_matches_the_materialized_grid(self, entry):
+        # the count covers every k, including random-4-3's k = 4
+        mu = SurfaceMeasure(entry.matrix, 16)
+        assert mu.n_atoms == len(mu.points)
 
 
 class TestConvolveAt:

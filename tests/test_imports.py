@@ -1,5 +1,6 @@
-"""Static checks on the package source: every module-level name it imports is
-used, and every private module-level name it defines is read somewhere in it."""
+"""Static checks on the package source: every module imports in its top-level
+block, every name it imports is used, and every private module-level name it
+defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -26,13 +27,24 @@ def test_scan_finds_an_unused_import():
 
 
 def test_package_has_no_unused_imports():
-    # __init__.py imports to re-export, which this scan cannot tell from dead imports
     found = [
         f"{path.name}:{line}: {name}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
         for line, name in unused_imports(path.read_text())
     ]
+    assert found == []
+
+
+def test_package_imports_only_at_module_level():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
     assert found == []
 
 
