@@ -63,8 +63,8 @@ def main() -> None:
         f = random_gaussian(np.random.default_rng(20 + i), dim=3)
         rep = plancherel_ratio(banded, f, McConfig(seed=30 + i, n_y=600))
         print(
-            f"  f {i}: weighted integral {rep.weighted_integral:.6f}, "
-            f"||f||_2^2 {rep.l2_norm_sq:.6f}, ratio {rep.ratio:.4f}"
+            f"  f {i}: weighted integral {rep.lhs:.6f}, "
+            f"||f||_2^2 {rep.rhs:.6f}, ratio {rep.ratio:.4f}"
         )
 
 

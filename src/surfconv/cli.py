@@ -94,13 +94,13 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def _csv_text(columns, rows, config_hash: str, matrix_note: str) -> str:
+def _csv_text(columns, rows, preamble: str = "") -> str:
+    """A CSV table after `preamble`, which is written as is."""
     buf = io.StringIO()
-    buf.write(f"# config_hash {config_hash}\n")
-    buf.write(f"# matrix {matrix_note}\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_csv_cell(x) for x in row) + "\n")
+    buf.write(preamble)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(x) for x in row] for row in rows)
     return buf.getvalue()
 
 
@@ -265,10 +265,12 @@ def cmd_run(args) -> int:
     _write_atomic(out_dir / "payload.json", payload_text)
 
     matrix_json = json.dumps(matrix.to_json(), sort_keys=True) if matrix is not None else "none"
+    # the matrix JSON holds commas, so these comment lines bypass the CSV quoting
+    preamble = f"# config_hash {config_hash}\n# matrix {matrix_json}\n"
     csv_names = []
     for name, (columns, rows) in result.tables.items():
         fname = f"{name}.csv"
-        _write_atomic(out_dir / fname, _csv_text(columns, rows, config_hash, matrix_json))
+        _write_atomic(out_dir / fname, _csv_text(columns, rows, preamble))
         csv_names.append(fname)
 
     report_doc = dict(payload_doc, wall_clock_seconds=wall, tables=sorted(csv_names))
@@ -321,14 +323,6 @@ _RUN_FILE_SCHEMA = {
 }
 
 
-def _report_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_cell(x) for x in row] for row in rows)
-    return buf.getvalue()
-
-
 def cmd_report(args) -> int:
     root = Path(args.run_dir)
     if not root.is_dir():
@@ -373,10 +367,10 @@ def cmd_report(args) -> int:
                 )
 
     verdict_columns = ["run", "suite", "check_id", "passed", "detail"]
-    _write_atomic(root / "verdicts.csv", _report_csv(verdict_columns, verdict_rows))
+    _write_atomic(root / "verdicts.csv", _csv_text(verdict_columns, verdict_rows))
     if curve_rows:
         curve_columns = ["run", "delta", "log2_delta", "p", "norm", "log2_norm", "ratio", "center_id"]
-        _write_atomic(root / "curves.csv", _report_csv(curve_columns, curve_rows))
+        _write_atomic(root / "curves.csv", _csv_text(curve_columns, curve_rows))
 
     lines = [f"overall: {'FAIL' if any_fail else 'PASS'}"]
     lines.append(f"runs: {len(suites_seen)}, checks: {len(verdict_rows)}")

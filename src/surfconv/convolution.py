@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exponents import ExponentPair, critical_q0, typeset, typeset_contains
-from .parallel import seeded_map
+from .parallel import RatioReport, seeded_mean
 from .quadrature import ball_volume
 from .rationals import frac_str
 from .surface import (
@@ -552,10 +552,6 @@ class NormMcConfig:
     seed: int = 0x5EED
     n_tube: int = 4000
 
-    def __post_init__(self):
-        if self.n_tube < NORM_CHUNKS:
-            raise ValueError("sample counts too small for the chunk layout")
-
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -615,10 +611,10 @@ def lq_norm_mc(
         g = measure.convolve_many(test_set, zs)
         return g**q
 
-    parts = seeded_map(tube_chunk, np.random.SeedSequence(cfg.seed), cfg.n_tube, NORM_CHUNKS)
-    vals = np.concatenate(parts)
-    total = v_tube * float(vals.mean())
-    var = v_tube**2 * (float(vals.var(ddof=1)) / len(vals))
+    seq = np.random.SeedSequence(cfg.seed)
+    [(mean, var, n)] = seeded_mean(tube_chunk, seq, cfg.n_tube, NORM_CHUNKS)
+    total = v_tube * mean
+    var = v_tube**2 * (var / n)
     if total <= 0:
         return NormEstimate(0.0, var**0.5, True, q, {"zero_estimate": True})
     norm = total ** (1.0 / q)
@@ -908,15 +904,6 @@ def restricted_estimate_scan(
 # the bilinear shell estimate
 
 
-@dataclass(frozen=True)
-class ShellEstimateReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    stderr: float
-    params: dict = field(default_factory=dict)
-
-
 def shell_bilinear_estimate(
     matrix: CoefficientMatrix,
     f,
@@ -924,7 +911,7 @@ def shell_bilinear_estimate(
     n_samples: int = 20000,
     seed: int = 0x5EED,
     shell: tuple | None = None,
-) -> ShellEstimateReport:
+) -> RatioReport:
     """MC check of the shell-restricted bilinear bound.
 
     lhs = integral over x in R^k and y in the dyadic shell of
@@ -946,14 +933,14 @@ def shell_bilinear_estimate(
         tails = (xs * ys) @ matrix.array
         return test_set.contains_coords([*ys.T, *tails.T]).astype(float)
 
-    parts = seeded_map(chunk, np.random.SeedSequence(seed), n_samples, SHELL_CHUNKS)
-    hits = np.concatenate(parts)
+    seq = np.random.SeedSequence(seed)
+    [(mean, var, n)] = seeded_mean(chunk, seq, n_samples, SHELL_CHUNKS)
     scale = f.l1_norm * shell_vol
-    lhs = scale * float(hits.mean())
-    stderr = scale * float(hits.std(ddof=1)) / math.sqrt(len(hits))
+    lhs = scale * mean
+    stderr = scale * math.sqrt(var) / math.sqrt(n)
     rhs = f.lp_norm(d / k) * test_set.measure ** (k / d)
     ratio = lhs / rhs if rhs > 0 else math.nan
-    return ShellEstimateReport(
+    return RatioReport(
         lhs=lhs,
         rhs=rhs,
         ratio=ratio,

@@ -1,4 +1,4 @@
-"""Deterministic work distribution.
+"""Deterministic work distribution and the one seeded Monte Carlo reduction.
 
 Tasks are always enumerated, chunked, and reduced in a fixed order, so the
 chunk layout alone picks every random stream and every float sum.
@@ -6,7 +6,20 @@ chunk layout alone picks every random stream and every float sum.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class RatioReport:
+    """Both sides of a verified inequality and their ratio, with MC error."""
+
+    lhs: float
+    rhs: float
+    ratio: float
+    stderr: float
+    params: dict = field(default_factory=dict)
 
 
 def ordered_map(fn, items) -> list:
@@ -17,14 +30,19 @@ def ordered_map(fn, items) -> list:
     return [fn(it) for it in items]
 
 
-def seeded_map(fn, seq: np.random.SeedSequence, total: int, parts: int) -> list:
-    """fn(rng, n) over `parts` chunks of `total` draws, in chunk order.
+def seeded_mean(fn, seq: np.random.SeedSequence, total: int, parts: int) -> list:
+    """(mean, ddof=1 variance, count) of each row of fn's samples.
 
-    Chunk i draws from the i-th child spawned from seq now, and gets
-    total // parts draws; the last chunk also gets the remainder.  spawn
-    continues seq's child counter, so a second call on the same seq draws
-    the next `parts` streams, never the first call's again.
+    fn(rng, n) returns n samples along its last axis, as an (n,) array (one
+    row) or an (m, n) block (m rows).  Chunk i draws from the i-th child
+    spawned from seq now, and gets total // parts draws; the last chunk also
+    gets the remainder.  spawn continues seq's child counter, so a second
+    call on the same seq draws the next `parts` streams, never the first
+    call's again.  Every chunk must draw, so total < parts is refused: that
+    one rule is every estimator's sample-count rule.
     """
+    if total < parts:
+        raise ValueError(f"{total} samples cannot fill {parts} seeded chunks")
     counts = [total // parts] * parts
     counts[-1] += total - sum(counts)
 
@@ -32,4 +50,5 @@ def seeded_map(fn, seq: np.random.SeedSequence, total: int, parts: int) -> list:
         child, n = chunk
         return fn(np.random.Generator(np.random.PCG64(child)), n)
 
-    return ordered_map(run, zip(seq.spawn(parts), counts))
+    samples = np.concatenate(ordered_map(run, zip(seq.spawn(parts), counts)), axis=-1)
+    return [(float(v.mean()), float(v.var(ddof=1)), len(v)) for v in np.atleast_2d(samples)]

@@ -31,7 +31,7 @@ from typing import overload
 import numpy as np
 
 from .gaussians import GaussianSpec
-from .parallel import seeded_map
+from .parallel import RatioReport, seeded_mean
 from .quadrature import gauss_legendre_interval, sphere_area, sphere_rule
 from .surface import (
     CoefficientMatrix,
@@ -63,8 +63,8 @@ class McConfig:
     n_sphere: int = 64
 
     def __post_init__(self):
-        if self.n_y <= 0 or self.n_radial <= 0 or self.n_sphere <= 0:
-            raise ValueError("sample and node counts must be positive")
+        if self.n_radial <= 0 or self.n_sphere <= 0:
+            raise ValueError("node counts must be positive")
 
     def doubled(self) -> "McConfig":
         """The same plan with twice the y-samples and denser quadrature."""
@@ -74,17 +74,6 @@ class McConfig:
             n_radial=2 * self.n_radial,
             n_sphere=2 * self.n_sphere,
         )
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Both sides of a verified inequality and their ratio, with MC error."""
-
-    lhs: float
-    rhs: float
-    ratio: float
-    stderr: float
-    params: dict = field(default_factory=dict)
 
 
 def _finite_power(base: float, exponent: float) -> bool:
@@ -245,8 +234,9 @@ def _lhs_shell_integral(
     node side (built from v = C zeta) is built once per group, and the block
     is contracted with each rho's factor vector in its own matrix-vector
     product.  The block's exponents below the normal range give 0 without
-    calling exp.  The y-samples are drawn in Y_CHUNKS seeded chunks, so
-    results do not depend on which other rhos share the call.  node_mask, if
+    calling exp.  The y-samples are drawn in Y_CHUNKS seeded chunks and
+    parallel.seeded_mean reduces each rho's row on its own, so results do
+    not depend on which other rhos share the call.  node_mask, if
     given, selects among the nodes of the rule that all rhos share.
     Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
@@ -254,7 +244,8 @@ def _lhs_shell_integral(
     l = matrix.l
     rhos = [float(rho) for rho in rhos]
     r_zeta = _zeta_radius(matrix, w)
-    groups = []  # (distinct rhos, node side, factor vectors) per radial rule
+    rows = []  # the rho of each sample row, group by group
+    groups = []  # (node side, factor vectors) per radial rule
     for negative in (False, True):
         group = list(dict.fromkeys(rho for rho in rhos if (rho < 0) == negative))
         if not group:
@@ -265,31 +256,28 @@ def _lhs_shell_integral(
         if len(nodes) == 0:
             continue
         side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
-        groups.append((group, side, [weights * radii**rho for rho in group]))
+        groups.append((side, [weights * radii**rho for rho in group]))
+        rows += group
 
-    def chunk_values(rng, n) -> list[np.ndarray]:
+    def chunk_values(rng, n) -> np.ndarray:
         ys = sample_shell(rng, unit_shell, n)
-        per_group = []
-        for group, side, factors in groups:
-            out = np.empty((len(group), n))
+        out = np.empty((len(rows), n))
+        row = 0
+        for side, factors in groups:
             step = max(1, 2_000_000 // len(side))
             for lo in range(0, n, step):
                 block = w.product_block(ys[lo : lo + step], side)
                 for i, f in enumerate(factors):
-                    out[i, lo : lo + step] = block @ f
-            per_group.append(out)
-        return per_group
+                    out[row + i, lo : lo + step] = block @ f
+            row += len(factors)
+        return out
 
-    seq = np.random.SeedSequence(cfg.seed)
-    parts = seeded_map(chunk_values, seq, cfg.n_y, Y_CHUNKS) if groups else []
-    shell_volume = float(shell_measure(unit_shell))
     estimates = {}
-    for g, (group, _, _) in enumerate(groups):
-        vals = np.concatenate([part[g] for part in parts], axis=1)
-        for rho, v in zip(group, vals):
-            mean = float(v.mean())
-            sd = float(v.std(ddof=1)) if len(v) > 1 else 0.0
-            estimates[rho] = (shell_volume * mean, shell_volume * sd / math.sqrt(len(v)))
+    if groups:
+        seq = np.random.SeedSequence(cfg.seed)
+        shell_volume = float(shell_measure(unit_shell))
+        for rho, (mean, var, n) in zip(rows, seeded_mean(chunk_values, seq, cfg.n_y, Y_CHUNKS)):
+            estimates[rho] = (shell_volume * mean, shell_volume * math.sqrt(var) / math.sqrt(n))
     return [estimates.get(rho, (0.0, 0.0)) for rho in rhos]
 
 
@@ -555,15 +543,6 @@ def change_of_variables_check(
     )
 
 
-@dataclass(frozen=True)
-class PlancherelReport:
-    weighted_integral: float
-    l2_norm_sq: float
-    ratio: float
-    stderr: float
-    params: dict = field(default_factory=dict)
-
-
 def squared_fourier_weight(f: GaussianSpec) -> GaussianSpec:
     """|f^|^2 as a Gaussian weight: amplitude mass^2, sigma_i' = 1/(2 sqrt2 pi sigma_i)."""
     sig = tuple(1.0 / (2.0 * math.sqrt(2.0) * math.pi * s) for s in f.sigmas)
@@ -575,7 +554,7 @@ def plancherel_ratio(
     f: GaussianSpec,
     cfg: McConfig | None = None,
     f_id: str = "f",
-) -> PlancherelReport:
+) -> RatioReport:
     """The L2 chain: shell-frequency integral of |f^|^2 against ||f||_2^2.
 
     A = integral over the shell and R^l of |f^(y * C zeta)|^2 |zeta|^(d-2l);
@@ -589,9 +568,9 @@ def plancherel_ratio(
     w = squared_fourier_weight(f)
     rep = pullback_weight_ratio(matrix, rho, w, cfg, w_id=f"|{f_id}^|^2")
     b = f.l2_norm_sq
-    return PlancherelReport(
-        weighted_integral=rep.lhs,
-        l2_norm_sq=b,
+    return RatioReport(
+        lhs=rep.lhs,
+        rhs=b,
         ratio=rep.lhs / b,
         stderr=rep.stderr / b,
         params={

@@ -418,7 +418,7 @@ def run_plancherel(matrix, params, seed) -> SuiteResult:
         drift = abs(rep2.ratio - rep.ratio) / rep.ratio if rep.ratio else math.inf
         drifts.append(drift)
         rows.append(
-            [f_id, rep.weighted_integral, rep.l2_norm_sq, rep.ratio, rep.stderr, rep2.ratio, drift]
+            [f_id, rep.lhs, rep.rhs, rep.ratio, rep.stderr, rep2.ratio, drift]
         )
     exponent_zero = Fraction(d - 2 * l) - Fraction(k - l) == 0
     verdicts = [

@@ -11,6 +11,7 @@ Oracles used here:
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import erf
@@ -535,6 +536,12 @@ class TestNormEstimation:
         with pytest.raises(ValueError):
             lq_norm_mc(mu_parabola, BoxUnionSet((), ()), 2.0)
 
+    def test_fewer_tube_samples_than_chunks_refused(self, mu_parabola):
+        cfg = NormMcConfig(seed=1, n_tube=4)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):
+            warnings.simplefilter("error")
+            lq_norm_mc(mu_parabola, BallSet((0.0, 0.0), 0.1), 2.0, cfg)
+
 
 class TestBallScaling:
     def test_paraboloid_exponent_and_slope_signs(self):
@@ -615,6 +622,13 @@ class TestShellEstimates:
         )
         assert rep.lhs == 0.0
         assert math.isnan(rep.ratio)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_refused(self, n_samples):
+        E = BoxUnionSet(((1.2, 0.1),), ((1.9, 0.8),))
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):
+            warnings.simplefilter("error")
+            shell_bilinear_estimate(PARABOLA, self.FK, E, n_samples=n_samples, seed=4)
 
     def test_shell_sum_covers_requested_shells(self):
         E = BoxUnionSet(((1.2, 0.1),), ((1.9, 0.8),))

@@ -1,6 +1,7 @@
 """Static checks on the package source: every module imports in its top-level
 block, every name it imports is used, and every private module-level name it
-defines is read somewhere in the package."""
+defines is read somewhere in the package.  Only parallel.py spawns seeded
+streams or takes a sample spread."""
 
 import ast
 from pathlib import Path
@@ -92,4 +93,34 @@ def test_scan_finds_an_unread_private_name():
 def test_package_has_no_unread_private_names():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = [f"{name}:{line}: {n}" for name, line, n in unread_private_names(sources)]
+    assert found == []
+
+
+def sample_reductions(source: str) -> list[tuple[int, str]]:
+    """(line, call) of every .var/.std call with ddof and every .spawn call:
+    the spread and the stream split that seeded Monte Carlo reduces by."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            ddof = any(k.arg == "ddof" for k in node.keywords)
+            if attr == "spawn" or (attr in ("var", "std") and ddof):
+                found.append((node.lineno, attr))
+    return found
+
+
+def test_scan_finds_sample_reductions():
+    source = "v.std(ddof=1)\nv.var()\nv.var(ddof=0)\nseq.spawn(4)\nnp.std(v, ddof=1)\n"
+    assert sample_reductions(source) == [(1, "std"), (3, "var"), (4, "spawn"), (5, "std")]
+
+
+def test_only_parallel_reduces_seeded_samples():
+    # one seeded Monte Carlo path: parallel.seeded_mean spawns the streams and
+    # takes every sample mean and spread
+    found = [
+        f"{path.name}:{line}: .{attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "parallel.py"
+        for line, attr in sample_reductions(path.read_text())
+    ]
     assert found == []

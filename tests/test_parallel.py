@@ -1,8 +1,10 @@
-"""Seeded-chunk Monte Carlo: the streams each chunk draws, and how the draws split."""
+"""Seeded-chunk Monte Carlo: the streams each chunk draws, how the draws
+split, and how seeded_mean reduces them."""
 
 import numpy as np
+import pytest
 
-from surfconv.parallel import seeded_map
+from surfconv.parallel import seeded_mean
 
 
 def draws(rng, n):
@@ -11,16 +13,42 @@ def draws(rng, n):
 
 def test_two_calls_continue_one_spawn_split():
     seq = np.random.SeedSequence(17)
-    first = seeded_map(draws, seq, 40, 4)
-    second = seeded_map(draws, seq, 24, 4)
+    first = seeded_mean(draws, seq, 40, 4)
+    second = seeded_mean(draws, seq, 24, 4)
     children = np.random.SeedSequence(17).spawn(8)
     counts = [10] * 4 + [6] * 4
     want = [np.random.Generator(np.random.PCG64(c)).uniform(size=n) for c, n in zip(children, counts)]
-    for got, expected in zip(first + second, want):
-        np.testing.assert_array_equal(got, expected)
+    for got, expected in zip(first + second, [np.concatenate(want[:4]), np.concatenate(want[4:])]):
+        assert got == (float(expected.mean()), float(expected.var(ddof=1)), len(expected))
 
 
 def test_remainder_lands_on_the_last_chunk():
-    sizes = seeded_map(lambda rng, n: n, np.random.SeedSequence(0), 23, 5)
+    sizes = []
+
+    def record(rng, n):
+        sizes.append(n)
+        return np.arange(n, dtype=float)
+
+    [(_, _, n)] = seeded_mean(record, np.random.SeedSequence(0), 23, 5)
     assert sizes == [4, 4, 4, 4, 7]
-    assert seeded_map(lambda rng, n: n, np.random.SeedSequence(0), 3, 4) == [0, 0, 0, 3]
+    assert n == 23
+
+
+def test_block_reduces_row_by_row():
+    def block(rng, n):
+        u = rng.uniform(size=n)
+        return np.stack([u, u**2, np.exp(u)])
+
+    rows = seeded_mean(block, np.random.SeedSequence(5), 101, 8)
+    singles = [
+        seeded_mean(lambda rng, n, i=i: block(rng, n)[i], np.random.SeedSequence(5), 101, 8)[0]
+        for i in range(3)
+    ]
+    assert rows == singles
+    assert [n for _, _, n in rows] == [101] * 3
+
+
+@pytest.mark.parametrize("total", [0, 1, 7])
+def test_fewer_samples_than_chunks_are_refused(total):
+    with pytest.raises(ValueError, match="seeded chunks"):
+        seeded_mean(draws, np.random.SeedSequence(0), total, 8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_weighted_integral_is_dilation_invariant():
             sigmas=tuple(s * t for s in f.sigmas),
         )
         rep = plancherel_ratio(BANDED, ft, McConfig(n_y=1500, seed=17))
-        values.append(rep.weighted_integral)
+        values.append(rep.lhs)
     assert values[1] == pytest.approx(values[0], rel=0.05)
 
 
@@ -122,6 +123,14 @@ def test_region_validation():
         )
     with pytest.raises(ValueError):
         pullback_weight_ratio(BANDED, 0.0, GaussianSpec(dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 1.0)), McConfig(n_y=100))
+
+
+def test_one_y_sample_is_refused():
+    # one sample has no spread: a stderr of 0 would read as an exact estimate
+    cfg = McConfig(n_y=1)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):
+        warnings.simplefilter("error")
+        pullback_weight_ratio(BANDED, 0.0, W3, cfg)
 
 
 def test_region_ratio_refuses_a_weight_off_r_k():
