@@ -32,8 +32,6 @@ from .schema import first_error
 from .surface import CoefficientMatrix
 from .suites import run_suite
 
-SEED_ENV = "SURFCONV_SEED"
-
 
 def _json_default(o):
     if isinstance(o, np.bool_):
@@ -210,14 +208,6 @@ def cmd_run(args) -> int:
         seed = args.seed
         if seed < 0:
             return _fail(f"--seed must be nonnegative, got {seed}")
-    elif os.environ.get(SEED_ENV):
-        raw = os.environ[SEED_ENV]
-        try:
-            seed = int(raw)
-        except ValueError:
-            return _fail(f"{SEED_ENV} must be an integer, got {raw!r}")
-        if seed < 0:
-            return _fail(f"{SEED_ENV} must be nonnegative, got {seed}")
     else:
         seed = int(config["seed"])
 
@@ -409,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment suite from a JSON config")
     run.add_argument("--config", required=True, help="path to the suite config JSON")
-    run.add_argument(
-        "--seed", type=int, help=f"override the seed (beats ${SEED_ENV} and the config)"
-    )
+    run.add_argument("--seed", type=int, help="override the config's seed")
     run.add_argument("--out", help="output directory (default runs/<suite>-<hash8>)")
     run.add_argument("--threads", type=int, help="accepted for compatibility; only 1 is allowed")
     run.set_defaults(func=cmd_run)

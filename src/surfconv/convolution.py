@@ -115,11 +115,7 @@ class BallSet:
 
 @dataclass(frozen=True)
 class BoxUnionSet:
-    """Finite union of pairwise-disjoint axis boxes; measure is exact.
-
-    An empty union is legal (it plays the role of the empty set) but is
-    refused by the norm estimators, which need positive measure.
-    """
+    """Finite nonempty union of pairwise-disjoint axis boxes; measure is exact."""
 
     lows: tuple
     highs: tuple
@@ -131,6 +127,8 @@ class BoxUnionSet:
         highs = tuple(tuple(float(v) for v in hi) for hi in self.highs)
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
+        if not lows:
+            raise ValueError("a box union needs at least one box")
         if len(lows) != len(highs):
             raise ValueError("lows and highs must pair up")
         for lo, hi in zip(lows, highs):
@@ -146,7 +144,7 @@ class BoxUnionSet:
 
     @property
     def dim(self) -> int:
-        return len(self.lows[0]) if self.lows else 0
+        return len(self.lows[0])
 
     @property
     def measure(self) -> float:
@@ -158,9 +156,6 @@ class BoxUnionSet:
         )
 
     def bounding_box(self):
-        if not self.lows:
-            z = np.zeros(0)
-            return z, z
         return np.min(np.array(self.lows), axis=0), np.max(np.array(self.highs), axis=0)
 
     def contains_coords(self, coords) -> np.ndarray:
@@ -346,6 +341,11 @@ def _heights_interval(matrix: CoefficientMatrix, lo: np.ndarray, hi: np.ndarray)
 _SKIP_SLACK = 1e-9
 
 
+def _check_dim(test_set, d: int):
+    if test_set.dim != d:
+        raise ValueError(f"test set lives in R^{test_set.dim}, the surface in R^{d}")
+
+
 # ---------------------------------------------------------------------------
 # the measure
 
@@ -476,11 +476,10 @@ class SurfaceMeasure:
         no stacked point array.  The tails and the validity sum and mask live
         in this thread's scratch buffers; the returned array is new.
         """
+        _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         out = np.zeros(len(zs))
         lo, hi = (np.asarray(b, dtype=float) for b in test_set.bounding_box())
-        if lo.size == 0:  # the empty set
-            return out
         k, l, s = self.k, self.l, self.spacing
         base, reach, may_hit = self._head_windows(lo, hi, zs)
         dims = tuple(2 * int(r) + 1 for r in reach)
@@ -526,15 +525,6 @@ class SurfaceMeasure:
         for lo in range(0, len(pts), 1_000_000):
             total += float(np.sum(f(z - pts[lo : lo + 1_000_000])))
         return total * self.spacing**self.k
-
-    def bounding_box(self):
-        h_lo, h_hi = _heights_interval(
-            self.matrix, np.full(self.k, -1.0), np.full(self.k, 1.0)
-        )
-        return (
-            np.concatenate([np.full(self.k, -1.0), h_lo]),
-            np.concatenate([np.full(self.k, 1.0), h_hi]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +583,17 @@ def lq_norm_mc(
     support, so uniform samples of the tube times its exact volume estimate
     the whole integral; outside it the integrand is identically 0.  The
     error bar passes through the q-th root by the delta method.
+
+    An estimate of exactly 0 is refused: for m(E) > 0 the L^1 norm is
+    total_mass * m(E) > 0 (fubini_l1_identity), so mu * chi_E is positive on
+    a set of positive measure inside the tube and every L^q norm is positive.
     """
     cfg = cfg or NormMcConfig()
     if q < 1:
         raise ValueError("q must be at least 1")
     if test_set.measure <= 0:
         raise ValueError("degenerate test set: norm estimation needs positive measure")
+    _check_dim(test_set, measure.d)
     c, head_half, band = _support_tube(measure, test_set)
     k, l = measure.k, measure.l
     v_tube = float(np.prod(2.0 * head_half) * np.prod(2.0 * band))
@@ -616,7 +611,10 @@ def lq_norm_mc(
     total = v_tube * mean
     var = v_tube**2 * (var / n)
     if total <= 0:
-        return NormEstimate(0.0, var**0.5, True, q, {"zero_estimate": True})
+        raise ValueError(
+            f"zero norm estimate on {test_set!r}: none of {cfg.n_tube} tube samples "
+            "met the set; raise n_tube"
+        )
     norm = total ** (1.0 / q)
     stderr = total ** (1.0 / q - 1.0) / q * math.sqrt(var)
     return NormEstimate(
@@ -721,12 +719,6 @@ def ball_scaling_experiment(
                 q0,
                 NormMcConfig(seed=cfg.seed + 1000 * cid + j, n_tube=cfg.n_tube),
             )
-            if est.norm <= 0:
-                # mu * chi_B is positive near a center on the surface: a 0 is a miss, not a value
-                raise ValueError(
-                    f"zero norm estimate at delta {delta} for center {cid}: no sample met the "
-                    "ball; raise n_tube or resolution"
-                )
             norms[(cid, delta)] = est.norm
             for p in p_list:
                 ratio = est.norm / ball.measure ** float(1 / p)
@@ -850,6 +842,8 @@ def restricted_estimate_scan(
     """
     cfg = cfg or NormMcConfig()
     p = Fraction(p)
+    if n_sets < 2:
+        raise ValueError("n_sets must be at least 2: the growth compares the family's halves")
     if not check_submatrices(matrix).holds:
         raise ValueError("the row-submatrix condition must hold")
     k, d = matrix.k, matrix.d
@@ -876,18 +870,6 @@ def restricted_estimate_scan(
             sup, max_id = ratio, set_id
         if idx == len(family) // 2 - 1:
             half_sup = sup
-    if half_sup <= 0:
-        first_half = ", ".join(row["set_id"] for row in rows[: len(family) // 2])
-        raise ValueError(
-            f"zero norm estimate on every set of the first half ({first_half}): "
-            "the growth under doubling is undefined; raise n_tube or n_sets"
-        )
-    zero = [row["set_id"] for row in rows if row["ratio"] <= 0]
-    if zero:
-        # every set has positive measure, so mu * chi_E > 0 somewhere: a 0 is a miss
-        raise ValueError(
-            f"zero norm estimate on {', '.join(zero)}: no tube sample met the set; raise n_tube"
-        )
     growth = sup / half_sup - 1.0
     return ScanReport(
         rows=rows,
@@ -922,6 +904,9 @@ def shell_bilinear_estimate(
     k, l, d = matrix.k, matrix.l, matrix.d
     if f.dim != k:
         raise ValueError("f must live on R^k")
+    _check_dim(test_set, d)
+    if test_set.measure <= 0:
+        raise ValueError("degenerate test set: the shell estimate needs positive measure")
     shell = tuple(int(n) for n in (shell or (0,) * k))
     if len(shell) != k:
         raise ValueError("shell multi-index must have k entries")
@@ -939,14 +924,13 @@ def shell_bilinear_estimate(
     lhs = scale * mean
     stderr = scale * math.sqrt(var) / math.sqrt(n)
     rhs = f.lp_norm(d / k) * test_set.measure ** (k / d)
-    ratio = lhs / rhs if rhs > 0 else math.nan
     return RatioReport(
         lhs=lhs,
         rhs=rhs,
-        ratio=ratio,
+        ratio=lhs / rhs,
         stderr=stderr,
         params={"n_samples": n_samples, "seed": seed, "shell": list(shell),
-                "set_kind": getattr(test_set, "kind", "?"), "set_measure": test_set.measure},
+                "set_kind": test_set.kind, "set_measure": test_set.measure},
     )
 
 

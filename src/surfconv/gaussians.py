@@ -53,25 +53,17 @@ class GaussianSpec:
         z = (x - np.asarray(self.mean)) / np.asarray(self.sigmas)
         return self.amplitude * np.exp(-0.5 * np.sum(z * z, axis=-1))
 
-    def evaluate_products(self, s, v) -> np.ndarray:
-        """Values w(s_a * v_b) for rows s (A, dim) and v (B, dim), as an (A, B) array.
+    def product_side(self, v) -> np.ndarray:
+        """The v-side matrix R of the block w(s_a * v_b): rows [-p v^2 / 2, p m v, c].
 
         With precisions p_i = 1/sigma_i^2, the exponent at tau = s * v expands
         per axis into -p_i v_i^2 / 2 * s_i^2 + p_i m_i v_i * s_i - p_i m_i^2 / 2,
-        so the whole block is exp([s^2, s, 1] @ R.T) with R = product_side(v)
-        of shape (B, 2 dim + 1) and no (A, B, dim) array of products.
+        so the block for rows s (A, dim) and v (B, dim) is exp([s^2, s, 1] @ R.T)
+        with R of shape (B, 2 dim + 1), and no (A, B, dim) array of products.
         log(amplitude) sits in R's constant column, inside the exponent, so no
-        factor applied after exp can underflow on its own.  Exponents below
-        log(sys.float_info.min) give exactly 0 without calling exp (see
-        product_block); every other value is exp of its exponent.
-        """
-        return self.product_block(s, self.product_side(v))
-
-    def product_side(self, v) -> np.ndarray:
-        """The v-side matrix R of evaluate_products: rows [-p v^2 / 2, p m v, c].
-
-        It depends on v alone, so a caller that evaluates many s-blocks
-        against the same v builds it once and passes it to product_block.
+        factor applied after exp can underflow on its own.  R depends on v
+        alone, so a caller that evaluates many s-blocks against the same v
+        builds it once and passes it to product_block.
         """
         v = np.asarray(v, dtype=float)
         prec = 1.0 / np.asarray(self.sigmas) ** 2

@@ -178,7 +178,7 @@ def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConf
     analytic bound on the excluded core (nonzero only for exponent < 0).
     """
     r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
-    block = w.evaluate_products(np.repeat(r[:, None], w.dim, axis=1), theta)
+    block = w.product_block(np.repeat(r[:, None], w.dim, axis=1), w.product_side(theta))
     val = float((wr * r**exponent) @ block @ wtheta)
     return val, _excluded_core_bound(exponent, w.dim, r_max, w.amplitude)
 

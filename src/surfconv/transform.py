@@ -284,9 +284,11 @@ def fourier_check(
     if any(m != 0.0 for m in spec.mean):
         raise ValueError("fourier_check requires a centered Gaussian")
     y = _check_transform_inputs(matrix, y)
+    if spec.dim != matrix.k:
+        raise ValueError("source grid dimension must equal k")
     f = GridFunction.from_gaussian(spec, cells=cells)
-    pf = plane_transform(f, matrix, y, cells=cells)
-    nyquist = 1.0 / (2.0 * pf.grid.spacing)
+    # the spacing of plane_transform's target grid, computed as it computes it
+    nyquist = 1.0 / (2.0 * (2.0 * default_target_radius(f, matrix, y) / cells))
 
     floor = 1e-8 * spec.mass
     rows = []

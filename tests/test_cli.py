@@ -345,17 +345,21 @@ class TestConfigValidation:
             (
                 {"suite": "ball-scan", "seed": 6, "matrix": {"battery": "banded-3-2"},
                  "params": {"deltas": [2.0, 0.5, 0.125], "n_tube": 16, "n_centers": 1}},
-                "zero norm estimate at delta 0.5 for center 0",
+                "zero norm estimate on BallSet(center=(0.0, 0.0, 0.0, 0.0, 0.0), radius=0.5): "
+                "none of 16 tube samples met the set; raise n_tube",
             ),
             (
                 {"suite": "restricted-scan", "seed": 2, "matrix": {"battery": "paraboloid-2-1"},
                  "params": {"n_sets": 3, "n_tube": 16, "resolution": 8}},
-                "zero norm estimate on every set of the first half (ball-0)",
+                "zero norm estimate on BallSet(center=(-0.1907102926005469, -0.16120708526870137, "
+                "0.06235814004461657), radius=0.125): none of 16 tube samples met the set; "
+                "raise n_tube",
             ),
             (
                 {"suite": "ineq6", "seed": 0, "matrix": {"battery": "banded-3-2"},
                  "params": {"n_sets": 2, "n_samples": 16}},
-                "zero shell estimate on every set (ball-0, box-1, sheared-box-1)",
+                "zero shell estimate on ball-0, box-1, sheared-box-1: no sample met the set; "
+                "raise n_samples",
             ),
             (
                 {"suite": "ball-scan", "seed": 6, "matrix": {"battery": "banded-3-2"},
@@ -385,7 +389,13 @@ class TestConfigValidation:
             (
                 {"suite": "restricted-scan", "seed": 0, "matrix": {"battery": "paraboloid-2-1"},
                  "params": {"n_sets": 8, "n_tube": 16, "resolution": 64}},
-                "zero norm estimate on boxes-7: no tube sample met the set; raise n_tube",
+                "zero norm estimate on BoxUnionSet(lows=((0.6812783287212494, -0.3559686459236736, "
+                "0.028753695313569638), (-0.29508579904930976, 0.6024938336086263, "
+                "-0.5911163316399165), (0.4167769534796302, -0.5691350026126861, "
+                "0.5776716154592669)), highs=((0.7795587373826407, -0.21682364139371907, "
+                "0.12944037913963963), (-0.15160772734640338, 0.665096135145984, "
+                "-0.4162197094919068), (0.4755621587004093, -0.46871744353083705, "
+                "0.6502135354934928))): none of 16 tube samples met the set; raise n_tube",
             ),
         ],
         ids=["ineq6", "restricted-scan"],
@@ -473,16 +483,12 @@ class TestSeedPrecedence:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         return code, manifest["seed"]
 
-    def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
+    def test_flag_beats_config_and_env_changes_nothing(self, tmp_path, monkeypatch):
+        # --seed is the one override: SURFCONV_SEED is not read, valid or not
         assert self.run_seed(tmp_path, monkeypatch, flag=42, env="99") == (0, 42)
-        assert self.run_seed(tmp_path, monkeypatch, env="99") == (0, 99)
+        assert self.run_seed(tmp_path, monkeypatch, env="99") == (0, 7)
+        assert self.run_seed(tmp_path, monkeypatch, env="abc") == (0, 7)
         assert self.run_seed(tmp_path, monkeypatch) == (0, 7)
-
-    def test_env_must_be_a_nonnegative_integer(self, tmp_path, monkeypatch):
-        code, _ = self.run_seed(tmp_path, monkeypatch, env="abc")
-        assert code == 2
-        code, _ = self.run_seed(tmp_path, monkeypatch, env="-5")
-        assert code == 2
 
     def test_flag_must_be_nonnegative(self, tmp_path, monkeypatch, capsys):
         assert self.run_seed(tmp_path, monkeypatch, flag=-1) == (2, None)

@@ -205,11 +205,6 @@ class TestKernelOracle:
         assert any(keeps) and not all(keeps)
         assert np.count_nonzero(got) >= 60
 
-    def test_empty_box_union_gives_zeros(self):
-        mu = SurfaceMeasure(PARABOLOID, 64)
-        zs = np.random.default_rng(1).uniform(-1.0, 1.0, (20, 3))
-        assert np.array_equal(mu.convolve_many(BoxUnionSet((), ()), zs), np.zeros(20))
-
 
 def tube_zs(mu, test_set, n, seed):
     """n z drawn as lq_norm_mc draws them: uniform in the set's support tube."""
@@ -476,6 +471,10 @@ def test_ball_sums_squares_in_a_fixed_order(d):
 
 
 class TestSetGeometry:
+    def test_empty_box_union_is_refused(self):
+        with pytest.raises(ValueError, match="a box union needs at least one box"):
+            BoxUnionSet((), ())
+
     def test_tangent_tube_measure(self):
         tube = TangentTubeSet(BANDED, (0.2, -0.1, 0.3), 0.125, 0.05)
         assert abs(tube.measure - (0.25**3) * (0.1**2)) < 1e-15
@@ -533,8 +532,20 @@ class TestNormEstimation:
             lq_norm_mc(mu_parabola, BallSet((0.0, 0.0), 0.1), 0.5)
 
     def test_empty_set_rejected(self, mu_parabola):
-        with pytest.raises(ValueError):
-            lq_norm_mc(mu_parabola, BoxUnionSet((), ()), 2.0)
+        tiny = BallSet((0.0, 0.0), 1e-200)  # its measure underflows to 0.0
+        assert tiny.measure == 0.0
+        with pytest.raises(ValueError, match="needs positive measure"):
+            lq_norm_mc(mu_parabola, tiny, 2.0)
+
+    def test_zero_estimate_is_refused(self):
+        # mu * chi_E > 0 on a set of positive measure, so a 0 is a miss, never an exact value
+        mu = SurfaceMeasure(PARABOLOID, 8)
+        E = BallSet((0.1, 0.0, 0.01), 0.01)
+        with pytest.raises(ValueError) as info:
+            lq_norm_mc(mu, E, 3.0, NormMcConfig(seed=1, n_tube=16))
+        assert str(info.value) == (
+            f"zero norm estimate on {E!r}: none of 16 tube samples met the set; raise n_tube"
+        )
 
     def test_fewer_tube_samples_than_chunks_refused(self, mu_parabola):
         cfg = NormMcConfig(seed=1, n_tube=4)
@@ -616,12 +627,11 @@ class TestShellEstimates:
         oracle = self.FK.l1_norm * float(np.sum(wq * (fcdf(0.8 / yq) - fcdf(0.1 / yq))))
         assert abs(rep.lhs - oracle) / oracle < 0.05
 
-    def test_empty_set_gives_zero_lhs(self):
-        rep = shell_bilinear_estimate(
-            PARABOLA, self.FK, BoxUnionSet((), ()), n_samples=1000, seed=4
-        )
-        assert rep.lhs == 0.0
-        assert math.isnan(rep.ratio)
+    def test_measure_zero_set_is_refused(self):
+        tiny = BallSet((1.5, 0.5), 1e-200)  # its measure underflows to 0.0
+        assert tiny.measure == 0.0
+        with pytest.raises(ValueError, match="the shell estimate needs positive measure"):
+            shell_bilinear_estimate(PARABOLA, self.FK, tiny, n_samples=1000, seed=4)
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_too_few_samples_refused(self, n_samples):
@@ -642,6 +652,11 @@ class TestRestrictedScan:
         with pytest.raises(ValueError):
             restricted_estimate_scan(PARABOLOID, Fraction(4, 3), n_sets=6)
 
+    def test_fewer_than_two_sets_refused(self):
+        # the growth divides the full sup by the first half's sup
+        with pytest.raises(ValueError, match="n_sets must be at least 2"):
+            restricted_estimate_scan(PARABOLOID, Fraction(3, 2), n_sets=1)
+
     def test_scan_is_finite_and_deterministic(self):
         kwargs = dict(
             n_sets=6,
@@ -652,3 +667,28 @@ class TestRestrictedScan:
         assert math.isfinite(scan.sup_ratio) and scan.sup_ratio > 0
         again = restricted_estimate_scan(PARABOLOID, Fraction(3, 2), **kwargs)
         assert again.rows == scan.rows
+
+
+@pytest.mark.parametrize(
+    "test_set",
+    [
+        BallSet((0.1, 0.2), 0.5),
+        BallSet((1.5, 1.5, 0.5, 0.5), 0.5),
+        BoxUnionSet(((1.0, 1.0, 0.0, 0.0),), ((2.0, 2.0, 1.0, 1.0),)),
+    ],
+    ids=["ball-2d", "ball-4d", "box-4d"],
+)
+@pytest.mark.parametrize("estimator", ["convolve_many", "lq_norm_mc", "shell_bilinear_estimate"])
+def test_wrong_dimension_is_refused(estimator, test_set):
+    # contains_coords zips coordinates against the set's axes: a mismatch would pass silently
+    mu = SurfaceMeasure(PARABOLOID, 16)
+    call = {
+        "convolve_many": lambda: mu.convolve_many(test_set, np.zeros((4, 3))),
+        "lq_norm_mc": lambda: lq_norm_mc(mu, test_set, 2.0, NormMcConfig(seed=1, n_tube=64)),
+        "shell_bilinear_estimate": lambda: shell_bilinear_estimate(
+            PARABOLOID, GaussianSpec.unit_mass(2), test_set, n_samples=64
+        ),
+    }[estimator]
+    message = rf"test set lives in R\^{test_set.dim}, the surface in R\^3"
+    with pytest.raises(ValueError, match=message):
+        call()
