@@ -3,9 +3,9 @@
 The measure is the pushforward of Lebesgue measure on the unit ball of R^k
 under y -> (y; heights(y)): a uniform y-grid, cells kept when their centers
 lie in the open ball, each atom carrying the full cell volume.  Everything
-downstream is built to avoid dense d-dimensional grids: pointwise
-convolution sums over atoms found by index-range queries on the y-grid, and
-L^q norms are Monte Carlo over a support tube that provably contains
+downstream is built to avoid dense d-dimensional grids: the convolution
+sums over atoms found by index-range queries on the y-grid, and L^q norms
+are Monte Carlo over a support tube that provably contains
 supp(mu * chi_E) and has an exact volume.  That keeps the d = 5 experiments affordable: the atom positions are
 generated on the fly from grid indices and never need materializing.
 
@@ -23,9 +23,10 @@ pass points as columns, points.T.
 
 A batch holds at most _BATCH_POINTS = 65 536 window points.  Its full-window
 arrays (the tails, the validity sum and mask, and the ball's squares and
-running sums) are written with out= ufunc calls into this thread's scratch
+running sums) are written with out= ufunc calls into the module's scratch
 buffers (_scratch), which grow to the largest batch and are never shrunk,
-so a run faults them in once instead of on every call.  The arithmetic is
+so a run faults them in once instead of on every call.  Every call shares
+them, so two calls must not run at once.  The arithmetic is
 the same as with fresh arrays, in the same order, so every count is
 bit-identical.  No result a public function returns is a scratch view.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,8 +92,8 @@ class BallSet:
         two-lane SSE sum-of-products loop in numpy 2.4, which computed the
         shipped outputs, so they stay bit-identical.
 
-        Full-size squares and sums are written into this thread's scratch
-        buffers; the returned mask is a new array.
+        Full-size squares and sums are written into the scratch buffers; the
+        returned mask is a new array.
         """
         shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
         even, odd, tmp = _scratch("ball", 3, shape)
@@ -283,22 +283,20 @@ class ShearedBoxSet:
 # (two tails, the ball's two sums and its square, the mask) is about 2.6 MB.
 _BATCH_POINTS = 65_536
 
-_SCRATCH = threading.local()
+_SCRATCH: dict[str, np.ndarray] = {}
 
 
 def _scratch(key: str, count: int, shape, dtype=float) -> list:
-    """count arrays of `shape`, views of this thread's scratch buffer `key`.
+    """count arrays of `shape`, views of the scratch buffer `key`.
 
-    Each thread has its own buffers, so concurrent calls never share one.  A
-    buffer grows to the largest request and is never shrunk.  The next
-    request for `key` on this thread overwrites the views, so a public
-    function never returns one.
+    A buffer grows to the largest request and is never shrunk.  The next
+    request for `key` overwrites the views, so a public function never
+    returns one.
     """
     n = math.prod(shape)
-    buf = getattr(_SCRATCH, key, None)
+    buf = _SCRATCH.get(key)
     if buf is None or buf.size < count * n:
-        buf = np.empty(count * n, dtype)
-        setattr(_SCRATCH, key, buf)
+        buf = _SCRATCH[key] = np.empty(count * n, dtype)
     return [buf[i * n : (i + 1) * n].reshape(shape) for i in range(count)]
 
 
@@ -354,9 +352,9 @@ class SurfaceMeasure:
     """Atomic discretization of the graph measure over the unit y-ball.
 
     Atoms sit at (y; heights(y)) for y-grid cell centers inside the open
-    unit ball, each with weight spacing^k.  points/weights materialize
-    lazily; the convolution paths work from grid indices alone, which is
-    what makes high resolutions in k = 3 viable.
+    unit ball, each with weight spacing^k.  points materializes lazily; the
+    convolution works from grid indices alone, which is what makes high
+    resolutions in k = 3 viable.
     """
 
     def __init__(self, matrix: CoefficientMatrix, resolution: int):
@@ -383,43 +381,12 @@ class SurfaceMeasure:
     def _axis_centers(self) -> np.ndarray:
         return -1.0 + (np.arange(self.resolution) + 0.5) * self.spacing
 
-    def _inside_counts(self) -> int:
-        """Number of grid cells whose centers lie in the open unit ball.
-
-        The squares add left to right, as in `_source_grid`: a table over the
-        first two axes, then one axis at a time over each tuple of the rest,
-        so no array is larger than resolution² entries.
-        """
-        c2 = self._axis_centers() ** 2
-        head = c2 if self.k == 1 else c2[:, None] + c2[None, :]
-        count = 0
-        for rest in itertools.product(c2, repeat=max(self.k - 2, 0)):
-            s = head
-            for a in rest:
-                s = s + a
-            count += int((s < 1.0).sum())
-        return count
-
-    @property
-    def n_atoms(self) -> int:
-        if not hasattr(self, "_n_atoms"):
-            self._n_atoms = self._inside_counts()
-        return self._n_atoms
-
-    @property
-    def total_mass(self) -> float:
-        return self.n_atoms * self.spacing**self.k
-
     @property
     def points(self) -> np.ndarray:
         if not hasattr(self, "_points"):
             ys = self._source_grid()
             self._points = np.concatenate([ys, surface_heights(self.matrix, ys)], axis=1)
         return self._points
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(len(self.points), self.spacing**self.k)
 
     def _source_grid(self) -> np.ndarray:
         if self.resolution**self.k > 40_000_000:
@@ -429,14 +396,6 @@ class SurfaceMeasure:
         axes = np.meshgrid(*([self._axis_centers()] * self.k), indexing="ij")
         ys = np.stack([a.ravel() for a in axes], axis=-1)
         return ys[(ys**2).sum(axis=1) < 1.0]
-
-    def integrate(self, f) -> float:
-        """Pushforward integral of a callable on R^d (materializes atoms)."""
-        pts = self.points
-        total = 0.0
-        for lo in range(0, len(pts), 1_000_000):
-            total += float(np.sum(f(pts[lo : lo + 1_000_000])))
-        return total * self.spacing**self.k
 
     # -- index-range convolution --
 
@@ -474,7 +433,7 @@ class SurfaceMeasure:
         the heads z_i - y_i as (B, n_i) tables (broadcast along the other
         axes), the tails as full arrays.  Every set tests them per axis, with
         no stacked point array.  The tails and the validity sum and mask live
-        in this thread's scratch buffers; the returned array is new.
+        in the scratch buffers; the returned array is new.
         """
         _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -514,18 +473,6 @@ class SurfaceMeasure:
             out[r] = valid.reshape(len(r), -1).sum(axis=1) * s**k
         return out
 
-    def convolve_at(self, test_set, z) -> float:
-        return float(self.convolve_many(test_set, np.asarray(z, dtype=float)[None, :])[0])
-
-    def convolve_f_at(self, f, z) -> float:
-        """(mu * f)(z) for a callable f; sums over all atoms."""
-        z = np.asarray(z, dtype=float)
-        pts = self.points
-        total = 0.0
-        for lo in range(0, len(pts), 1_000_000):
-            total += float(np.sum(f(z - pts[lo : lo + 1_000_000])))
-        return total * self.spacing**self.k
-
 
 # ---------------------------------------------------------------------------
 # Lq norms
@@ -548,8 +495,6 @@ class NormEstimate:
     norm: float
     stderr: float
     low_confidence: bool
-    q: float
-    params: dict = field(default_factory=dict)
 
 
 def _support_tube(measure: SurfaceMeasure, test_set):
@@ -584,9 +529,10 @@ def lq_norm_mc(
     the whole integral; outside it the integrand is identically 0.  The
     error bar passes through the q-th root by the delta method.
 
-    An estimate of exactly 0 is refused: for m(E) > 0 the L^1 norm is
-    total_mass * m(E) > 0 (fubini_l1_identity), so mu * chi_E is positive on
-    a set of positive measure inside the tube and every L^q norm is positive.
+    An estimate of exactly 0 is refused: for m(E) > 0 the L^1 norm is the
+    measure's total mass times m(E), which is positive, so mu * chi_E is
+    positive on a set of positive measure inside the tube and every L^q norm
+    is positive.
     """
     cfg = cfg or NormMcConfig()
     if q < 1:
@@ -617,18 +563,7 @@ def lq_norm_mc(
         )
     norm = total ** (1.0 / q)
     stderr = total ** (1.0 / q - 1.0) / q * math.sqrt(var)
-    return NormEstimate(
-        norm=norm,
-        stderr=stderr,
-        low_confidence=bool(stderr > 0.1 * norm),
-        q=q,
-        params={"n_tube": cfg.n_tube, "seed": cfg.seed, "tube_volume": v_tube},
-    )
-
-
-def fubini_l1_identity(measure: SurfaceMeasure, test_set) -> float:
-    """Exact value of the L1 norm of mu * chi_E: total mass times m_d(E)."""
-    return measure.total_mass * test_set.measure
+    return NormEstimate(norm=norm, stderr=stderr, low_confidence=bool(stderr > 0.1 * norm))
 
 
 # ---------------------------------------------------------------------------
@@ -924,14 +859,7 @@ def shell_bilinear_estimate(
     lhs = scale * mean
     stderr = scale * math.sqrt(var) / math.sqrt(n)
     rhs = f.lp_norm(d / k) * test_set.measure ** (k / d)
-    return RatioReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs,
-        stderr=stderr,
-        params={"n_samples": n_samples, "seed": seed, "shell": list(shell),
-                "set_kind": test_set.kind, "set_measure": test_set.measure},
-    )
+    return RatioReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, stderr=stderr)
 
 
 def shell_sum_estimate(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import frac_to_pair, pair_to_frac
+from .rationals import frac_to_pair
 
 
 class InvalidDimensionError(ValueError):
@@ -60,10 +60,6 @@ class ExponentPair:
     def to_json(self) -> list[list[int]]:
         return [frac_to_pair(self.inv_p), frac_to_pair(self.inv_q)]
 
-    @classmethod
-    def from_json(cls, obj) -> "ExponentPair":
-        return cls(pair_to_frac(obj[0]), pair_to_frac(obj[1]))
-
 
 def triangle_vertices(k: int, d: int) -> tuple[ExponentPair, ExponentPair, ExponentPair]:
     """The three vertices (0,0), (1,1), V of the candidate triangle."""
@@ -98,23 +94,6 @@ def critical_p0(k: int, d: int) -> Fraction:
     return Fraction(2 * d - k, d)
 
 
-def ptilde_to_p(ptilde: Fraction, k: int, l: int) -> Fraction:
-    """Convert an auxiliary exponent for the flat-transform bound into p.
-
-    The correspondence is 1/p = (1 + (d/l) * (1/ptilde)) / q0 with d = k + l.
-    Input must satisfy ptilde > 1; the threshold ptilde > d/k maps exactly to
-    p > (2d - k)/d.
-    """
-    ptilde = Fraction(ptilde)
-    if ptilde <= 1:
-        raise ValueError(f"auxiliary exponent must exceed 1, got {ptilde}")
-    d = k + l
-    _check_dims(k, d)
-    q0 = critical_q0(k, d)
-    inv_p = (1 + Fraction(d, l) / ptilde) / q0
-    return 1 / inv_p
-
-
 @dataclass(frozen=True)
 class TypeSet:
     """The candidate exponent region for a k-surface in R^(k+l)."""
@@ -135,16 +114,6 @@ class TypeSet:
             "vertices": [v.to_json() for v in self.vertices],
             "ricci_gap": None if self.ricci_gap is None else frac_to_pair(self.ricci_gap),
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "TypeSet":
-        gap = obj.get("ricci_gap")
-        return cls(
-            k=int(obj["k"]),
-            l=int(obj["l"]),
-            vertices=tuple(ExponentPair.from_json(v) for v in obj["vertices"]),
-            ricci_gap=None if gap is None else pair_to_frac(gap),
-        )
 
 
 def typeset(k: int, d: int) -> TypeSet:

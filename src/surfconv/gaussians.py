@@ -119,19 +119,12 @@ class GaussianSpec:
         )
         return math.exp(log_int / p)
 
-    def fourier(self, xi) -> np.ndarray:
-        """Fourier transform with the convention f^(xi) = integral f e^(-2 pi i <x, xi>).
-
-        For this Gaussian: mass * exp(-2 pi^2 sum sigma_i^2 xi_i^2) * e^(-2 pi i <mean, xi>).
-        """
-        xi = np.asarray(xi, dtype=float)
-        sig = np.asarray(self.sigmas)
-        mod = self.mass * np.exp(-2.0 * math.pi**2 * np.sum((sig * xi) ** 2, axis=-1))
-        phase = np.exp(-1j * TWO_PI * (xi @ np.asarray(self.mean)))
-        return mod * phase
-
     def fourier_modulus(self, xi) -> np.ndarray:
-        """|f^(xi)|, which is the transform itself when the mean vanishes."""
+        """|f^(xi)| for the convention f^(xi) = integral f e^(-2 pi i <x, xi>).
+
+        For this Gaussian: mass * exp(-2 pi^2 sum sigma_i^2 xi_i^2), which is
+        the transform itself when the mean vanishes.
+        """
         xi = np.asarray(xi, dtype=float)
         sig = np.asarray(self.sigmas)
         return self.mass * np.exp(-2.0 * math.pi**2 * np.sum((sig * xi) ** 2, axis=-1))
@@ -173,38 +166,3 @@ def random_gaussian(
     if normalized:
         return GaussianSpec.unit_mass(dim, mean=mean, sigmas=sigmas)
     return GaussianSpec(dim=dim, amplitude=float(rng.uniform(0.5, 2.0)), mean=mean, sigmas=sigmas)
-
-
-def gaussian_linear_pair_integral(f: GaussianSpec, h: GaussianSpec, bmat) -> float:
-    """Closed form for integral f(x) h(B x) dx with B an (h.dim x f.dim) matrix.
-
-    Writing each factor as amp * exp(-(x - m)^T D (x - m) / 2) with diagonal
-    D = diag(1/sigma^2), the product is a single Gaussian with precision
-    A = D_f + B^T D_h B, so the integral is
-
-        amp_f amp_h (2 pi)^(dim/2) det(A)^(-1/2) exp((b^T A^-1 b - c0) / 2)
-
-    with b = D_f m_f + B^T D_h m_h and c0 = m_f^T D_f m_f + m_h^T D_h m_h.
-    """
-    b_arr = np.asarray(bmat, dtype=float)
-    if b_arr.shape != (h.dim, f.dim):
-        raise ValueError(f"linear map must have shape ({h.dim}, {f.dim})")
-    d_f = np.diag([1.0 / s**2 for s in f.sigmas])
-    d_h = np.diag([1.0 / s**2 for s in h.sigmas])
-    m_f = np.asarray(f.mean)
-    m_h = np.asarray(h.mean)
-    a = d_f + b_arr.T @ d_h @ b_arr
-    b = d_f @ m_f + b_arr.T @ (d_h @ m_h)
-    c0 = m_f @ d_f @ m_f + m_h @ d_h @ m_h
-    sign, logdet = np.linalg.slogdet(a)
-    if sign <= 0:
-        raise ValueError("degenerate precision matrix in closed-form integral")
-    quad = b @ np.linalg.solve(a, b)
-    log_val = (
-        math.log(f.amplitude)
-        + math.log(h.amplitude)
-        + 0.5 * f.dim * math.log(TWO_PI)
-        - 0.5 * logdet
-        + 0.5 * (quad - c0)
-    )
-    return math.exp(log_val)

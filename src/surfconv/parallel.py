@@ -6,7 +6,7 @@ chunk layout alone picks every random stream and every float sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class RatioReport:
     rhs: float
     ratio: float
     stderr: float
-    params: dict = field(default_factory=dict)
 
 
 def ordered_map(fn, items) -> list:

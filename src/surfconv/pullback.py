@@ -15,9 +15,8 @@ r-coordinates the integrand carries r^(rho + l - 1) (left) or
 r^(rho + l - 1) (right, after the r^(k-1) Jacobian), which is smooth for
 rho >= 0 and dyadic-panel-friendly for the permitted negative rho.
 
-The same machinery restricted to frequency regions (per comparable-row set Q),
-the change-of-variables identity behind it, and the L2 chain with
-w = |f^|^2 all live here.
+The same machinery restricted to frequency regions (per comparable-row set Q)
+and the L2 chain with w = |f^|^2 also live here.
 """
 
 from __future__ import annotations
@@ -25,20 +24,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import overload
 
 import numpy as np
 
 from .gaussians import GaussianSpec
 from .parallel import RatioReport, seeded_mean
-from .quadrature import gauss_legendre_interval, sphere_area, sphere_rule
+from .quadrature import gauss_legendre_interval, sphere_rule
 from .surface import (
     CoefficientMatrix,
     check_submatrices,
     comparability_constant,
     comparable_rows,
-    det_fraction,
     sample_shell,
     shell_measure,
 )
@@ -123,9 +121,9 @@ def _radial_rule(rho: float, dim: int, r_max: float, n_radial: int):
     The returned weights contain r^(dim-1) only; the caller multiplies by
     r^rho at the nodes.  For rho >= 0 a single Gauss-Legendre rule is
     spectrally accurate.  For rho < 0 the integrand is singular at 0, so the
-    interval is split into dyadic panels down to 2^-40 r_max; the remaining
-    core contributes at most w_max * S^(dim-1) * eps^(rho+dim) / (rho+dim),
-    which the caller records as a bound.
+    interval is split into dyadic panels down to eps = 2^-40 r_max; the rule
+    drops the core ball of radius eps, which contributes at most
+    w_max * |S^(dim-1)| * eps^(rho+dim) / (rho+dim).
     """
     if rho >= 0:
         r, wr = gauss_legendre_interval(n_radial, 0.0, r_max)
@@ -140,14 +138,6 @@ def _radial_rule(rho: float, dim: int, r_max: float, n_radial: int):
         weights.append(wr * r ** (dim - 1))
         hi = lo
     return np.concatenate(nodes[::-1]), np.concatenate(weights[::-1])
-
-
-def _excluded_core_bound(rho: float, dim: int, r_max: float, w_max: float) -> float:
-    """Bound on the integral of |x|^rho w over the excluded core ball."""
-    if rho >= 0:
-        return 0.0
-    eps = r_max * 2.0**-40
-    return w_max * sphere_area(dim) * eps ** (rho + dim) / (rho + dim)
 
 
 def _polar_rule(rho: float, dim: int, r_max: float, cfg: McConfig):
@@ -169,18 +159,17 @@ def _polar_nodes(rho: float, dim: int, r_max: float, cfg: McConfig):
     return nodes, weights, np.repeat(r, len(wtheta))
 
 
-def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConfig) -> tuple[float, float]:
+def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConfig) -> float:
     """integral |tau|^exponent w(tau) dtau over the ball of radius r_max.
 
     The polar rule is a product of radial nodes r and sphere nodes theta, so
     w is evaluated as the (n_r, n_theta) block w(r_a * theta_b) and contracted
-    as (wr * r^exponent) @ W @ wtheta.  Returns the quadrature value and the
-    analytic bound on the excluded core (nonzero only for exponent < 0).
+    as (wr * r^exponent) @ W @ wtheta.  For exponent < 0 the rule leaves out
+    a core ball (see _radial_rule).
     """
     r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
     block = w.product_block(np.repeat(r[:, None], w.dim, axis=1), w.product_side(theta))
-    val = float((wr * r**exponent) @ block @ wtheta)
-    return val, _excluded_core_bound(exponent, w.dim, r_max, w.amplitude)
+    return float((wr * r**exponent) @ block @ wtheta)
 
 
 def _region_masks(
@@ -288,12 +277,11 @@ def _ratio_report(
     cfg: McConfig,
     lhs: float,
     stderr: float,
-    params: dict,
 ) -> RatioReport:
     """The report for one rho: lhs against the pulled-back side
     integral |tau|^(rho - k + l) w(tau) over the tau ball.  Refuses a
     vanishing rhs and any number that is not finite."""
-    rhs, core_bound = _weight_integral(w, rho - matrix.k + matrix.l, _tau_radius(w), cfg)
+    rhs = _weight_integral(w, rho - matrix.k + matrix.l, _tau_radius(w), cfg)
     if rhs <= 0:
         raise ValueError("degenerate weight: the pulled-back integral vanishes")
     ratio = lhs / rhs
@@ -302,14 +290,7 @@ def _ratio_report(
             f"rho = {rho}: non-finite frequency estimate "
             f"(lhs {lhs}, rhs {rhs}, stderr {stderr})"
         )
-    params = {
-        "rho": rho,
-        **params,
-        "n_y": cfg.n_y,
-        "seed": cfg.seed,
-        "rhs_excluded_core_bound": core_bound,
-    }
-    return RatioReport(lhs=lhs, rhs=rhs, ratio=ratio, stderr=stderr, params=params)
+    return RatioReport(lhs=lhs, rhs=rhs, ratio=ratio, stderr=stderr)
 
 
 @overload
@@ -318,7 +299,6 @@ def pullback_weight_ratio(
     rho: float,
     w: GaussianSpec,
     cfg: McConfig | None = ...,
-    w_id: str = ...,
 ) -> RatioReport: ...
 
 
@@ -328,7 +308,6 @@ def pullback_weight_ratio(
     rho: Sequence[float],
     w: GaussianSpec,
     cfg: McConfig | None = ...,
-    w_id: str = ...,
 ) -> list[RatioReport]: ...
 
 
@@ -337,7 +316,6 @@ def pullback_weight_ratio(
     rho: float | Sequence[float],
     w: GaussianSpec,
     cfg: McConfig | None = None,
-    w_id: str = "w",
 ) -> RatioReport | list[RatioReport]:
     """Ratio of the shell-frequency integral to the pulled-back weight integral.
 
@@ -356,7 +334,7 @@ def pullback_weight_ratio(
     rhos = [float(r) for r in np.atleast_1d(rho)]
     _check_inputs(matrix, rhos, w)
     reports = [
-        _ratio_report(matrix, r, w, cfg, lhs, stderr, {"w_id": w_id})
+        _ratio_report(matrix, r, w, cfg, lhs, stderr)
         for r, (lhs, stderr) in zip(rhos, _lhs_shell_integral(matrix, rhos, w, cfg))
     ]
     return reports if np.ndim(rho) else reports[0]
@@ -369,7 +347,6 @@ def region_weight_ratio(
     q_rows,
     cfg: McConfig | None = None,
     mode: str = "selected",
-    w_id: str = "w",
 ) -> RatioReport:
     """pullback_weight_ratio with zeta restricted to the region of a row set Q.
 
@@ -384,13 +361,7 @@ def region_weight_ratio(
     if mask is None:
         raise ValueError(f"Q must be {matrix.k - matrix.l} distinct rows of 0..{matrix.k - 1}")
     ((lhs, stderr),) = _lhs_shell_integral(matrix, [rho], w, cfg, node_mask=mask)
-    params = {
-        "w_id": w_id,
-        "q_rows": list(q_rows),
-        "mode": mode,
-        "empty_region": bool(not mask.any()),
-    }
-    return _ratio_report(matrix, rho, w, cfg, lhs, stderr, params)
+    return _ratio_report(matrix, rho, w, cfg, lhs, stderr)
 
 
 def region_cover_factor(
@@ -426,123 +397,6 @@ def region_cover_factor(
     }
 
 
-@dataclass(frozen=True)
-class ChangeOfVariablesReport:
-    closed_form: float
-    quadrature: float
-    rel_err: float
-    params: dict = field(default_factory=dict)
-
-
-def _split_circle_rule(kink_dirs: np.ndarray, n_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-circle rule split at the angles where any <C_i, theta> vanishes.
-
-    Splitting makes the integrand smooth on every arc, restoring spectral
-    accuracy despite the |.| kinks of the Jacobian factors.
-    """
-    angles = set()
-    for c in kink_dirs:
-        base = math.atan2(c[0], -c[1])  # direction orthogonal to c
-        for off in (0.0, math.pi):
-            angles.add((base + off) % (2.0 * math.pi))
-    cuts = sorted(angles)
-    cuts.append(cuts[0] + 2.0 * math.pi)
-    thetas, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        t, wt = gauss_legendre_interval(n_per_arc, a, b)
-        thetas.append(t)
-        weights.append(wt)
-    t = np.concatenate(thetas)
-    return np.stack([np.cos(t), np.sin(t)], axis=-1), np.concatenate(weights)
-
-
-def change_of_variables_check(
-    matrix: CoefficientMatrix,
-    q_rows,
-    y_head,
-    g: GaussianSpec,
-    cfg: McConfig | None = None,
-) -> ChangeOfVariablesReport:
-    """Verify integral g = integral (g o map) * J over (zeta, y_Q) coordinates.
-
-    q_rows are the k - l rows whose y-coordinates vary; y_head fixes the
-    remaining rows' coordinates (each in [1, 2) in magnitude).  J is the
-    closed-form Jacobian of the map (zeta, y_Q) -> (y_i (C zeta)_i)_i.  The
-    map covers R^k up to a null set with no overlap, so no symmetry factor
-    is needed; symmetry_factor 1.0 is recorded for transparency.
-
-    The y_Q integrals use windows scaled per zeta node by 1/|(C zeta)_i| so
-    the Gaussian slice is always resolved; the zeta rule is polar with the
-    circle split at the Jacobian's kink directions when l = 2.
-    """
-    cfg = cfg or McConfig()
-    k, l = matrix.k, matrix.l
-    q_rows = tuple(sorted(int(i) for i in q_rows))
-    if len(q_rows) != k - l:
-        raise ValueError(f"Q must have {k - l} rows")
-    head_rows = tuple(i for i in range(k) if i not in q_rows)
-    y_head = np.asarray(y_head, dtype=float)
-    if y_head.shape != (l,):
-        raise ValueError(f"y_head must fix {l} coordinates (rows {head_rows})")
-    if np.any(np.abs(y_head) < 1.0) or np.any(np.abs(y_head) >= 2.0):
-        raise ValueError("fixed |y| values must lie in [1, 2)")
-    if g.dim != k:
-        raise ValueError("g must live on R^k")
-
-    head_mat = matrix.array[list(head_rows)]  # (l, l)
-    head_det = abs(float(det_fraction(matrix.row_submatrix(head_rows))))
-    if head_det == 0.0:
-        raise ValueError("the fixed rows form a singular submatrix")
-    scaled = y_head[:, None] * head_mat
-    r_zeta = 1.2 * _tau_radius(g) / float(np.linalg.svd(scaled, compute_uv=False)[-1])
-
-    if l == 2:
-        r, wr = gauss_legendre_interval(cfg.n_radial, 0.0, r_zeta)
-        theta, wtheta = _split_circle_rule(matrix.array, max(8, cfg.n_sphere // 4))
-        znodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, 2)
-        zweights = np.multiply.outer(wr * r, wtheta).ravel()
-    else:
-        znodes, zweights, _ = _polar_nodes(0.0, l, r_zeta, cfg)
-
-    images = znodes @ matrix.array.T  # (N, k)
-    # head factor: product over fixed rows of g's axis slice at y_i (C zeta)_i,
-    # times |y_i|, times the submatrix determinant
-    sig = np.asarray(g.sigmas)
-    mu = np.asarray(g.mean)
-    vals = np.full(len(znodes), g.amplitude * head_det * float(np.prod(np.abs(y_head))))
-    for a, i in enumerate(head_rows):
-        tau_i = y_head[a] * images[:, i]
-        vals = vals * np.exp(-0.5 * ((tau_i - mu[i]) / sig[i]) ** 2)
-
-    # tail rows: per-node scaled Gauss-Legendre window in y_i, axis integral of
-    # |w_i| * g_i(y w_i) over the window
-    n_yq = max(24, cfg.n_radial // 2)
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(n_yq)
-    for i in q_rows:
-        w_i = images[:, i]
-        extent = abs(mu[i]) + 6.0 * sig[i]
-        with np.errstate(divide="ignore"):
-            window = np.minimum(1e7, extent / np.abs(w_i))
-        yk = window[:, None] * base_nodes[None, :]
-        tau = w_i[:, None] * yk
-        gi = np.exp(-0.5 * ((tau - mu[i]) / sig[i]) ** 2)
-        axis_int = (gi @ base_weights) * window * np.abs(w_i)
-        vals = vals * axis_int
-
-    quadrature = float(np.sum(zweights * vals))
-    closed = g.mass
-    return ChangeOfVariablesReport(
-        closed_form=closed,
-        quadrature=quadrature,
-        rel_err=abs(quadrature - closed) / max(abs(closed), 1e-300),
-        params={
-            "q_rows": list(q_rows),
-            "y_head": y_head.tolist(),
-            "symmetry_factor": 1.0,
-        },
-    )
-
-
 def squared_fourier_weight(f: GaussianSpec) -> GaussianSpec:
     """|f^|^2 as a Gaussian weight: amplitude mass^2, sigma_i' = 1/(2 sqrt2 pi sigma_i)."""
     sig = tuple(1.0 / (2.0 * math.sqrt(2.0) * math.pi * s) for s in f.sigmas)
@@ -553,7 +407,6 @@ def plancherel_ratio(
     matrix: CoefficientMatrix,
     f: GaussianSpec,
     cfg: McConfig | None = None,
-    f_id: str = "f",
 ) -> RatioReport:
     """The L2 chain: shell-frequency integral of |f^|^2 against ||f||_2^2.
 
@@ -566,18 +419,6 @@ def plancherel_ratio(
     cfg = cfg or McConfig()
     rho = float(matrix.k - matrix.l)  # d - 2l with d = k + l
     w = squared_fourier_weight(f)
-    rep = pullback_weight_ratio(matrix, rho, w, cfg, w_id=f"|{f_id}^|^2")
+    rep = pullback_weight_ratio(matrix, rho, w, cfg)
     b = f.l2_norm_sq
-    return RatioReport(
-        lhs=rep.lhs,
-        rhs=b,
-        ratio=rep.lhs / b,
-        stderr=rep.stderr / b,
-        params={
-            "rho": rho,
-            "f_id": f_id,
-            "n_y": cfg.n_y,
-            "seed": cfg.seed,
-            "pullback_rhs_quadrature": rep.rhs,
-        },
-    )
+    return RatioReport(lhs=rep.lhs, rhs=b, ratio=rep.lhs / b, stderr=rep.stderr / b)

@@ -1,10 +1,11 @@
-"""Deterministic quadrature rules: tensor Gauss-Legendre and polar products.
+"""Deterministic quadrature rules: Gauss-Legendre and the unit sphere.
 
-The polar product rules exist because most integrals in this package carry a
-radial weight |x|^rho.  In Cartesian tensor form that weight has a kink (or a
-singularity) at the origin and wrecks the convergence order; in polar form the
-radial factor becomes r^(dim - 1 + rho), which is smooth for every exponent
-used here, and the angular factor is smooth and periodic.
+The pullback module builds polar product rules from them, because most of
+its integrals carry a radial weight |x|^rho.  In Cartesian tensor form that
+weight has a kink (or a singularity) at the origin and wrecks the convergence
+order; in polar form the radial factor becomes r^(dim - 1 + rho), which is
+smooth for every exponent used here, and the angular factor is smooth and
+periodic.
 """
 
 from __future__ import annotations
@@ -31,27 +32,6 @@ def gauss_legendre_interval(n: int, a: float, b: float) -> tuple[np.ndarray, np.
     x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
-
-
-def tensor_rule(axes: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of one-dimensional rules.
-
-    axes is a list of (nodes, weights) pairs; returns nodes of shape (N, dim)
-    and weights of shape (N,).
-    """
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(1)
-    for _, w in axes:
-        weights = np.multiply.outer(weights, w).ravel()
-    return nodes, weights
-
-
-def box_rule(n: int, box) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre over an axis-aligned box given as (dim, 2) bounds."""
-    box = np.asarray(box, dtype=float)
-    axes = [gauss_legendre_interval(n, lo, hi) for lo, hi in box]
-    return tensor_rule(axes)
 
 
 def sphere_rule(dim: int, n_polar: int = 32, n_azimuth: int = 64) -> tuple[np.ndarray, np.ndarray]:
@@ -99,35 +79,6 @@ def sphere_rule(dim: int, n_polar: int = 32, n_azimuth: int = 64) -> tuple[np.nd
     return pts, w
 
 
-def sphere_area(dim: int) -> float:
-    """Surface area of S^(dim-1): 2 pi^(dim/2) / Gamma(dim/2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-
-
 def ball_volume(dim: int, radius: float = 1.0) -> float:
     """Volume of the Euclidean ball of the given radius in R^dim."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
-
-
-def polar_rule(
-    dim: int,
-    r_max: float,
-    n_radial: int = 48,
-    n_polar: int = 32,
-    n_azimuth: int = 64,
-    r_min: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product rule for integral over {r_min <= |x| <= r_max} in R^dim.
-
-    Returns nodes (N, dim) and weights (N,) approximating the plain Lebesgue
-    integral; the r^(dim-1) Jacobian is folded into the weights.  All radial
-    nodes are strictly positive, so radially singular integrands are safe to
-    evaluate as long as r_min (or the weight's own zero at 0) controls them.
-    """
-    if not 0.0 <= r_min < r_max:
-        raise ValueError("need 0 <= r_min < r_max")
-    r, wr = gauss_legendre_interval(n_radial, r_min, r_max)
-    theta, wtheta = sphere_rule(dim, n_polar, n_azimuth)
-    nodes = r[:, None, None] * theta[None, :, :]
-    weights = np.multiply.outer(wr * r ** (dim - 1), wtheta)
-    return nodes.reshape(-1, dim), weights.ravel()

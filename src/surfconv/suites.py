@@ -55,7 +55,6 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    suite: str
     payload: dict
     verdicts: list
     tables: dict = field(default_factory=dict)  # name -> (columns, rows)
@@ -112,7 +111,7 @@ def run_check_star(matrix, params, seed) -> SuiteResult:
         ["matrix_id", "k", "l", "holds", "min_abs_det", "witness_rows", "comparability_constant"],
         rows,
     )
-    return SuiteResult("check-star", payload, verdicts, {"star": table}, {"matrices": len(cases)})
+    return SuiteResult(payload, verdicts, {"star": table}, {"matrices": len(cases)})
 
 
 def run_typeset(matrix, params, seed) -> SuiteResult:
@@ -143,7 +142,7 @@ def run_typeset(matrix, params, seed) -> SuiteResult:
         Verdict("vertex-self-duality", dual_closed, "vertex set closed under (1/p,1/q) -> (1-1/q,1-1/p)"),
     ]
     table = (["label", "inv_p_num", "inv_p_den", "inv_q_num", "inv_q_den"], rows)
-    return SuiteResult("typeset", payload, verdicts, {"vertices": table}, {})
+    return SuiteResult(payload, verdicts, {"vertices": table}, {})
 
 
 def _default_p_list(k: int, d: int):
@@ -193,7 +192,6 @@ def run_ball_scan(matrix, params, seed) -> SuiteResult:
     cols = ["delta", "p_num", "p_den", "norm", "ratio", "stderr", "center_id"]
     rows = [[r[c] for c in cols] for r in rep.rows]
     return SuiteResult(
-        "ball-scan",
         {"report": rep},
         verdicts,
         {"ball_scan": (cols, rows)},
@@ -221,7 +219,6 @@ def run_restricted_scan(matrix, params, seed) -> SuiteResult:
     cols = ["set_id", "kind", "measure", "ratio"]
     rows = [[r[c] for c in cols] for r in rep.rows]
     return SuiteResult(
-        "restricted-scan",
         {"report": rep},
         verdicts,
         {"restricted_scan": (cols, rows)},
@@ -247,11 +244,11 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
     per_weight = [
         list(
             zip(
-                pullback_weight_ratio(matrix, rhos, w, cfg, w_id=f"w{i:02d}"),
-                pullback_weight_ratio(matrix, rhos, w, cfg.doubled(), w_id=f"w{i:02d}"),
+                pullback_weight_ratio(matrix, rhos, w, cfg),
+                pullback_weight_ratio(matrix, rhos, w, cfg.doubled()),
             )
         )
-        for i, w in enumerate(weights)
+        for w in weights
     ]
     rows, drifts = [], []
     for j, rho in enumerate(rho_list):
@@ -322,7 +319,6 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
             cover_rows,
         )
     return SuiteResult(
-        "lemma-mc",
         payload,
         verdicts,
         tables,
@@ -391,7 +387,6 @@ def run_transform_check(matrix, params, seed) -> SuiteResult:
         "cells": cells,
     }
     return SuiteResult(
-        "transform-check",
         payload,
         verdicts,
         {"transform": (["check", "value", "bound", "passed"], rows)},
@@ -413,8 +408,8 @@ def run_plancherel(matrix, params, seed) -> SuiteResult:
     for i in range(n_f):
         f = random_gaussian(rng, k)
         f_id = f"f{i:02d}"
-        rep = plancherel_ratio(matrix, f, cfg, f_id=f_id)
-        rep2 = plancherel_ratio(matrix, f, cfg.doubled(), f_id=f_id)
+        rep = plancherel_ratio(matrix, f, cfg)
+        rep2 = plancherel_ratio(matrix, f, cfg.doubled())
         drift = abs(rep2.ratio - rep.ratio) / rep.ratio if rep.ratio else math.inf
         drifts.append(drift)
         rows.append(
@@ -433,7 +428,6 @@ def run_plancherel(matrix, params, seed) -> SuiteResult:
         "all_ratios_finite": all(math.isfinite(r[3]) for r in rows),
     }
     return SuiteResult(
-        "plancherel",
         payload,
         verdicts,
         {"plancherel": (columns, rows)},
@@ -557,7 +551,6 @@ def run_ineq6(matrix, params, seed) -> SuiteResult:
     payload["shell_sum"] = shell_sum
 
     return SuiteResult(
-        "ineq6",
         payload,
         verdicts,
         {"ineq6": (columns, rows)},

@@ -32,10 +32,6 @@ class SingularSubmatrixError(ValueError):
     """Raised when an operation requires the row-submatrix condition to hold."""
 
 
-class ShellError(ValueError):
-    """Raised when a point with a zero coordinate has no dyadic shell."""
-
-
 class RowSelectionError(RuntimeError):
     """Raised when fewer than k - l rows pass the comparability test.
 
@@ -237,12 +233,6 @@ def surface_heights(matrix: CoefficientMatrix, y) -> np.ndarray:
     """Heights Phi_j(y) = sum_i c_i^j y_i^2; broadcasts over leading axes."""
     y = np.asarray(y, dtype=float)
     return (y * y) @ matrix.array
-
-
-def surface_point(matrix: CoefficientMatrix, y) -> np.ndarray:
-    """Graph point (y; Phi(y)) in R^(k+l); broadcasts over leading axes."""
-    y = np.asarray(y, dtype=float)
-    return np.concatenate([y, surface_heights(matrix, y)], axis=-1)
 
 
 def bilinear_forms(matrix: CoefficientMatrix, x, y) -> np.ndarray:
@@ -497,21 +487,6 @@ def verify_jacobian_bound(
 # dyadic shells
 
 
-def dyadic_shell_index(y) -> tuple[int, ...]:
-    """The integer vector n with 2^(n_i) <= |y_i| < 2^(n_i + 1), exactly.
-
-    math.frexp writes |y_i| = m * 2^e with m in [1/2, 1), so n_i = e - 1 with
-    no rounding.  A zero coordinate has no shell.
-    """
-    out = []
-    for v in np.asarray(y, dtype=float).ravel():
-        if v == 0.0 or not math.isfinite(v):
-            raise ShellError(f"coordinate {v!r} lies in no dyadic shell")
-        _, e = math.frexp(abs(v))
-        out.append(e - 1)
-    return tuple(out)
-
-
 def shell_measure(index) -> Fraction:
     """Lebesgue measure of the (two-sided) dyadic shell with the given index.
 
@@ -520,17 +495,6 @@ def shell_measure(index) -> Fraction:
     """
     total = sum(int(n) + 1 for n in index)
     return Fraction(2) ** total
-
-
-def in_shell(y, index) -> bool:
-    """Whether every coordinate satisfies 2^(n_i) <= |y_i| < 2^(n_i + 1)."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != len(index):
-        raise ValueError("shell index length must match the vector length")
-    try:
-        return dyadic_shell_index(y) == tuple(int(n) for n in index)
-    except ShellError:
-        return False
 
 
 def sample_shell(rng: np.random.Generator, index, size: int) -> np.ndarray:

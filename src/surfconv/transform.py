@@ -57,9 +57,6 @@ class GridFunction:
         n = self.extents[axis]
         return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.cell_volume)
-
     def interpolate(self, points) -> np.ndarray:
         """Multilinear interpolation with zero fill outside the grid."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -410,7 +410,7 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_non_finite_payload_is_never_written(self, tmp_path, capsys, monkeypatch):
-        nan_result = SuiteResult("check-star", {"value": float("nan")}, [Verdict("v", True, "")])
+        nan_result = SuiteResult({"value": float("nan")}, [Verdict("v", True, "")])
         monkeypatch.setattr("surfconv.cli.run_suite", lambda *args: nan_result)
         out = tmp_path / "out"
         assert run_cli(checkstar_config(tmp_path), out) == 2

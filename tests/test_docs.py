@@ -1,8 +1,10 @@
-"""The README quickstart runs as printed, and every name the demos import
-from the package resolves in the module it names."""
+"""The README quickstart runs as printed, every name the demos import from
+the package resolves in the module it names, and so does every function the
+bench tracer wraps."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,4 +33,21 @@ def test_demo_imports_resolve():
                     f"{path.name}: {node.module}.{a.name}"
                     for a in node.names if not hasattr(module, a.name)
                 ]
+    assert missing == []
+
+
+def test_bench_tracer_targets_resolve():
+    # Tracer.install raises on a missing attribute, so a deleted target would
+    # only show when the benchmark runs with --trace 1
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = []
+    for module_name, path, _, _ in tracing.TARGETS:
+        target = importlib.import_module(module_name)
+        for attr in path.split("."):
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(f"{module_name}.{path}")
     assert missing == []

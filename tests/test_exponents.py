@@ -6,14 +6,15 @@ from hypothesis import given, strategies as st
 from surfconv.exponents import (
     ExponentPair,
     InvalidDimensionError,
+    TypeSet,
     critical_p0,
     critical_q0,
-    ptilde_to_p,
     ricci_gap,
     triangle_vertices,
     typeset,
     typeset_contains,
 )
+from surfconv.rationals import pair_to_frac
 
 F = Fraction
 
@@ -99,20 +100,13 @@ def test_typeset_containment_modes():
 
 
 def test_typeset_json_roundtrip():
-    from surfconv.exponents import TypeSet
-
-    ts = typeset(3, 5)
-    assert TypeSet.from_json(ts.to_json()) == ts
-
-
-def test_ptilde_threshold_maps_to_norm_threshold():
-    # ptilde > d/k corresponds exactly to p > (2d - k)/d
-    for k, l in [(1, 1), (2, 1), (3, 2), (4, 3)]:
-        d = k + l
-        p_at_threshold = ptilde_to_p(F(d, k), k, l)
-        assert p_at_threshold == F(2 * d - k, d)
-    with pytest.raises(ValueError):
-        ptilde_to_p(F(1), 2, 1)
+    # the exact pairs a payload holds parse back into the same type set
+    for k, d in [(3, 5), (1, 3)]:
+        ts = typeset(k, d)
+        doc = ts.to_json()
+        vertices = tuple(ExponentPair(*map(pair_to_frac, v)) for v in doc["vertices"])
+        gap = None if doc["ricci_gap"] is None else pair_to_frac(doc["ricci_gap"])
+        assert TypeSet(doc["k"], doc["l"], vertices, gap) == ts
 
 
 @given(

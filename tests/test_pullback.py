@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,16 +12,17 @@ from surfconv.pullback import (
     McConfig,
     _lhs_shell_integral,
     _polar_nodes,
+    _tau_radius,
     _weight_integral,
-    change_of_variables_check,
     plancherel_ratio,
     pullback_weight_ratio,
     region_cover_factor,
     region_weight_ratio,
     squared_fourier_weight,
 )
+from surfconv.quadrature import gauss_legendre_interval
 from surfconv.suites import run_lemma_mc
-from surfconv.surface import CoefficientMatrix
+from surfconv.surface import CoefficientMatrix, det_fraction
 
 BANDED = CoefficientMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
 SCALAR = CoefficientMatrix.from_rows([[Fraction(3, 2)]])
@@ -44,12 +46,13 @@ def test_one_dimensional_closed_form(rho):
 
 def test_plancherel_one_dimensional_oracle():
     f = GaussianSpec(dim=1, amplitude=0.9, mean=(0.3,), sigmas=(1.1,))
-    rep = plancherel_ratio(SCALAR, f, McConfig(n_y=4000, seed=13))
+    cfg = McConfig(n_y=4000, seed=13)
+    rep = plancherel_ratio(SCALAR, f, cfg)
     assert rep.ratio == pytest.approx(2.0 * math.log(2.0) / 1.5, rel=0.02)
-    # the quadrature on the bound side reproduces ||f||_2^2 to near machine
-    assert rep.params["pullback_rhs_quadrature"] == pytest.approx(
-        f.l2_norm_sq, rel=1e-6
-    )
+    # the quadrature on the bound side of the call plancherel_ratio makes
+    # reproduces ||f||_2^2 to near machine
+    pullback = pullback_weight_ratio(SCALAR, 0.0, squared_fourier_weight(f), cfg)
+    assert pullback.rhs == pytest.approx(f.l2_norm_sq, rel=1e-6)
 
 
 def test_weighted_integral_is_dilation_invariant():
@@ -107,7 +110,6 @@ def test_middle_row_selected_region_is_empty():
     # enough for row 2 to be reached before rows 0 and 1 fill the quota
     rep = region_weight_ratio(BANDED, 0.0, W3, (2,), McConfig(n_y=400, seed=3))
     assert rep.lhs == 0.0
-    assert rep.params["empty_region"] is True
 
 
 def test_region_validation():
@@ -137,6 +139,117 @@ def test_region_ratio_refuses_a_weight_off_r_k():
     w1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,))
     with pytest.raises(ValueError, match=r"weight must live on R\^k"):
         region_weight_ratio(battery_entry("banded-3-2").matrix, 0.0, w1, (0,), McConfig(n_y=100))
+
+
+@dataclass(frozen=True)
+class ChangeOfVariablesReport:
+    closed_form: float
+    quadrature: float
+    rel_err: float
+
+
+def _split_circle_rule(kink_dirs: np.ndarray, n_per_arc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-circle rule split at the angles where any <C_i, theta> vanishes.
+
+    Splitting makes the integrand smooth on every arc, restoring spectral
+    accuracy despite the |.| kinks of the Jacobian factors.
+    """
+    angles = set()
+    for c in kink_dirs:
+        base = math.atan2(c[0], -c[1])  # direction orthogonal to c
+        for off in (0.0, math.pi):
+            angles.add((base + off) % (2.0 * math.pi))
+    cuts = sorted(angles)
+    cuts.append(cuts[0] + 2.0 * math.pi)
+    thetas, weights = [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        t, wt = gauss_legendre_interval(n_per_arc, a, b)
+        thetas.append(t)
+        weights.append(wt)
+    t = np.concatenate(thetas)
+    return np.stack([np.cos(t), np.sin(t)], axis=-1), np.concatenate(weights)
+
+
+def change_of_variables_check(
+    matrix: CoefficientMatrix,
+    q_rows,
+    y_head,
+    g: GaussianSpec,
+    cfg: McConfig | None = None,
+) -> ChangeOfVariablesReport:
+    """Verify integral g = integral (g o map) * J over (zeta, y_Q) coordinates.
+
+    q_rows are the k - l rows whose y-coordinates vary; y_head fixes the
+    remaining rows' coordinates (each in [1, 2) in magnitude).  J is the
+    closed-form Jacobian of the map (zeta, y_Q) -> (y_i (C zeta)_i)_i.  The
+    map covers R^k up to a null set with no overlap, so no symmetry factor
+    is needed.
+
+    The y_Q integrals use windows scaled per zeta node by 1/|(C zeta)_i| so
+    the Gaussian slice is always resolved; the zeta rule is polar with the
+    circle split at the Jacobian's kink directions when l = 2.
+    """
+    cfg = cfg or McConfig()
+    k, l = matrix.k, matrix.l
+    q_rows = tuple(sorted(int(i) for i in q_rows))
+    if len(q_rows) != k - l:
+        raise ValueError(f"Q must have {k - l} rows")
+    head_rows = tuple(i for i in range(k) if i not in q_rows)
+    y_head = np.asarray(y_head, dtype=float)
+    if y_head.shape != (l,):
+        raise ValueError(f"y_head must fix {l} coordinates (rows {head_rows})")
+    if np.any(np.abs(y_head) < 1.0) or np.any(np.abs(y_head) >= 2.0):
+        raise ValueError("fixed |y| values must lie in [1, 2)")
+    if g.dim != k:
+        raise ValueError("g must live on R^k")
+
+    head_mat = matrix.array[list(head_rows)]  # (l, l)
+    head_det = abs(float(det_fraction(matrix.row_submatrix(head_rows))))
+    if head_det == 0.0:
+        raise ValueError("the fixed rows form a singular submatrix")
+    scaled = y_head[:, None] * head_mat
+    r_zeta = 1.2 * _tau_radius(g) / float(np.linalg.svd(scaled, compute_uv=False)[-1])
+
+    if l == 2:
+        r, wr = gauss_legendre_interval(cfg.n_radial, 0.0, r_zeta)
+        theta, wtheta = _split_circle_rule(matrix.array, max(8, cfg.n_sphere // 4))
+        znodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, 2)
+        zweights = np.multiply.outer(wr * r, wtheta).ravel()
+    else:
+        znodes, zweights, _ = _polar_nodes(0.0, l, r_zeta, cfg)
+
+    images = znodes @ matrix.array.T  # (N, k)
+    # head factor: product over fixed rows of g's axis slice at y_i (C zeta)_i,
+    # times |y_i|, times the submatrix determinant
+    sig = np.asarray(g.sigmas)
+    mu = np.asarray(g.mean)
+    vals = np.full(len(znodes), g.amplitude * head_det * float(np.prod(np.abs(y_head))))
+    for a, i in enumerate(head_rows):
+        tau_i = y_head[a] * images[:, i]
+        vals = vals * np.exp(-0.5 * ((tau_i - mu[i]) / sig[i]) ** 2)
+
+    # tail rows: per-node scaled Gauss-Legendre window in y_i, axis integral of
+    # |w_i| * g_i(y w_i) over the window
+    n_yq = max(24, cfg.n_radial // 2)
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(n_yq)
+    for i in q_rows:
+        w_i = images[:, i]
+        extent = abs(mu[i]) + 6.0 * sig[i]
+        with np.errstate(divide="ignore"):
+            window = np.minimum(1e7, extent / np.abs(w_i))
+        yk = window[:, None] * base_nodes[None, :]
+        tau = w_i[:, None] * yk
+        gi = np.exp(-0.5 * ((tau - mu[i]) / sig[i]) ** 2)
+        axis_int = (gi @ base_weights) * window * np.abs(w_i)
+        vals = vals * axis_int
+
+    quadrature = float(np.sum(zweights * vals))
+    closed = g.mass
+    return ChangeOfVariablesReport(
+        closed_form=closed,
+        quadrature=quadrature,
+        rel_err=abs(quadrature - closed) / max(abs(closed), 1e-300),
+    )
 
 
 @pytest.mark.parametrize("q", [(0,), (1,), (2,)])
@@ -189,7 +302,7 @@ def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     ]
     for got, want in zip(fast, brute):
         np.testing.assert_allclose(got, want, rtol=1e-13)
-    assert fast[2][0] == pytest.approx(pointwise_rhs, rel=1e-13)
+    assert fast[2] == pytest.approx(pointwise_rhs, rel=1e-13)
 
 
 def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from surfconv.surface import (
     CoefficientMatrix,
     RowSelectionError,
-    ShellError,
     SingularSubmatrixError,
     adjoint_image,
     bilinear_forms,
@@ -16,8 +15,6 @@ from surfconv.surface import (
     comparability_constant,
     det_fraction,
     diagonal_forms,
-    dyadic_shell_index,
-    in_shell,
     invert_fraction_matrix,
     jacobian_bound_constant,
     jacobian_fd,
@@ -29,7 +26,6 @@ from surfconv.surface import (
     select_comparable_rows,
     shell_measure,
     surface_heights,
-    surface_point,
     verify_jacobian_bound,
 )
 
@@ -133,8 +129,6 @@ def test_select_with_too_small_constant_raises():
 def test_surface_heights_banded_closed_form():
     y = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(surface_heights(BANDED, y), [1 + 4, 4 + 9])
-    pt = surface_point(BANDED, y)
-    np.testing.assert_allclose(pt, [1, 2, 3, 5, 13])
 
 
 def test_bilinear_and_adjoint_are_transposes():
@@ -173,20 +167,10 @@ def test_jacobian_bound_on_shell_sample():
     assert jacobian_bound_constant(BANDED) == pytest.approx(1.0 / 5.0**0.5)
 
 
-def test_dyadic_shell_index_exact():
-    assert dyadic_shell_index([1.0, -3.0, 0.25]) == (0, 1, -2)
-    assert dyadic_shell_index([2.0]) == (1,)  # left-closed at powers of two
-    assert dyadic_shell_index([1.9999999]) == (0,)
-    with pytest.raises(ShellError):
-        dyadic_shell_index([0.0])
-
-
 def test_shell_measure_and_membership():
     assert shell_measure((0,)) == 2
     assert shell_measure((0, 0)) == 4
     assert shell_measure((-1, 1)) == F(2) ** 2
-    assert in_shell([1.5, -1.1], (0, 0))
-    assert not in_shell([0.5, 1.5], (0, 0))
 
 
 def test_sample_shell_uniform():
