@@ -9,26 +9,33 @@ are Monte Carlo over a support tube that provably contains
 supp(mu * chi_E) and has an exact volume.  That keeps the d = 5 experiments affordable: the atom positions are
 generated on the fly from grid indices and never need materializing.
 
-The batched kernel convolve_many first drops every z whose head-index
-window is certified empty by interval bounds on the heights over that window
-and the test set's bounding box alone (off the grid, outside the unit
-y-ball, or every tail outside the box).  For the rest it hands the set's
-contains_coords one coordinate array per axis, once per batch: each head
-coordinate z_i - y_i is a (B, 1, ..., n_i, ..., 1) table and each tail a
-full (B, n_1, ..., n_k) array, since heads and tails are sums of per-axis
-terms.  contains_coords is each set's only membership test, and every set
-runs it per axis, so the head tests stay on the small tables until the tail
-axes and no (B * window, d) point array is ever assembled.  Other callers
-pass points as columns, points.T.
+The batched kernel convolve_many works on a cube head-index window around
+each z, pruned by a two-level empty-window certificate built on one helper,
+_may_hit: interval bounds of |y|^2 and of the heights over a box of y drop
+the box when it lies outside the open unit y-ball or puts a tail outside
+the test set's bounding box.  The row level (_head_windows) drops every z
+whose whole window, clipped to the grid, is empty or certified.  The column
+level (_column_certificate) certifies each window column of the kept z: the
+first k - 1 head indices fixed, the last running over the row's clipped
+index interval, and the fixed heads z_i - y_i inside the box.  Only the
+kept columns reach the set's contains_coords, gathered as (n_cols, n_k)
+tables and handed over as one coordinate array per axis: each fixed head
+an (n_cols, 1) column, the last head and each tail a full table.  Heads and
+tails are sums of per-axis terms, contains_coords is each set's only
+membership test, and every set runs it per axis, so no (B * window, d)
+point array is ever assembled.  Other callers pass points as columns,
+points.T.  np.bincount adds the column counts into per-z counts.
 
-A batch holds at most _BATCH_POINTS = 65 536 window points.  Its full-window
-arrays (the tails, the validity sum and mask, and the ball's squares and
-running sums) are written with out= ufunc calls into the module's scratch
-buffers (_scratch), which grow to the largest batch and are never shrunk,
-so a run faults them in once instead of on every call.  Every call shares
-them, so two calls must not run at once.  The arithmetic is
-the same as with fresh arrays, in the same order, so every count is
-bit-identical.  No result a public function returns is a scratch view.
+A certificate batch holds at most _BATCH_POINTS = 32 768 window columns,
+and a membership batch at most as many points.  The membership batch's
+full-size arrays (the tails, the last head's squares and coordinates, the
+validity sum and mask, and the ball's squares and running sums) are
+written with out= ufunc calls into the module's scratch buffers (_scratch),
+which grow to the largest batch and are never shrunk, so a run faults them
+in once instead of on every call.  Every call shares them, so two calls
+must not run at once.  Every point's arithmetic is the one a full scan of
+the cube does, in the same order, so every count is bit-identical.  No
+result a public function returns is a scratch view.
 """
 
 from __future__ import annotations
@@ -261,10 +268,10 @@ class ShearedBoxSet:
     def bounding_box(self):
         k = self.matrix.k
         lo, hi = self.base.bounding_box()
-        h_lo, h_hi = _heights_interval(self.matrix, lo[:k], hi[:k])
+        _, h_lo, h_hi = _box_bounds(self.matrix.array, lo[:k], hi[:k])
         return (
-            np.concatenate([lo[:k], (lo[k:] + h_lo) / 2.0]),
-            np.concatenate([hi[:k], (hi[k:] + h_hi) / 2.0]),
+            np.concatenate([lo[:k], (lo[k:] + np.array(h_lo)) / 2.0]),
+            np.concatenate([hi[:k], (hi[k:] + np.array(h_hi)) / 2.0]),
         )
 
     def contains_coords(self, coords) -> np.ndarray:
@@ -279,9 +286,14 @@ class ShearedBoxSet:
         return self.base.contains_coords(list(coords[:k]) + tails)
 
 
-# Window points per batch of convolve_many.  At d = 5 the batch's scratch
-# (two tails, the ball's two sums and its square, the mask) is about 2.6 MB.
-_BATCH_POINTS = 65_536
+# Batch size of convolve_many: window columns per certificate batch, and
+# kept-column points per membership batch.  At d = 5 a membership batch's
+# scratch (two tails, the last head's squares and coordinates, the ball's
+# two sums and its square, the mask) is about 1.8 MB.  The last head axis
+# is full-size here, so 65 536 points, the batch of a whole-cube scan, raise
+# restricted_paraboloid's max RSS above that scan's; 32 768 keep every
+# shipped config at or below it.
+_BATCH_POINTS = 32_768
 
 _SCRATCH: dict[str, np.ndarray] = {}
 
@@ -308,35 +320,57 @@ def _ordered_sum(terms, out: np.ndarray):
     """
     acc = 0
     for t in terms:
-        if np.broadcast_shapes(np.shape(acc), np.shape(t)) == out.shape:
+        if np.broadcast(acc, t).shape == out.shape:
             acc = np.add(acc, t, out=out)
         else:
             acc = acc + t
     return acc
 
 
-def _squares_interval(lo: np.ndarray, hi: np.ndarray):
+def _squares_interval(lo, hi):
     """Componentwise bounds of y**2 over the interval [lo, hi]."""
-    sq_lo = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(lo**2, hi**2))
-    return sq_lo, np.maximum(lo**2, hi**2)
+    lo2, hi2 = np.square(lo), np.square(hi)
+    return np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(lo2, hi2)), np.maximum(lo2, hi2)
 
 
-def _heights_interval(matrix: CoefficientMatrix, lo: np.ndarray, hi: np.ndarray):
-    """Componentwise interval bounds of heights(y) over the box [lo, hi].
+def _box_bounds(arr: np.ndarray, y_lo, y_hi):
+    """Bounds over the head box prod_i [y_lo[i], y_hi[i]]: a lower bound of |y|^2,
+    and per-tail lists of lower and upper bounds of heights(y).
 
-    lo and hi are (k,) for one box or (B, k) for a batch; bounds are (l,) or (B, l).
+    y_lo and y_hi hold one broadcastable array (or scalar) per head axis, and
+    arr is the (k, l) coefficient array.  Every sum runs left to right over
+    the axes, the order of numpy's reduction over a length-k axis, so the
+    bounds are bit-identical to that reduction's.
     """
-    sq_lo, sq_hi = _squares_interval(lo, hi)
-    arr = matrix.array  # (k, l)
-    lo_c = np.where(arr > 0, sq_lo[..., None] * arr, sq_hi[..., None] * arr).sum(axis=-2)
-    hi_c = np.where(arr > 0, sq_hi[..., None] * arr, sq_lo[..., None] * arr).sum(axis=-2)
-    return lo_c, hi_c
+    sq = [_squares_interval(a, b) for a, b in zip(y_lo, y_hi)]
+
+    def ordered(terms):
+        return sum(terms[1:], terms[0])
+
+    h_lo = [ordered([(lo2 if ci > 0 else hi2) * ci for ci, (lo2, hi2) in zip(c, sq)]) for c in arr.T]
+    h_hi = [ordered([(hi2 if ci > 0 else lo2) * ci for ci, (lo2, hi2) in zip(c, sq)]) for c in arr.T]
+    return ordered([lo2 for lo2, _ in sq]), h_lo, h_hi
 
 
 # Absolute slack of the empty-window certificate.  Coordinates are O(1), so
 # rounding moves them by ~1e-15; the slack dwarfs that and stays far below
 # any grid spacing, so a window is skipped only when it misses by a margin.
 _SKIP_SLACK = 1e-9
+
+
+def _may_hit(arr: np.ndarray, y_lo, y_hi, tails, lo_tail, hi_tail):
+    """False only where no atom with head in prod_i [y_lo[i], y_hi[i]] puts z into the box.
+
+    Such an atom lies in the open unit y-ball, so the box's least |y|^2 must
+    be below 1; and each tail z_tail_j - heights_j(y) must reach the box's
+    tail [lo_tail[j], hi_tail[j]].  Arguments are per-axis and broadcast.
+    """
+    r2, h_lo, h_hi = _box_bounds(arr, y_lo, y_hi)
+    keep = r2 < 1.0 + _SKIP_SLACK
+    for t, bottom, top, a, b in zip(tails, h_lo, h_hi, lo_tail, hi_tail):
+        keep &= t - top <= b + _SKIP_SLACK
+        keep &= t - bottom >= a - _SKIP_SLACK
+    return keep
 
 
 def _check_dim(test_set, d: int):
@@ -399,8 +433,11 @@ class SurfaceMeasure:
 
     # -- index-range convolution --
 
+    def _grid_y(self, ix):
+        return -1.0 + (ix + 0.5) * self.spacing
+
     def _head_windows(self, lo: np.ndarray, hi: np.ndarray, zs: np.ndarray):
-        """Cube head-index windows of a set with bounding box [lo, hi].
+        """Cube head-index windows of a set with bounding box [lo, hi]: the row certificate.
 
         Returns each z's base index (N, k), the window's per-axis reach (k,)
         (offsets run over -reach..reach), and a mask that is False only where
@@ -414,64 +451,110 @@ class SurfaceMeasure:
         base = np.floor((zs[:, :k] - center + 1.0) / s - 0.5).astype(np.int64)
         i_lo = np.maximum(base - reach, 0)
         i_hi = np.minimum(base + reach, self.resolution - 1)
-        y_lo = -1.0 + (i_lo + 0.5) * s
-        y_hi = -1.0 + (i_hi + 0.5) * s
-        h_lo, h_hi = _heights_interval(self.matrix, y_lo, y_hi)
-        tails = zs[:, k:]
-        may_hit = (i_lo <= i_hi).all(axis=1)
-        may_hit &= _squares_interval(y_lo, y_hi)[0].sum(axis=1) < 1.0 + _SKIP_SLACK
-        may_hit &= (tails - h_hi <= hi[k:] + _SKIP_SLACK).all(axis=1)
-        may_hit &= (tails - h_lo >= lo[k:] - _SKIP_SLACK).all(axis=1)
+        # per-axis columns: a reduction over the short head axis costs more than k column ops
+        may_hit = _may_hit(self.matrix.array, self._grid_y(i_lo).T, self._grid_y(i_hi).T,
+                           zs[:, k:].T, lo[k:], hi[k:])
+        for a, b in zip(i_lo.T, i_hi.T):
+            may_hit &= a <= b
         return base, reach, may_hit
 
-    def convolve_many(self, test_set, zs: np.ndarray) -> np.ndarray:
-        """(mu * chi_E)(z) for a batch of z, sharing one cube index window.
+    def _column_certificate(self, lo, hi, z, base, reach):
+        """The column certificate of a batch of rows that passed the row certificate.
 
-        z whose window is certified empty are skipped.  For the rest, E's
-        contains_coords runs once per batch of at most _BATCH_POINTS window
-        points, on per-axis coordinates over the (B, n_1, ..., n_k) window:
-        the heads z_i - y_i as (B, n_i) tables (broadcast along the other
-        axes), the tails as full arrays.  Every set tests them per axis, with
-        no stacked point array.  The tails and the validity sum and mask live
-        in the scratch buffers; the returned array is new.
+        A column fixes the window's first k - 1 head indices; its last index
+        runs over the row's index interval clipped to the grid.  Returns the
+        fixed axes' y as (B, n_i) tables, and a (B, n_1, ..., n_{k-1}) mask
+        that is False only where the column provably holds no atom inside
+        the set: a fixed head z_i - y_i lies outside the box, or _may_hit
+        refuses the column's index box.  A fixed index off the grid has
+        |y_i| >= 1 + s/2, so _may_hit refuses it.
+        """
+        k, m = self.k, reach[-1]
+        lead = (len(z),) + (1,) * (k - 1)
+        y_fixed, y_box, heads_in = [], [], True
+        for i in range(k - 1):
+            y = self._grid_y(base[:, i, None] + np.arange(-reach[i], reach[i] + 1))
+            y_fixed.append(y)
+            y = y.reshape([len(z)] + [-1 if a == i else 1 for a in range(k - 1)])
+            y_box.append(y)
+            head = z[:, i].reshape(lead) - y
+            heads_in = heads_in & (head >= lo[i] - _SKIP_SLACK) & (head <= hi[i] + _SKIP_SLACK)
+        last = base[:, -1]
+        y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
+        y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
+        tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
+        keep = _may_hit(self.matrix.array, y_box + [y_lo], y_box + [y_hi], tails, lo[k:], hi[k:])
+        return y_fixed, keep & heads_in
+
+    def convolve_many(self, test_set, zs: np.ndarray) -> np.ndarray:
+        """(mu * chi_E)(z) for a batch of z, over one cube index window each.
+
+        The row certificate drops every z whose whole window is certified
+        empty.  The column certificate takes the kept z in batches of at
+        most _BATCH_POINTS window columns and keeps the columns that can
+        hold a hit.  E's contains_coords runs on at most _BATCH_POINTS
+        points of kept columns at a time, each column the whole run of
+        2 reach_k + 1 last-axis indices (an index off the grid fails the
+        unit-ball test), and np.bincount adds the column counts into per-z
+        counts.  The full-size arrays live in the scratch buffers; the
+        returned array is new.
         """
         _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         out = np.zeros(len(zs))
         lo, hi = (np.asarray(b, dtype=float) for b in test_set.bounding_box())
-        k, l, s = self.k, self.l, self.spacing
+        k, s = self.k, self.spacing
         base, reach, may_hit = self._head_windows(lo, hi, zs)
-        dims = tuple(2 * int(r) + 1 for r in reach)
-        window = math.prod(dims)
+        window = math.prod(2 * int(r) + 1 for r in reach)
         if window > 40_000_000:
             raise ValueError("test set too wide for this resolution's index window")
-        # offsets[i] runs along window axis i and is 1 wide on the others
-        offsets = [
-            np.arange(-m, m + 1).reshape([-1 if a == i else 1 for a in range(k)])
-            for i, m in enumerate(reach)
-        ]
-        arr = self.matrix.array
         rows = np.flatnonzero(may_hit)
-        batch = max(1, _BATCH_POINTS // window)
-        for b0 in range(0, len(rows), batch):
-            r = rows[b0 : b0 + batch]
-            z = zs[r].reshape((len(r),) + (1,) * k + (self.d,))
-            idx = [base[r, i].reshape(z.shape[:-1]) + offsets[i] for i in range(k)]
-            y = [-1.0 + (ix + 0.5) * s for ix in idx]
-            ysq = [yi**2 for yi in y]
-            shape = (len(r),) + dims
-            tails = _scratch("tails", l, shape)
-            (valid,) = _scratch("valid", 1, shape, bool)
-            # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid;
-            # tails[0] holds the sum until the first tail overwrites it
-            np.less(_ordered_sum(ysq, tails[0]), 1.0, out=valid)
-            coords = [z[..., i] - y[i] for i in range(k)]
-            for j, tail in enumerate(tails):
-                heights = _ordered_sum((ysq[i] * arr[i, j] for i in range(k)), tail)
-                coords.append(np.subtract(z[..., k + j], heights, out=tail))
-            valid &= test_set.contains_coords(coords)
-            out[r] = valid.reshape(len(r), -1).sum(axis=1) * s**k
+        run = np.arange(-reach[-1], reach[-1] + 1)  # the last axis's offsets
+        row_batch = max(1, _BATCH_POINTS // (window // len(run)))
+        col_batch = max(1, _BATCH_POINTS // len(run))
+        for b0 in range(0, len(rows), row_batch):
+            r = rows[b0 : b0 + row_batch]
+            y_fixed, keep = self._column_certificate(lo, hi, zs[r], base[r], reach)
+            row, *fixed = np.nonzero(keep)
+            # every column of a row shares the last axis's y: square it and subtract it once
+            y_last = self._grid_y(base[r, -1, None] + run)
+            sq_last, head_last = y_last**2, zs[r, k - 1, None] - y_last
+            counts = np.zeros(len(r))
+            for c0 in range(0, len(row), col_batch):
+                sel = row[c0 : c0 + col_batch]
+                z = zs[r[sel]]
+                y = [t[sel, c[c0 : c0 + col_batch], None] for t, c in zip(y_fixed, fixed)]
+                sq, head = _scratch("last", 2, (len(sel), len(run)))
+                # mode="clip" lets take write straight into out; every index is in range
+                np.take(sq_last, sel, axis=0, out=sq, mode="clip")
+                np.take(head_last, sel, axis=0, out=head, mode="clip")
+                ysq = [yi**2 for yi in y] + [sq]
+                heads = [z[:, i, None] - yi for i, yi in enumerate(y)] + [head]
+                counts += np.bincount(sel, self._column_hits(test_set, z, ysq, heads), len(r))
+            out[r] = counts * s**k
         return out
+
+    def _column_hits(self, test_set, z, ysq, heads) -> np.ndarray:
+        """Atoms inside the set, per kept column, from the columns' z (n, d).
+
+        ysq and heads hold each head axis's y_i^2 and z_i - y_i: (n, 1)
+        columns on the fixed axes, (n, n_k) tables on the last.
+        """
+        k, arr = self.k, self.matrix.array
+        shape = ysq[-1].shape
+        tails = _scratch("tails", self.l, shape)
+        (valid,) = _scratch("valid", 1, shape, bool)
+        # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid;
+        # tails[0] holds the sum until the first tail overwrites it
+        np.less(_ordered_sum(ysq, tails[0]), 1.0, out=valid)
+        coords = list(heads)
+        for j, tail in enumerate(tails):
+            # the last axis's term goes into tail first, so the sum allocates nothing full-size
+            np.multiply(ysq[-1], arr[-1, j], out=tail)
+            heights = _ordered_sum([ysq[i] * arr[i, j] for i in range(k - 1)] + [tail], tail)
+            coords.append(np.subtract(z[:, k + j, None], heights, out=tail))
+        valid &= test_set.contains_coords(coords)
+        return valid.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

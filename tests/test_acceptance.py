@@ -15,7 +15,6 @@ from surfconv.battery import battery_entry, load_battery
 from surfconv.cli import main as cli_main
 from surfconv.convolution import ScalingConfig, ball_scaling_experiment
 from surfconv.exponents import (
-    ExponentPair,
     critical_p0,
     critical_q0,
     ricci_gap,

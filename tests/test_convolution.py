@@ -34,6 +34,7 @@ from surfconv.convolution import (
     restricted_estimate_scan,
     shell_bilinear_estimate,
     shell_sum_estimate,
+    standard_set_family,
 )
 from surfconv.gaussians import GaussianSpec
 from surfconv.quadrature import gauss_legendre_interval
@@ -42,6 +43,7 @@ from surfconv.surface import CoefficientMatrix, surface_heights
 PARABOLOID = CoefficientMatrix.from_rows([[1], [1]])  # k=2 l=1 d=3
 PARABOLA = CoefficientMatrix.from_rows([[1]])  # k=1 l=1 d=2
 BANDED = CoefficientMatrix.from_rows([[1, 0], [1, 1], [0, 1]])  # k=3 l=2 d=5
+MIXED_SIGNS = CoefficientMatrix.from_rows([[1, -2], [Fraction(1, 2), 1], [-1, 3]])  # k=3 l=2
 
 
 def total_mass(mu):
@@ -188,7 +190,8 @@ def z_battery(mu, test_set, rng):
 
 class TestKernelOracle:
     @pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared"])
-    @pytest.mark.parametrize("matrix,resolution", [(PARABOLOID, 64), (BANDED, 32)], ids=["k2", "k3"])
+    @pytest.mark.parametrize("matrix,resolution", [(PARABOLOID, 64), (BANDED, 32), (MIXED_SIGNS, 32)],
+                             ids=["k2", "k3", "k3-mixed"])
     def test_counts_match_brute_force(self, matrix, resolution, kind):
         rng = np.random.default_rng(resolution)
         mu = SurfaceMeasure(matrix, resolution)
@@ -199,6 +202,56 @@ class TestKernelOracle:
         keeps = [kernel_keeps(mu, test_set, z) for z in zs]
         assert any(keeps) and not all(keeps)
         assert np.count_nonzero(got) >= 60
+
+
+def kept_columns(mu, test_set, z) -> int:
+    """Window columns of z that the column certificate keeps; 0 where the row certificate drops z."""
+    lo, hi = (np.asarray(b) for b in test_set.bounding_box())
+    base, reach, may_hit = mu._head_windows(lo, hi, z[None, :])
+    if not may_hit[0]:
+        return 0
+    return int(np.count_nonzero(mu._column_certificate(lo, hi, z[None, :], base, reach)[1]))
+
+
+def column_flip_pair(mu, test_set, z, far):
+    """Adjacent points on the segment z -> far either side of a change in kept_columns."""
+    start = kept_columns(mu, test_set, z)
+    a, b = 0.0, 1.0
+    for _ in range(60):
+        mid = (a + b) / 2.0
+        if kept_columns(mu, test_set, z + mid * (far - z)) == start:
+            a = mid
+        else:
+            b = mid
+    return z + a * (far - z), z + b * (far - z)
+
+
+class TestColumnCertificate:
+    @pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared"])
+    @pytest.mark.parametrize("matrix,resolution", [(PARABOLOID, 64), (BANDED, 32), (MIXED_SIGNS, 32)],
+                             ids=["k2", "k3", "k3-mixed"])
+    def test_counts_match_brute_force_where_a_column_flips(self, matrix, resolution, kind):
+        # moving z along any axis drops window columns one at a time; either side of each
+        # drop the kernel must count exactly what a sum over every atom counts
+        rng = np.random.default_rng(resolution + 1)
+        mu = SurfaceMeasure(matrix, resolution)
+        test_set = set_kinds(matrix, rng)[kind]
+        lo, hi = test_set.bounding_box()
+        cand = rng.uniform(lo, hi, (200_000, mu.d))
+        in_set = cand[test_set.contains_coords(cand.T)][:20]
+        starts = mu.points[rng.integers(0, len(mu.points), len(in_set))] + in_set
+        pairs = []
+        for z in starts[:3]:
+            for axis in range(mu.d):
+                for sign in (-1.0, 1.0):
+                    far = z.copy()
+                    far[axis] += sign * 4.0
+                    pairs.append(np.stack(column_flip_pair(mu, test_set, z, far)))
+        zs = np.concatenate(pairs)
+        kept = np.array([kept_columns(mu, test_set, z) for z in zs]).reshape(-1, 2)
+        # most pairs straddle a column drop, not the row certificate's
+        assert np.count_nonzero((kept[:, 0] != kept[:, 1]) & (kept.min(axis=1) > 0)) > len(kept) // 2
+        assert np.array_equal(mu.convolve_many(test_set, zs), brute_force_counts(mu, test_set, zs))
 
 
 def tube_zs(mu, test_set, n, seed):
@@ -232,6 +285,23 @@ class TestKernelScratch:
         assert np.count_nonzero(first) > 0 and np.array_equal(first, second)
         assert peak < 1_000_000
 
+    def test_warm_k2_call_on_a_restricted_scan_set_stays_small(self):
+        # one lq_norm_mc chunk (1500 / 8 z) of the shipped restricted scan on its widest
+        # box union, a 69 x 61 window: the certificate grids are bounded by the batch, and
+        # the gathered last-axis squares, coordinates and height terms go to the scratch
+        mu = SurfaceMeasure(PARABOLOID, 128)
+        boxes = dict(standard_set_family(PARABOLOID, 8, 8))["boxes-7"]
+        zs = tube_zs(mu, boxes, 188, 3)
+        first = mu.convolve_many(boxes, zs)
+        tracemalloc.start()
+        try:
+            second = mu.convolve_many(boxes, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(first) > 0 and np.array_equal(first, second)
+        assert peak < 500_000
+
     def test_results_are_not_scratch_views(self):
         mu = SurfaceMeasure(PARABOLOID, 64)
         rng = np.random.default_rng(5)
@@ -245,9 +315,6 @@ class TestKernelScratch:
         mu.convolve_many(b, tube_zs(mu, b, 300, 2))
         assert np.array_equal(mask, kept_mask) and np.array_equal(counts, kept_counts)
         assert mask.any() and counts.any()
-
-
-MIXED_SIGNS = CoefficientMatrix.from_rows([[1, -2], [Fraction(1, 2), 1], [-1, 3]])
 
 
 @settings(max_examples=60, deadline=None)

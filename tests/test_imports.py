@@ -1,9 +1,9 @@
 """Static checks on the package source: every module imports in its top-level
-block, every name it imports is used, every private module-level name it
-defines is read somewhere in the package, and every public name, method or
-property it defines is read by a run, an acceptance gate, a demo, the README
-quickstart or the bench tracer.  Only parallel.py spawns seeded streams or
-takes a sample spread."""
+block, every name it or a test imports is used, every private module-level
+name it defines is read somewhere in the package, and every public name,
+method or property it defines is read by a run, an acceptance gate, a demo,
+the README quickstart or the bench tracer.  Only parallel.py spawns seeded
+streams or takes a sample spread."""
 
 import ast
 from collections import Counter
@@ -35,6 +35,16 @@ def test_package_has_no_unused_imports():
     found = [
         f"{path.name}:{line}: {name}"
         for path in sorted(SRC.glob("*.py"))
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def test_tests_have_no_unused_imports():
+    # a dead import in a test would count as a read and keep a src/ name past the guards below
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
