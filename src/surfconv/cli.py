@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks passed; 1 a check failed (or matrix generation gave
 up); 2 the config or arguments are invalid, with a pointer to the offending
-key.  All files are written via write-then-rename so a crash never leaves a
-half-written output, and payload.json plus the CSV tables are byte-stable
-across reruns of the same config and seed.
+key, or an output cannot be written.  All files are written via
+write-then-rename so a crash never leaves a half-written output, and
+payload.json plus the CSV tables are byte-stable across reruns of the same
+config and seed.
 """
 
 from __future__ import annotations
@@ -61,23 +62,31 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+class OutputError(Exception):
+    """An output file cannot be written."""
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write through a uniquely named temporary file in the target directory.
 
     The unique name keeps concurrent runs writing into one directory from
     renaming each other's half-written files.  mkstemp creates the file
-    owner-only; it is opened up to 0644 so outputs stay shareable.
+    owner-only; it is opened up to 0644 so outputs stay shareable.  Any
+    OSError is raised as OutputError.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        os.fchmod(fd, 0o644)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            os.fchmod(fd, 0o644)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write output {path}: {exc}") from exc
 
 
 def _csv_cell(x) -> str:
@@ -412,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

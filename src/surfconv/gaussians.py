@@ -73,21 +73,22 @@ class GaussianSpec:
             [-0.5 * prec * v * v, prec * mean * v, np.full((len(v), 1), const)], axis=1
         )
 
-    def product_block(self, s, side) -> np.ndarray:
+    def product_block(self, s, side, out=None) -> np.ndarray:
         """The (A, B) block w(s_a * v_b) for side = product_side(v).
 
-        The exponents are exponentiated in place, in the array that holds
-        them.  Exponents below log(sys.float_info.min), whose exp would be
-        subnormal or 0, are set to exactly 0 and never reach np.exp: its
-        slow path for such results costs one to two orders of magnitude more
-        than a normal value.
+        The exponents go into out (a C-contiguous (A, B) float buffer that a
+        caller of many blocks reuses; a new array if None) and are
+        exponentiated there.  Exponents below log(sys.float_info.min), whose
+        exp would be subnormal or 0, never reach np.exp, whose slow path for
+        them costs one to two orders of magnitude more than a normal value:
+        they keep their negative exponent, and the clip at 0 makes exactly
+        them +0.0 (every exp value is positive, and NaN stays NaN).
         """
         s = np.asarray(s, dtype=float)
         left = np.concatenate([s * s, s, np.ones((len(s), 1))], axis=1)
-        out = left @ side.T
-        tail = out < _LOG_MIN_NORMAL
-        np.exp(out, out=out, where=~tail)
-        np.copyto(out, 0.0, where=tail)
+        out = np.matmul(left, side.T, out=out)
+        np.exp(out, out=out, where=out >= _LOG_MIN_NORMAL)
+        np.maximum(out, 0.0, out=out)
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -25,7 +25,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import overload
 
 import numpy as np
 
@@ -49,6 +48,9 @@ Y_CHUNKS = 16
 # of every weight's mass (validated analytically for Gaussians); the rules
 # tighten it to the ball holding all but 1e-9 of a more concentrated weight.
 TRUNCATION_RADIUS = 12.0
+
+# About the most values of w that _weight_integral evaluates at once: its memory bound.
+TAU_SLICE = 65_536
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,21 @@ def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConf
     """integral |tau|^exponent w(tau) dtau over the ball of radius r_max.
 
     The polar rule is a product of radial nodes r and sphere nodes theta, so
-    w is evaluated as the (n_r, n_theta) block w(r_a * theta_b) and contracted
-    as (wr * r^exponent) @ W @ wtheta.  For exponent < 0 the rule leaves out
-    a core ball (see _radial_rule).
+    the integral is (wr * r^exponent) @ W @ wtheta for the (n_r, n_theta)
+    block W = w(r_a * theta_b).  W is built and contracted with the radial
+    factor in slices of about TAU_SLICE values, whole groups of 8 sphere
+    nodes: each node keeps the vector lane it has in one product with all
+    of W, and so every bit (other widths moved some).  For exponent < 0 the
+    rule leaves out a core ball (see _radial_rule).
     """
     r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
-    block = w.product_block(np.repeat(r[:, None], w.dim, axis=1), w.product_side(theta))
-    return float((wr * r**exponent) @ block @ wtheta)
+    radial, factor = np.repeat(r[:, None], w.dim, axis=1), wr * r**exponent
+    step = max(8, TAU_SLICE // len(r) // 8 * 8)
+    per_node = np.empty(len(theta))
+    for lo in range(0, len(theta), step):
+        side = w.product_side(theta[lo : lo + step])
+        per_node[lo : lo + step] = factor @ w.product_block(radial, side)
+    return float(per_node @ wtheta)
 
 
 def _region_masks(
@@ -222,11 +232,12 @@ def _lhs_shell_integral(
     y-samples against all nodes is one GaussianSpec.product_block call, whose
     node side (built from v = C zeta) is built once per group, and the block
     is contracted with each rho's factor vector in its own matrix-vector
-    product.  The block's exponents below the normal range give 0 without
-    calling exp.  The y-samples are drawn in Y_CHUNKS seeded chunks and
-    parallel.seeded_mean reduces each rho's row on its own, so results do
-    not depend on which other rhos share the call.  node_mask, if
-    given, selects among the nodes of the rule that all rhos share.
+    product.  Every block is written into one buffer per call, sized for
+    the largest, so the chunks reuse its memory.  The y-samples are drawn
+    in Y_CHUNKS seeded chunks and parallel.seeded_mean reduces each rho's
+    row on its own, so results do not depend on which other rhos share the
+    call.  node_mask, if given, selects among the nodes of the rule that
+    all rhos share.
     Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
     unit_shell = (0,) * matrix.k
@@ -234,7 +245,7 @@ def _lhs_shell_integral(
     rhos = [float(rho) for rho in rhos]
     r_zeta = _zeta_radius(matrix, w)
     rows = []  # the rho of each sample row, group by group
-    groups = []  # (node side, factor vectors) per radial rule
+    groups = []  # (node side, block rows, factor vectors) per radial rule
     for negative in (False, True):
         group = list(dict.fromkeys(rho for rho in rhos if (rho < 0) == negative))
         if not group:
@@ -245,17 +256,22 @@ def _lhs_shell_integral(
         if len(nodes) == 0:
             continue
         side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
-        groups.append((side, [weights * radii**rho for rho in group]))
+        step = max(1, 2_000_000 // len(side))
+        groups.append((side, step, [weights * radii**rho for rho in group]))
         rows += group
+
+    # seeded_mean gives the last chunk the most samples, so its widest block sizes the buffer
+    most = cfg.n_y - (Y_CHUNKS - 1) * (cfg.n_y // Y_CHUNKS)
+    buffer = np.empty(max((min(step, most) * len(side) for side, step, _ in groups), default=0))
 
     def chunk_values(rng, n) -> np.ndarray:
         ys = sample_shell(rng, unit_shell, n)
         out = np.empty((len(rows), n))
         row = 0
-        for side, factors in groups:
-            step = max(1, 2_000_000 // len(side))
+        for side, step, factors in groups:
             for lo in range(0, n, step):
-                block = w.product_block(ys[lo : lo + step], side)
+                s = ys[lo : lo + step]
+                block = w.product_block(s, side, out=buffer[: len(s) * len(side)].reshape(len(s), -1))
                 for i, f in enumerate(factors):
                     out[row + i, lo : lo + step] = block @ f
             row += len(factors)
@@ -291,24 +307,6 @@ def _ratio_report(
             f"(lhs {lhs}, rhs {rhs}, stderr {stderr})"
         )
     return RatioReport(lhs=lhs, rhs=rhs, ratio=ratio, stderr=stderr)
-
-
-@overload
-def pullback_weight_ratio(
-    matrix: CoefficientMatrix,
-    rho: float,
-    w: GaussianSpec,
-    cfg: McConfig | None = ...,
-) -> RatioReport: ...
-
-
-@overload
-def pullback_weight_ratio(
-    matrix: CoefficientMatrix,
-    rho: Sequence[float],
-    w: GaussianSpec,
-    cfg: McConfig | None = ...,
-) -> list[RatioReport]: ...
 
 
 def pullback_weight_ratio(
@@ -414,11 +412,15 @@ def plancherel_ratio(
     B = ||f||_2^2 in closed form.  Applying the pullback identity with
     w = |f^|^2 and rho = d - 2l makes the pulled-back weight exponent
     rho - (k - l) = 0, so the identity's right side is exactly ||f^||_2^2,
-    which is B again: the reported ratio is the identity's constant itself.
+    which is B again: the reported ratio is the identity's constant itself,
+    and no tau quadrature is run.
     """
     cfg = cfg or McConfig()
     rho = float(matrix.k - matrix.l)  # d - 2l with d = k + l
     w = squared_fourier_weight(f)
-    rep = pullback_weight_ratio(matrix, rho, w, cfg)
+    _check_inputs(matrix, [rho], w)
+    ((lhs, stderr),) = _lhs_shell_integral(matrix, [rho], w, cfg)
+    if not (math.isfinite(lhs) and math.isfinite(stderr)):
+        raise ValueError(f"rho = {rho}: non-finite frequency estimate (lhs {lhs}, stderr {stderr})")
     b = f.l2_norm_sq
-    return RatioReport(lhs=rep.lhs, rhs=b, ratio=rep.lhs / b, stderr=rep.stderr / b)
+    return RatioReport(lhs=lhs, rhs=b, ratio=lhs / b, stderr=stderr / b)

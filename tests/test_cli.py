@@ -666,6 +666,23 @@ def test_module_entry_point():
     assert "gen-matrix" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["run", "gen-matrix"])
+def test_unwritable_output_exits_two_without_a_traceback(tmp_path, command):
+    # a regular file where the output directory (run) or its parent (gen-matrix) must go
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if command == "run":
+        argv = ["run", "--config", checkstar_config(tmp_path), "--out", str(blocker)]
+    else:
+        argv = ["gen-matrix", "--k", "2", "--l", "1", "--out", str(blocker / "m.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "surfconv", *argv], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 2
+    assert "error: cannot write output" in proc.stderr and "Traceback" not in proc.stderr
+    assert blocker.read_text() == ""
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 

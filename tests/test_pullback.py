@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 
 from surfconv.battery import battery_entry
-from surfconv.gaussians import GaussianSpec
+from surfconv.gaussians import GaussianSpec, random_gaussian
 from surfconv.pullback import (
+    TAU_SLICE,
     McConfig,
     _lhs_shell_integral,
     _polar_nodes,
+    _polar_rule,
     _tau_radius,
     _weight_integral,
     plancherel_ratio,
@@ -49,8 +52,8 @@ def test_plancherel_one_dimensional_oracle():
     cfg = McConfig(n_y=4000, seed=13)
     rep = plancherel_ratio(SCALAR, f, cfg)
     assert rep.ratio == pytest.approx(2.0 * math.log(2.0) / 1.5, rel=0.02)
-    # the quadrature on the bound side of the call plancherel_ratio makes
-    # reproduces ||f||_2^2 to near machine
+    # the tau quadrature that plancherel_ratio leaves out (its rhs is in
+    # closed form) reproduces ||f||_2^2 to near machine
     pullback = pullback_weight_ratio(SCALAR, 0.0, squared_fourier_weight(f), cfg)
     assert pullback.rhs == pytest.approx(f.l2_norm_sq, rel=1e-6)
 
@@ -293,7 +296,7 @@ def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     monkeypatch.setattr(
         GaussianSpec,
         "product_block",
-        lambda self, s, v: self.evaluate(s[:, None, :] * v[None, :, :]),
+        lambda self, s, v, out=None: self.evaluate(s[:, None, :] * v[None, :, :]),
     )
     brute = [
         _lhs_shell_integral(BANDED, [0.5], w, cfg)[0],
@@ -303,6 +306,73 @@ def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     for got, want in zip(fast, brute):
         np.testing.assert_allclose(got, want, rtol=1e-13)
     assert fast[2] == pytest.approx(pointwise_rhs, rel=1e-13)
+
+
+def one_block_weight_integral(w, exponent, r_max, cfg):
+    """_weight_integral's product with the whole (radial, sphere) block at once."""
+    r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
+    block = w.product_block(np.repeat(r[:, None], w.dim, axis=1), w.product_side(theta))
+    return float((wr * r**exponent) @ block @ wtheta)
+
+
+# the shipped plancherel config's first f, and its doubled plan
+PLANCHEREL_F = random_gaussian(np.random.Generator(np.random.PCG64(np.random.SeedSequence(4))), 3)
+PLANCHEREL_W = squared_fourier_weight(PLANCHEREL_F)
+PLANCHEREL_DOUBLED = McConfig(seed=4, n_y=300).doubled()
+
+
+@pytest.mark.parametrize(
+    "w, exponent, cfg, shape",
+    [
+        (PLANCHEREL_W, 0.0, PLANCHEREL_DOUBLED, (96, 8192)),
+        # lemma's doubled plan: the negative tau exponent rho - k + l = -1 of rho = 0
+        (W3, -1.0, McConfig(n_radial=32, n_sphere=32).doubled(), (400, 2048)),
+    ],
+    ids=["plancherel-doubled", "lemma-negative"],
+)
+def test_sliced_weight_integral_is_bit_equal_to_one_block(w, exponent, cfg, shape):
+    r_max = _tau_radius(w)
+    r, _, theta, _ = _polar_rule(exponent, w.dim, r_max, cfg)
+    assert (len(r), len(theta)) == shape and len(r) * len(theta) > TAU_SLICE
+    assert _weight_integral(w, exponent, r_max, cfg) == one_block_weight_integral(w, exponent, r_max, cfg)
+
+
+@pytest.mark.parametrize("nodes", [1, 5, 7, 13])
+def test_slices_are_whole_groups_of_8_sphere_nodes(monkeypatch, nodes):
+    # on this 320 x 256 rule, slices of 1, 5, 7 or 13 sphere nodes each move the last bit
+    cfg = McConfig(n_radial=8, n_sphere=16)
+    monkeypatch.setattr("surfconv.pullback.TAU_SLICE", 320 * nodes)
+    r_max = _tau_radius(W3)
+    assert _weight_integral(W3, -1.0, r_max, cfg) == one_block_weight_integral(W3, -1.0, r_max, cfg)
+
+
+class TestFrequencyKernelMemory:
+    """Warm peaks of the frequency kernel on plancherel's doubled plan, where
+    a shell block is 45 x 12 288 exponents (4.4 MB) and the tau rule 96 x 8 192."""
+
+    @staticmethod
+    def warm_peak(fn):
+        first = fn()  # fills the caches of the Legendre rules and the matrix checks
+        tracemalloc.start()
+        try:
+            second = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == second
+        return peak
+
+    def test_plancherel_ratio_holds_one_shell_block(self):
+        # one reused block buffer: 6.2 MB; a fresh block per chunk and a tau quadrature: 8.6 MB
+        matrix = battery_entry("banded-3-2").matrix
+        peak = self.warm_peak(lambda: plancherel_ratio(matrix, PLANCHEREL_F, PLANCHEREL_DOUBLED))
+        assert peak < 6_500_000
+
+    def test_weight_integral_holds_one_sphere_slice(self):
+        # 96 x 680 values per slice: 1.0 MB; the whole 96 x 8 192 block: 8.6 MB
+        w = PLANCHEREL_W
+        peak = self.warm_peak(lambda: _weight_integral(w, 0.0, _tau_radius(w), PLANCHEREL_DOUBLED))
+        assert peak < 1_500_000
 
 
 def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
