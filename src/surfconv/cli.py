@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .battery import ThresholdTooHighError, generate_matrix, battery_entry
-from .rationals import frac_str, frac_to_pair
+from .rationals import frac_to_pair
 from .schema import first_error
 from .surface import CoefficientMatrix
 from .suites import run_suite
@@ -37,14 +37,6 @@ from .suites import run_suite
 def _json_default(o):
     if isinstance(o, np.bool_):
         return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, Fraction):
-        return frac_str(o)
     if dataclasses.is_dataclass(o) and not isinstance(o, type):
         # shallow: json recurses into the field values itself
         return {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
@@ -94,10 +86,6 @@ def _csv_cell(x) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
-    if isinstance(x, np.floating):
-        return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
     return str(x)
 
 

@@ -386,7 +386,7 @@ class SurfaceMeasure:
     """Atomic discretization of the graph measure over the unit y-ball.
 
     Atoms sit at (y; heights(y)) for y-grid cell centers inside the open
-    unit ball, each with weight spacing^k.  points materializes lazily; the
+    unit ball, each with weight spacing^k.  They are never materialized: the
     convolution works from grid indices alone, which is what makes high
     resolutions in k = 3 viable.
     """
@@ -411,25 +411,6 @@ class SurfaceMeasure:
     @property
     def d(self) -> int:
         return self.matrix.d
-
-    def _axis_centers(self) -> np.ndarray:
-        return -1.0 + (np.arange(self.resolution) + 0.5) * self.spacing
-
-    @property
-    def points(self) -> np.ndarray:
-        if not hasattr(self, "_points"):
-            ys = self._source_grid()
-            self._points = np.concatenate([ys, surface_heights(self.matrix, ys)], axis=1)
-        return self._points
-
-    def _source_grid(self) -> np.ndarray:
-        if self.resolution**self.k > 40_000_000:
-            raise MemoryError(
-                "refusing to materialize this grid; use the index-query paths"
-            )
-        axes = np.meshgrid(*([self._axis_centers()] * self.k), indexing="ij")
-        ys = np.stack([a.ravel() for a in axes], axis=-1)
-        return ys[(ys**2).sum(axis=1) < 1.0]
 
     # -- index-range convolution --
 

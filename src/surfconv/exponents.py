@@ -103,10 +103,6 @@ class TypeSet:
     vertices: tuple[ExponentPair, ExponentPair, ExponentPair]
     ricci_gap: Fraction | None
 
-    @property
-    def d(self) -> int:
-        return self.k + self.l
-
     def to_json(self) -> dict:
         return {
             "k": self.k,

@@ -13,7 +13,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Both sides of a verified inequality and their ratio, with MC error."""
+    """Both sides of a verified inequality and their ratio, with MC error.
+
+    stderr is the lhs's for shell_bilinear_estimate and the pullback ratios, but the
+    ratio's (lhs's / rhs) for plancherel_ratio.  The suites' CSVs call both `stderr`.
+    """
 
     lhs: float
     rhs: float

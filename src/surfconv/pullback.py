@@ -217,6 +217,21 @@ def _zeta_radius(matrix: CoefficientMatrix, w: GaussianSpec) -> float:
     return 1.2 * _tau_radius(w) / float(np.linalg.svd(matrix.array, compute_uv=False)[-1])
 
 
+def _node_group(matrix: CoefficientMatrix, group: list[float], w: GaussianSpec, r_zeta: float,
+                cfg: McConfig, node_mask: np.ndarray | None):
+    """Node side, block row step and per-rho factor vectors of rhos sharing one
+    polar rule; None if node_mask keeps no node.  The rule's nodes, weights and
+    radii die on return, so the chunk loop does not hold them."""
+    nodes, weights, radii = _polar_nodes(group[0], matrix.l, r_zeta, cfg)
+    if node_mask is not None:
+        nodes, weights, radii = nodes[node_mask], weights[node_mask], radii[node_mask]
+    if len(nodes) == 0:
+        return None
+    side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
+    step = max(1, 2_000_000 // len(side))
+    return side, step, [weights * radii**rho for rho in group]
+
+
 def _lhs_shell_integral(
     matrix: CoefficientMatrix,
     rhos,
@@ -241,24 +256,16 @@ def _lhs_shell_integral(
     Returns one (lhs, stderr) pair per entry of rhos, in order.
     """
     unit_shell = (0,) * matrix.k
-    l = matrix.l
     rhos = [float(rho) for rho in rhos]
     r_zeta = _zeta_radius(matrix, w)
     rows = []  # the rho of each sample row, group by group
     groups = []  # (node side, block rows, factor vectors) per radial rule
     for negative in (False, True):
         group = list(dict.fromkeys(rho for rho in rhos if (rho < 0) == negative))
-        if not group:
-            continue
-        nodes, weights, radii = _polar_nodes(group[0], l, r_zeta, cfg)
-        if node_mask is not None:
-            nodes, weights, radii = nodes[node_mask], weights[node_mask], radii[node_mask]
-        if len(nodes) == 0:
-            continue
-        side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
-        step = max(1, 2_000_000 // len(side))
-        groups.append((side, step, [weights * radii**rho for rho in group]))
-        rows += group
+        built = _node_group(matrix, group, w, r_zeta, cfg, node_mask) if group else None
+        if built is not None:
+            groups.append(built)
+            rows += group
 
     # seeded_mean gives the last chunk the most samples, so its widest block sizes the buffer
     most = cfg.n_y - (Y_CHUNKS - 1) * (cfg.n_y // Y_CHUNKS)

@@ -24,7 +24,7 @@ def frac_str(x) -> str:
 
 
 def pair_to_frac(pair) -> Fraction:
-    """Parse a [numerator, denominator] pair (or a bare int) into a Fraction."""
+    """Parse a [numerator, denominator] pair into a Fraction."""
     if isinstance(pair, (list, tuple)):
         if len(pair) != 2:
             raise ValueError(f"rational pair must have two entries, got {pair!r}")
@@ -32,6 +32,4 @@ def pair_to_frac(pair) -> Fraction:
         if int(den) == 0:
             raise ValueError(f"rational pair {pair!r} has a zero denominator")
         return Fraction(int(num), int(den))
-    if isinstance(pair, int):
-        return Fraction(pair)
     raise TypeError(f"cannot parse {pair!r} as an exact rational")

@@ -9,6 +9,23 @@ import numpy as np
 
 from surfconv.gaussians import GaussianSpec
 from surfconv.quadrature import gauss_legendre_interval
+from surfconv.surface import surface_heights
+
+
+def atom_points(mu) -> np.ndarray:
+    """Every atom (y; heights(y)) of a SurfaceMeasure as an (N, d) array.
+
+    The y are the grid's cell centers inside the open unit ball, in the
+    order of a C-order scan of the grid.  A grid of more than 40 M cells
+    is refused with MemoryError rather than materialized.
+    """
+    if mu.resolution**mu.k > 40_000_000:
+        raise MemoryError("refusing to materialize this grid; use the index-query paths")
+    centers = -1.0 + (np.arange(mu.resolution) + 0.5) * mu.spacing
+    axes = np.meshgrid(*([centers] * mu.k), indexing="ij")
+    ys = np.stack([a.ravel() for a in axes], axis=-1)
+    ys = ys[(ys**2).sum(axis=1) < 1.0]
+    return np.concatenate([ys, surface_heights(mu.matrix, ys)], axis=1)
 
 
 def box_rule(n: int, box) -> tuple[np.ndarray, np.ndarray]:

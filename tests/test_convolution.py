@@ -9,6 +9,7 @@ Oracles used here:
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import atom_points
 from surfconv.battery import load_battery
 from surfconv.convolution import (
     _SKIP_SLACK,
@@ -47,7 +49,7 @@ MIXED_SIGNS = CoefficientMatrix.from_rows([[1, -2], [Fraction(1, 2), 1], [-1, 3]
 
 
 def total_mass(mu):
-    return len(mu.points) * mu.spacing**mu.k
+    return len(atom_points(mu)) * mu.spacing**mu.k
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +72,14 @@ class TestMeasureAtoms:
         assert abs(total_mass(mu_paraboloid) - math.pi) / math.pi < 0.005
 
     def test_parabola_atoms_sit_on_the_graph(self, mu_parabola):
-        pts = mu_parabola.points
+        pts = atom_points(mu_parabola)
         assert np.allclose(pts[:, 1], pts[:, 0] ** 2)
         assert np.abs(pts[:, 0]).max() < 1.0
         assert abs(total_mass(mu_parabola) - 2.0) < 0.01
 
     def test_pushforward_integral_vs_quadrature(self, mu_parabola):
         g = GaussianSpec(dim=2, amplitude=1.0, mean=(0.2, 0.3), sigmas=(0.5, 0.7))
-        val = float(np.sum(g.evaluate(mu_parabola.points))) * mu_parabola.spacing
+        val = float(np.sum(g.evaluate(atom_points(mu_parabola)))) * mu_parabola.spacing
         y, w = gauss_legendre_interval(200, -1.0, 1.0)
         oracle = float(np.sum(w * g.evaluate(np.stack([y, y * y], axis=1))))
         assert abs(val - oracle) / oracle < 0.005
@@ -89,7 +91,7 @@ class TestMeasureAtoms:
     def test_huge_grid_refuses_to_materialize(self):
         mu = SurfaceMeasure(BANDED, 512)  # 512^3 atom candidates
         with pytest.raises(MemoryError):
-            mu.points
+            atom_points(mu)
 
     @pytest.mark.filterwarnings("ignore:row-submatrix condition fails")
     @pytest.mark.parametrize("entry", load_battery(), ids=lambda e: e.entry_id)
@@ -145,7 +147,7 @@ def set_kinds(matrix, rng):
 
 
 def brute_force_counts(mu, test_set, zs):
-    cols = mu.points.T
+    cols = atom_points(mu).T
     counts = [np.count_nonzero(test_set.contains_coords(z[:, None] - cols)) for z in zs]
     return np.array(counts) * mu.spacing**mu.k
 
@@ -173,7 +175,8 @@ def z_battery(mu, test_set, rng):
     lo, hi = test_set.bounding_box()
     cand = rng.uniform(lo, hi, (200_000, d))
     in_set = cand[test_set.contains_coords(cand.T)][:60]
-    support = mu.points[rng.integers(0, len(mu.points), len(in_set))] + in_set
+    atoms = atom_points(mu)
+    support = atoms[rng.integers(0, len(atoms), len(in_set))] + in_set
     battery = [support]
     starts = [z for z in support if kernel_keeps(mu, test_set, z)][:4]
     for z in starts:
@@ -239,7 +242,8 @@ class TestColumnCertificate:
         lo, hi = test_set.bounding_box()
         cand = rng.uniform(lo, hi, (200_000, mu.d))
         in_set = cand[test_set.contains_coords(cand.T)][:20]
-        starts = mu.points[rng.integers(0, len(mu.points), len(in_set))] + in_set
+        atoms = atom_points(mu)
+        starts = atoms[rng.integers(0, len(atoms), len(in_set))] + in_set
         pairs = []
         for z in starts[:3]:
             for axis in range(mu.d):
@@ -351,7 +355,7 @@ def test_support_tube_contains_every_atom_plus_set_point(kind, matrix, seed):
     cand = np.concatenate([corners, lo + (hi - lo) * rng.uniform(0.0, 1.0, (2000, d))])
     es = cand[test_set.contains_coords(cand.T)][:300]
     assert len(es) > 0
-    zs = (mu.points[:, None, :] + es[None, :, :]).reshape(-1, d)
+    zs = (atom_points(mu)[:, None, :] + es[None, :, :]).reshape(-1, d)
     dh = zs[:, :k] - c[:k]
     assert (np.abs(dh) <= head_half + 1e-12).all()
     pred = c[k:] + surface_heights(matrix, dh)
@@ -726,4 +730,43 @@ def test_wrong_dimension_is_refused(estimator, test_set):
     }[estimator]
     message = rf"test set lives in R\^{test_set.dim}, the surface in R\^3"
     with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: BallSet((0.0, 0.0), 0.0), "ball radius must be positive",
+                     id="ball-radius"),
+        pytest.param(lambda: BoxUnionSet(((0.0,), (2.0,)), ((1.0,),)),
+                     "lows and highs must pair up", id="box-pairing"),
+        pytest.param(lambda: BoxUnionSet(((0.0, 1.0),), ((1.0, 0.5),)),
+                     "each box needs lo < hi per axis", id="box-order"),
+        pytest.param(lambda: BoxUnionSet(((0.0, 0.0),), ((1.0,),)),
+                     "each box needs lo < hi per axis", id="box-corner-length"),
+        pytest.param(lambda: BoxUnionSet(((0.0, 0.0), (0.5, 0.5)), ((1.0, 1.0), (2.0, 2.0))),
+                     "boxes 0 and 1 overlap", id="box-overlap"),
+        pytest.param(lambda: TangentTubeSet(PARABOLOID, (0.1,), 0.1, 0.1),
+                     "base point must live in R^k", id="tube-base-point"),
+        pytest.param(lambda: TangentTubeSet(PARABOLOID, (0.1, 0.1), 0.0, 0.1),
+                     "tube parameters must be positive", id="tube-width"),
+        pytest.param(lambda: TangentTubeSet(PARABOLOID, (0.1, 0.1), 0.1, -0.1),
+                     "tube parameters must be positive", id="tube-thickness"),
+        pytest.param(lambda: ShearedBoxSet(PARABOLOID, BoxUnionSet(((0.0, 0.0),), ((1.0, 1.0),))),
+                     "base set must live in R^d", id="sheared-dim"),
+        # a 40 963^2 index window: refused before any window array is built
+        pytest.param(lambda: SurfaceMeasure(PARABOLOID, 4096).convolve_many(
+                         BallSet((0.0, 0.0, 0.0), 10.0), np.zeros((1, 3))),
+                     "test set too wide for this resolution's index window", id="window-40M"),
+        pytest.param(lambda: shell_bilinear_estimate(
+                         PARABOLOID, GaussianSpec.unit_mass(3), BallSet((0.0, 0.0, 0.0), 0.5)),
+                     "f must live on R^k", id="shell-f-dim"),
+        pytest.param(lambda: shell_bilinear_estimate(
+                         PARABOLOID, GaussianSpec.unit_mass(2), BallSet((0.0, 0.0, 0.0), 0.5),
+                         shell=(0,)),
+                     "shell multi-index must have k entries", id="shell-length"),
+    ],
+)
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()

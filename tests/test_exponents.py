@@ -99,6 +99,26 @@ def test_typeset_containment_modes():
     assert not typeset_contains(ts, outside, mode="boundary")
 
 
+@pytest.mark.parametrize(
+    "point,boundary,interior",
+    [
+        ((F(3, 5), F(2, 5)), False, False),  # the vertex V: width 1/5
+        ((F(3, 5), F(13, 30)), True, False),  # width exactly 1/6
+        ((F(3, 5), F(21, 50)), False, False),  # width 9/50
+        ((F(3, 5), F(1, 2)), True, True),  # width 1/10
+    ],
+)
+def test_ricci_band_cuts_the_triangle(point, boundary, interior):
+    # k = 1, d = 3: the band 1/p - 1/q <= 1/6 cuts the triangle's tip off;
+    # every point lies in the closed triangle, so each False in boundary mode is the band's
+    ts = typeset(1, 3)
+    assert ts.ricci_gap == F(1, 6)
+    p = ExponentPair(*point)
+    assert typeset_contains(TypeSet(ts.k, ts.l, ts.vertices, None), p, mode="boundary")
+    assert typeset_contains(ts, p, mode="boundary") is boundary
+    assert typeset_contains(ts, p, mode="interior") is interior
+
+
 def test_typeset_json_roundtrip():
     # the exact pairs a payload holds parse back into the same type set
     for k, d in [(3, 5), (1, 3)]:

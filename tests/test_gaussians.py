@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -128,7 +129,40 @@ def test_evaluate_products_flushes_below_the_normal_range():
     assert np.all(got[~tiny] >= sys.float_info.min)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: GaussianSpec(dim=2, amplitude=1.0, mean=(0.0,), sigmas=(1.0, 1.0)),
+                     "mean and sigmas must have length dim", id="mean-length"),
+        pytest.param(lambda: GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0, 1.0)),
+                     "mean and sigmas must have length dim", id="sigmas-length"),
+        pytest.param(lambda: GaussianSpec(dim=1, amplitude=0.0, mean=(0.0,), sigmas=(1.0,)),
+                     "amplitude must be positive", id="amplitude"),
+        pytest.param(lambda: GaussianSpec(dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 0.0)),
+                     "sigmas must be positive", id="sigma"),
+        pytest.param(lambda: GaussianSpec.unit_mass(2).lp_norm(0.0), "p must be positive",
+                     id="lp-norm"),
+    ],
+)
+def test_gaussian_input_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 # -- quadrature ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: gauss_legendre_interval(0, 0.0, 1.0), "need at least one node",
+                     id="no-nodes"),
+        pytest.param(lambda: sphere_rule(0), "dimension must be positive", id="dim-0"),
+    ],
+)
+def test_quadrature_input_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_gauss_legendre_polynomial_exactness():

@@ -2,8 +2,9 @@
 block, every name it or a test imports is used, every private module-level
 name it defines is read somewhere in the package, and every public name,
 method or property it defines is read by a run, an acceptance gate, a demo,
-the README quickstart or the bench tracer.  Only parallel.py spawns seeded
-streams or takes a sample spread."""
+the README quickstart or the bench tracer, as is every field of its
+dataclasses.  Only parallel.py spawns seeded streams or takes a sample
+spread."""
 
 import ast
 from collections import Counter
@@ -186,6 +187,71 @@ def test_package_has_no_unread_public_names():
     # what only unit tests read belongs in the tests, as an oracle, or nowhere
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     found = [f"{name}:{line}: {n}" for name, line, n in unread_public_names(sources, _outside_reads())]
+    assert found == []
+
+
+def dataclass_fields(tree: ast.Module) -> list[tuple[ast.AnnAssign, str]]:
+    """(node, "Class.field") of every field of a module-level dataclass."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            found += [
+                (item, f"{node.name}.{item.target.id}")
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    return found
+
+
+def unread_fields(
+    sources: dict[str, str], outside: set[str], exempt: set[str]
+) -> list[tuple[str, int, str]]:
+    """(file, line, "Class.field") of every dataclass field that no source
+    reads as an attribute and that is not in `outside`.
+
+    A constructor keyword writes a field and does not count.  Classes in
+    `exempt` are skipped.  Like the name scans this goes by name alone, so
+    a field whose name is read as any attribute anywhere, such as `rows` or
+    `y`, passes.
+    """
+    trees = {fname: ast.parse(source) for fname, source in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    } | outside
+    return [
+        (fname, node.lineno, name)
+        for fname, tree in trees.items()
+        for node, name in dataclass_fields(tree)
+        if name.split(".")[0] not in exempt and name.split(".")[1] not in read
+    ]
+
+
+# cli._json_default encodes these, reading every field through dataclasses.fields
+ENCODED = {"Verdict", "ScalingReport", "ScanReport"}
+
+
+def test_scan_finds_an_unread_field():
+    # transform.py as it stood with OscillatoryReport.argmax_u, which only its
+    # constructor call named; FourierReport.rows and PushforwardDensity.y were
+    # unread too, but their names are read elsewhere
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    fixture = ROOT / "tests" / "data" / "transform_unread_fields.py.txt"
+    sources["transform.py"] = fixture.read_text()
+    assert unread_fields(sources, _outside_reads(), ENCODED) == [
+        ("transform.py", 338, "OscillatoryReport.argmax_u")
+    ]
+
+
+def test_package_has_no_unread_fields():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    unread = unread_fields(sources, _outside_reads(), ENCODED)
+    found = [f"{name}:{line}: {n}" for name, line, n in unread]
     assert found == []
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,45 @@ def test_transform_rejects_bad_inputs():
     f3 = GridFunction.from_gaussian(spec3, 16)
     with pytest.raises(ValueError):
         plane_transform(f3, DEGENERATE, [1.0, 1.0, 1.0], cells=16)
+
+
+CENTERED_2 = GaussianSpec(dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(0.7, 0.7))
+CENTERED_3 = GaussianSpec(dim=3, amplitude=1.0, mean=(0.0,) * 3, sigmas=(0.7,) * 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: GridFunction(2, (0.0,), 0.1, np.zeros((2, 2))),
+                     "origin and values must match dim", id="grid-origin"),
+        pytest.param(lambda: GridFunction(2, (0.0, 0.0), 0.1, np.zeros(4)),
+                     "origin and values must match dim", id="grid-values"),
+        pytest.param(lambda: GridFunction(1, (0.0,), 0.0, np.zeros(4)),
+                     "spacing must be positive", id="grid-spacing"),
+        pytest.param(lambda: plane_transform(GridFunction.from_gaussian(CENTERED_3, 8), PARABOLOID,
+                                             [1.0, 1.0], cells=8),
+                     "source grid dimension must equal k", id="transform-f-dim"),
+        pytest.param(lambda: pairing_check(GridFunction.from_gaussian(CENTERED_2, 8),
+                                           GridFunction.from_gaussian(CENTERED_2, 8), PARABOLOID,
+                                           [1.0, 1.0], cells=8),
+                     "h must live on an l-dimensional grid", id="pairing-h-dim"),
+        pytest.param(lambda: fourier_check(GaussianSpec(dim=2, amplitude=1.0, mean=(0.1, 0.0),
+                                                        sigmas=(0.7, 0.7)),
+                                           PARABOLOID, [1.0, 1.0], [[0.5]], cells=8),
+                     "fourier_check requires a centered Gaussian", id="fourier-centered"),
+        pytest.param(lambda: fourier_check(CENTERED_3, PARABOLOID, [1.0, 1.0], [[0.5]], cells=8),
+                     "source grid dimension must equal k", id="fourier-f-dim"),
+        pytest.param(lambda: oscillatory_sup_bound(GridFunction.from_gaussian(CENTERED_3, 8),
+                                                   PARABOLOID, [1.0, 1.0], 1.0, [[0.0]]),
+                     "f must live on a k-dimensional grid", id="oscillatory-f-dim"),
+        pytest.param(lambda: oscillatory_sup_bound(GridFunction.from_gaussian(CENTERED_2, 8),
+                                                   PARABOLOID, [1.0, 1.0], 1.0, [[0.0, 0.0]]),
+                     "u points must have l coordinates", id="oscillatory-u"),
+    ],
+)
+def test_transform_input_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("matrix,y", [(PARABOLOID, [1.0, -1.5]), (BANDED, [1.0, 1.0, 1.0])])
