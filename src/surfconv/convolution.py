@@ -55,6 +55,7 @@ from .rationals import frac_str
 from .surface import (
     CoefficientMatrix,
     check_submatrices,
+    min_submatrix_det,
     sample_shell,
     shell_measure,
     surface_heights,
@@ -675,8 +676,7 @@ def ball_scaling_experiment(
     if len(set(deltas)) < 3:
         # with fewer, the fitted radii can coincide and the slope is not determined
         raise ValueError("need at least 3 distinct dyadic radii for a slope")
-    if not check_submatrices(matrix).holds:
-        raise ValueError("the row-submatrix condition must hold")
+    min_submatrix_det(matrix)
     if cfg.resolution and 2.0 / cfg.resolution > deltas[0]:
         # the grid cannot resolve the smallest ball: its norms would be 0
         raise ValueError(
@@ -843,8 +843,7 @@ def restricted_estimate_scan(
     p = Fraction(p)
     if n_sets < 2:
         raise ValueError("n_sets must be at least 2: the growth compares the family's halves")
-    if not check_submatrices(matrix).holds:
-        raise ValueError("the row-submatrix condition must hold")
+    min_submatrix_det(matrix)
     k, d = matrix.k, matrix.d
     q0 = critical_q0(k, d)
     ts = typeset(k, d)
@@ -900,6 +899,7 @@ def shell_bilinear_estimate(
     sampled from f (nonnegative Gaussian), y uniformly from the shell
     {2^(n_i) <= |y_i| < 2^(n_i+1)}, default the unit shell n = 0.
     """
+    min_submatrix_det(matrix)
     k, l, d = matrix.k, matrix.l, matrix.d
     if f.dim != k:
         raise ValueError("f must live on R^k")

@@ -33,9 +33,9 @@ from .parallel import RatioReport, seeded_mean
 from .quadrature import gauss_legendre_interval, sphere_rule
 from .surface import (
     CoefficientMatrix,
-    check_submatrices,
     comparability_constant,
     comparable_rows,
+    min_submatrix_det,
     sample_shell,
     shell_measure,
 )
@@ -88,8 +88,7 @@ def _check_inputs(matrix: CoefficientMatrix, rhos, w: GaussianSpec) -> None:
     on R^k whose mass TRUNCATION_RADIUS covers, and convergent rhos whose
     quadrature weights r^rho (zeta side) and r^(rho - k + l) (tau side) stay
     finite out to the rule's radius."""
-    if not check_submatrices(matrix).holds:
-        raise ValueError("the row-submatrix condition must hold")
+    min_submatrix_det(matrix)
     if w.dim != matrix.k:
         raise ValueError("weight must live on R^k")
     r_tau = _tau_radius(w)

@@ -9,7 +9,9 @@ A k x l matrix C with rational entries c_i^j defines
 The nondegeneracy condition on C ("every l x l row submatrix is nonsingular")
 controls everything downstream, so the submatrix determinants, the
 comparability constant, and the curvature invariant are all computed in exact
-rational arithmetic.  Floats only enter through the vectorized evaluators.
+rational arithmetic, with det_fraction the one elimination.  min_submatrix_det
+is the one refusal of a matrix that fails the condition.  Floats only enter
+through the vectorized evaluators.
 """
 
 from __future__ import annotations
@@ -67,27 +69,6 @@ def det_fraction(rows) -> Fraction:
             for c in range(col, n):
                 a[r][c] -= factor * a[col][c]
     return det
-
-
-def invert_fraction_matrix(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse requires a square matrix")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularSubmatrixError("matrix is singular, cannot invert")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +197,17 @@ def check_submatrices(matrix: CoefficientMatrix) -> SubmatrixReport:
 
 
 def min_submatrix_det(matrix: CoefficientMatrix) -> Fraction:
-    """The scale c(C) = min |det| over l x l row submatrices; requires it > 0."""
+    """The scale c(C) = min |det| over l x l row submatrices.
+
+    This is the one refusal for the paper's hypothesis: every estimator that
+    needs the row-submatrix condition calls it, and a matrix that fails the
+    condition raises SingularSubmatrixError naming the witness rows 1-based.
+    """
     report = check_submatrices(matrix)
     if not report.holds:
         raise SingularSubmatrixError(
-            f"rows {report.witness_rows} form a singular submatrix"
+            "the row-submatrix condition must hold: witness rows "
+            f"{[i + 1 for i in report.witness_rows]} (1-based) form a singular submatrix"
         )
     return report.min_abs_det
 
@@ -266,19 +253,24 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
     For each l-row submatrix C_P the tight constant is the (inf -> 2) operator
     norm of C_P^{-1}; the maximum of |C_P^{-1} s|_2 over the cube |s|_inf <= 1
     is attained at a sign vector, so the square of the answer is an exact
-    rational maximized over sign patterns.  The float conversion at the end
-    can overestimate by at most a few ulp.  Cached per matrix.
+    rational maximized over sign patterns.  Each coordinate of C_P^{-1} s is
+    det(C_P with column i replaced by s) / det(C_P) (Cramer's rule), so
+    det_fraction is the only elimination.  The float conversion at the end
+    can overestimate by at most a few ulp.  Requires the row-submatrix
+    condition (see min_submatrix_det).  Cached per matrix.
     """
+    min_submatrix_det(matrix)
     best_sq = Fraction(0)
     l = matrix.l
     for rows in itertools.combinations(range(matrix.k), l):
-        inv = invert_fraction_matrix(matrix.row_submatrix(rows))
+        sub = matrix.row_submatrix(rows)
+        det_sq = det_fraction(sub) ** 2
         for signs in itertools.product((1, -1), repeat=l - 1):
             s = (1,) + signs
-            val = Fraction(0)
-            for i in range(l):
-                coord = sum(inv[i][j] * s[j] for j in range(l))
-                val += coord * coord
+            val = sum(
+                det_fraction([row[:i] + [s_r] + row[i + 1 :] for row, s_r in zip(sub, s)]) ** 2
+                for i in range(l)
+            ) / det_sq
             if val > best_sq:
                 best_sq = val
     return math.sqrt(float(best_sq))

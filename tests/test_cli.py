@@ -340,6 +340,22 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "suite", ["ball-scan", "restricted-scan", "lemma-mc", "plancherel", "transform-check", "ineq6"]
+    )
+    def test_every_matrix_suite_refuses_a_degenerate_matrix(self, suite, tmp_path, capsys):
+        # degenerate-3-2 fails the row-submatrix condition at rows 1 and 2
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"suite": suite, "seed": 9, "matrix": {"battery": "degenerate-3-2"}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"suite '{suite}' rejected the configuration" in err
+        assert "the row-submatrix condition must hold: witness rows [1, 2] (1-based)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             (
@@ -839,6 +855,11 @@ def test_suites_take_matrix_params_seed():
     for name, fn in SUITES.items():
         assert list(inspect.signature(fn).parameters) == ["matrix", "params", "seed"], name
     assert list(inspect.signature(run_suite).parameters) == ["name", "matrix", "params", "seed"]
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        run_suite("nope", None, {}, 0)
 
 
 def test_tracer_targets_exist():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,30 @@ def test_pair_coordinates_validated():
         ExponentPair(F(3, 2), F(1, 2))
     with pytest.raises(ValueError):
         ExponentPair(F(1, 2), F(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "call,exc,message",
+    [
+        pytest.param(lambda: typeset(2.0, 3), InvalidDimensionError,
+                     "dimensions must be integers, got k=2.0, d=3", id="float-k"),
+        pytest.param(lambda: critical_q0(2, "5"), InvalidDimensionError,
+                     "dimensions must be integers, got k=2, d='5'", id="string-d"),
+        pytest.param(lambda: typeset_contains(typeset(2, 3), ExponentPair(F(1, 2), F(1, 3)),
+                                              mode="closed"),
+                     ValueError, "mode must be 'interior' or 'boundary', got 'closed'",
+                     id="unknown-mode"),
+        pytest.param(lambda: pair_to_frac([1, 2, 3]), ValueError,
+                     "rational pair must have two entries, got [1, 2, 3]", id="pair-length"),
+        pytest.param(lambda: pair_to_frac(F(1, 2)), TypeError,
+                     "cannot parse Fraction(1, 2) as an exact rational", id="not-a-pair"),
+        pytest.param(lambda: pair_to_frac([1, 0]), ValueError,
+                     "rational pair [1, 0] has a zero denominator", id="zero-denominator"),
+    ],
+)
+def test_exact_input_refusals(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
 
 
 def test_typeset_containment_modes():

@@ -237,15 +237,15 @@ ENCODED = {"Verdict", "ScalingReport", "ScanReport"}
 
 
 def test_scan_finds_an_unread_field():
-    # transform.py as it stood with OscillatoryReport.argmax_u, which only its
-    # constructor call named; FourierReport.rows and PushforwardDensity.y were
-    # unread too, but their names are read elsewhere
-    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    fixture = ROOT / "tests" / "data" / "transform_unread_fields.py.txt"
-    sources["transform.py"] = fixture.read_text()
-    assert unread_fields(sources, _outside_reads(), ENCODED) == [
-        ("transform.py", 338, "OscillatoryReport.argmax_u")
-    ]
+    # Report.peak is named only by its constructor keyword; Report.rows is read
+    # as an attribute of another object, which by name is enough; Verdict is skipped
+    sources = {
+        "a.py": "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass Report:\n"
+        "    peak: float\n    rows: list\n@dataclass\nclass Verdict:\n    detail: str\n"
+        "def make():\n    return Report(peak=1.0, rows=[])\n",
+        "b.py": "import a\ndef count(table):\n    return len(table.rows) + len(a.make().__dict__)\n",
+    }
+    assert unread_fields(sources, set(), ENCODED) == [("a.py", 4, "Report.peak")]
 
 
 def test_package_has_no_unread_fields():

@@ -1,10 +1,22 @@
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from surfconv.battery import battery_entry
+from surfconv.convolution import (
+    BallSet,
+    ScalingConfig,
+    ball_scaling_experiment,
+    restricted_estimate_scan,
+    shell_bilinear_estimate,
+)
+from surfconv.gaussians import GaussianSpec
+from surfconv.pullback import plancherel_ratio, pullback_weight_ratio
 from surfconv.surface import (
     CoefficientMatrix,
     RowSelectionError,
@@ -15,7 +27,6 @@ from surfconv.surface import (
     comparability_constant,
     det_fraction,
     diagonal_forms,
-    invert_fraction_matrix,
     jacobian_bound_constant,
     jacobian_fd,
     jacobian_product,
@@ -28,6 +39,7 @@ from surfconv.surface import (
     surface_heights,
     verify_jacobian_bound,
 )
+from surfconv.transform import GridFunction, plane_transform
 
 F = Fraction
 
@@ -57,18 +69,6 @@ def test_det_fraction_matches_numpy(rows):
     assert math.isclose(float(exact), approx, rel_tol=1e-9, abs_tol=1e-9)
 
 
-def test_invert_fraction_matrix_roundtrip():
-    rows = [[F(2), F(1)], [F(1), F(1)]]
-    inv = invert_fraction_matrix(rows)
-    prod = [
-        [sum(rows[i][t] * inv[t][j] for t in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == [[1, 0], [0, 1]]
-    with pytest.raises(SingularSubmatrixError):
-        invert_fraction_matrix([[F(1), F(2)], [F(2), F(4)]])
-
-
 def test_matrix_shape_and_json_roundtrip():
     assert (BANDED.k, BANDED.l, BANDED.d) == (3, 2, 5)
     again = CoefficientMatrix.from_json(BANDED.to_json())
@@ -88,8 +88,43 @@ def test_submatrix_condition_witness_is_first_failure():
     assert not rep.holds
     assert rep.witness_rows == (0, 1)
     assert rep.to_json()["witness_rows"] == [1, 2]  # reported 1-based
-    with pytest.raises(SingularSubmatrixError):
+    with pytest.raises(SingularSubmatrixError, match=re.escape(
+        "the row-submatrix condition must hold: witness rows [1, 2] (1-based)"
+    )):
         min_submatrix_det(DEGENERATE)
+    with pytest.raises(SingularSubmatrixError):
+        comparability_constant(DEGENERATE)  # refused before any Cramer quotient divides by 0
+
+
+DEGENERATE_3_2 = battery_entry("degenerate-3-2").matrix
+UNIT_3 = GaussianSpec.unit_mass(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ball_scaling_experiment(
+            DEGENERATE_3_2, [0.25, 0.125, 0.0625], [F(3, 2)], ScalingConfig(n_tube=16)),
+            id="ball_scaling_experiment"),
+        pytest.param(lambda: restricted_estimate_scan(DEGENERATE_3_2, F(3, 2), n_sets=2),
+                     id="restricted_estimate_scan"),
+        pytest.param(lambda: pullback_weight_ratio(DEGENERATE_3_2, 0.0, UNIT_3),
+                     id="pullback_weight_ratio"),
+        pytest.param(lambda: plancherel_ratio(DEGENERATE_3_2, UNIT_3), id="plancherel_ratio"),
+        pytest.param(lambda: plane_transform(GridFunction.from_gaussian(UNIT_3, 8),
+                                             DEGENERATE_3_2, [1.0, 1.0, 1.0], cells=8),
+                     id="plane_transform"),
+        pytest.param(lambda: shell_bilinear_estimate(
+            DEGENERATE_3_2, UNIT_3, BallSet((1.5,) * 5, 0.5), n_samples=64),
+            id="shell_bilinear_estimate"),
+    ],
+)
+def test_every_estimator_under_the_hypothesis_refuses(call):
+    # rows 1 and 2 of degenerate-3-2 are proportional; min_submatrix_det is the one refusal
+    with pytest.raises(SingularSubmatrixError, match=re.escape(
+        "the row-submatrix condition must hold: witness rows [1, 2] (1-based)"
+    )):
+        call()
 
 
 def test_exact_checks_are_computed_once_per_matrix():
@@ -105,6 +140,54 @@ def test_comparability_constant_values():
     # the banded 3x2 matrix needs sqrt(5)
     assert comparability_constant(PARABOLA) == pytest.approx(1.0, abs=1e-12)
     assert comparability_constant(BANDED) == pytest.approx(math.sqrt(5.0), abs=1e-12)
+
+
+# integer k x l matrices with k <= 4 and l <= min(k, 3)
+INTEGER_MATRICES = st.integers(1, 4).flatmap(lambda k: st.integers(1, min(k, 3)).flatmap(
+    lambda l: st.lists(st.lists(st.integers(-6, 6), min_size=l, max_size=l),
+                       min_size=k, max_size=k)
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(INTEGER_MATRICES)
+def test_comparability_constant_is_the_float_operator_norm(rows):
+    # the exact Cramer's-rule constant against a float solve over every row set and sign vector
+    mat = CoefficientMatrix.from_rows(rows)
+    assume(check_submatrices(mat).holds)
+    k, l = mat.k, mat.l
+    expected = max(
+        np.linalg.norm(np.linalg.solve(mat.array[list(rows_p)], np.array(s, dtype=float)))
+        for rows_p in itertools.combinations(range(k), l)
+        for s in itertools.product((1.0, -1.0), repeat=l)
+    )
+    assert comparability_constant(mat) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: det_fraction([[1, 2]]), "determinant requires a square matrix",
+                     id="det-non-square"),
+        pytest.param(lambda: CoefficientMatrix(()), "coefficient matrix needs at least one row",
+                     id="matrix-empty"),
+        pytest.param(lambda: CoefficientMatrix.from_rows([[]]),
+                     "coefficient matrix rows must share a positive length", id="matrix-empty-row"),
+        pytest.param(lambda: CoefficientMatrix.from_rows([[1, 2], [3]]),
+                     "coefficient matrix rows must share a positive length", id="matrix-ragged"),
+        pytest.param(lambda: select_comparable_rows(BANDED, np.ones(3)),
+                     "zeta must be a vector of length 2", id="zeta-length"),
+        pytest.param(lambda: pair_curvature_invariant([[1]], [[1, 0], [0, 1]]),
+                     "each quadratic form must be a 2x2 matrix", id="curvature-1x1"),
+        pytest.param(lambda: pair_curvature_invariant([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]),
+                     "each quadratic form must be a 2x2 matrix", id="curvature-2x3"),
+        pytest.param(lambda: diagonal_forms(BANDED),
+                     "diagonal form extraction needs a 2x2 coefficient matrix", id="diagonal-3x2"),
+    ],
+)
+def test_exact_layer_input_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_select_comparable_rows_always_succeeds():
