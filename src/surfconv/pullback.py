@@ -106,7 +106,8 @@ def _check_inputs(matrix: CoefficientMatrix, rhos, w: GaussianSpec) -> None:
     outside = w.tail_outside_box(TRUNCATION_RADIUS / math.sqrt(matrix.k))
     if outside > 1e-3:
         raise ValueError(
-            f"truncation radius {TRUNCATION_RADIUS} covers only {1 - outside:.4%} of the weight's mass"
+            f"truncation radius {TRUNCATION_RADIUS} covers as little as {max(0.0, 1 - outside):.4%} "
+            "of the weight's mass"
         )
 
 
@@ -306,6 +307,12 @@ def _ratio_report(
     rhs = _weight_integral(w, rho - matrix.k + matrix.l, _tau_radius(w), cfg)
     if rhs <= 0:
         raise ValueError("degenerate weight: the pulled-back integral vanishes")
+    return _finite_report(rho, lhs, rhs, stderr)
+
+
+def _finite_report(rho: float, lhs: float, rhs: float, stderr: float) -> RatioReport:
+    """The report of lhs against rhs for one rho.  The one place that refuses
+    an estimate, ratio or stderr that is not finite."""
     ratio = lhs / rhs
     if not all(math.isfinite(x) for x in (lhs, stderr, rhs, ratio)):
         raise ValueError(
@@ -426,7 +433,5 @@ def plancherel_ratio(
     w = squared_fourier_weight(f)
     _check_inputs(matrix, [rho], w)
     ((lhs, stderr),) = _lhs_shell_integral(matrix, [rho], w, cfg)
-    if not (math.isfinite(lhs) and math.isfinite(stderr)):
-        raise ValueError(f"rho = {rho}: non-finite frequency estimate (lhs {lhs}, stderr {stderr})")
     b = f.l2_norm_sq
-    return RatioReport(lhs=lhs, rhs=b, ratio=lhs / b, stderr=stderr / b)
+    return _finite_report(rho, lhs, b, stderr / b)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianSpec
-from .parallel import ordered_map
 from .surface import CoefficientMatrix, adjoint_image, bilinear_forms, min_submatrix_det
 
 
@@ -100,7 +99,9 @@ class PushforwardDensity:
     leak_fraction: float
 
 
-def _check_transform_inputs(matrix: CoefficientMatrix, y) -> np.ndarray:
+def _check_transform_inputs(matrix: CoefficientMatrix, y, source_dim: int) -> np.ndarray:
+    """The one input check of the transform layer: the row-submatrix condition,
+    a well-conditioned y of length k and a source function on R^k."""
     min_submatrix_det(matrix)
     y = np.asarray(y, dtype=float)
     if y.shape != (matrix.k,):
@@ -108,12 +109,17 @@ def _check_transform_inputs(matrix: CoefficientMatrix, y) -> np.ndarray:
     mags = np.abs(y)
     if np.any(mags < 0.5) or np.any(mags > 4.0):
         raise ValueError("all |y_i| must lie in [1/2, 4] for a well-conditioned transform")
+    if source_dim != matrix.k:
+        raise ValueError(f"f must live on R^k: its dimension is {source_dim}, k = {matrix.k}")
     return y
 
 
-def default_target_radius(f: GridFunction, matrix: CoefficientMatrix, y) -> float:
-    """Target half-width: 1.05 times the largest |L_y x| over source-box corners."""
-    y = np.asarray(y, dtype=float)
+def _target_grid(f: GridFunction, matrix: CoefficientMatrix, y: np.ndarray, cells: int):
+    """Half-width and spacing of the transform's target grid.
+
+    The half-width is 1.05 times the largest |L_y x| over the source-box
+    corners, and `cells` cells span it on each axis.
+    """
     lo = np.asarray(f.origin)
     hi = lo + np.asarray(f.extents) * f.spacing
     best = 0.0
@@ -121,28 +127,26 @@ def default_target_radius(f: GridFunction, matrix: CoefficientMatrix, y) -> floa
         corner = np.where([(code >> a) & 1 for a in range(f.dim)], hi, lo)
         img = bilinear_forms(matrix, corner, y)
         best = max(best, float(np.max(np.abs(img))))
-    return 1.05 * best
+    radius = 1.05 * best
+    return radius, 2.0 * radius / cells
 
 
-def _source_slabs(f: GridFunction):
-    """Split source rows (axis 0) into 16 contiguous groups (fewer if f has fewer rows).
+def _source_cells(f: GridFunction, matrix: CoefficientMatrix, y: np.ndarray):
+    """Yield, slab by slab, the images L_y x (N, l) of f's source cell centers x
+    and f's values there (N,).
 
-    The group count fixes the deposit order, and hence the float sums: another
-    value moves payload bytes.
+    The slabs are 16 contiguous groups of source rows (axis 0), fewer if f
+    has fewer rows.  The slab count fixes the order of every sum over source
+    cells, and hence its float bits: another value moves payload bytes.
     """
     n0 = f.extents[0]
     bounds = np.linspace(0, n0, min(16, n0) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _slab_points(
-    f: GridFunction, matrix: CoefficientMatrix, y: np.ndarray, a: int, b: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Images L_y x (N, l) of the slab's source cell centers x, and f's values there (N,)."""
-    axes = [f.centers_1d(0)[a:b]] + [f.centers_1d(ax) for ax in range(1, f.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    return bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape)), f.values[a:b].ravel()
+    rest = [f.centers_1d(ax) for ax in range(1, f.dim)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b > a:
+            mesh = np.meshgrid(f.centers_1d(0)[a:b], *rest, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            yield bilinear_forms(matrix, pts, np.broadcast_to(y, pts.shape)), f.values[a:b].ravel()
 
 
 def plane_transform(
@@ -155,41 +159,26 @@ def plane_transform(
 
     Each source cell deposits its mass in the target cell holding its image.
     Mass landing outside the target box is counted in leak_fraction rather
-    than silently dropped.
+    than silently dropped.  Each slab deposits into a grid of its own, and
+    the grids are added in slab order, which fixes the float sums.
     """
-    y = _check_transform_inputs(matrix, y)
-    if f.dim != matrix.k:
-        raise ValueError("source grid dimension must equal k")
+    y = _check_transform_inputs(matrix, y, f.dim)
     l = matrix.l
-    radius = default_target_radius(f, matrix, y)
-    spacing = 2.0 * radius / cells
+    radius, spacing = _target_grid(f, matrix, y, cells)
     origin = (-radius,) * l
-    extents = (cells,) * l
-
-    source_mass = f.cell_volume
-    slabs = _source_slabs(f)
-
-    def deposit(slab: tuple[int, int]) -> tuple[np.ndarray, float, float]:
-        a, b = slab
-        img, vals = _slab_points(f, matrix, y, a, b)
-        acc = np.zeros(extents)
-        weights = vals * source_mass
-        total = float(np.abs(weights).sum())
-        idx = np.floor((img - np.asarray(origin)) / spacing).astype(int)
-        ok = np.all((idx >= 0) & (idx < cells), axis=1)
-        leaked = float(np.abs(weights[~ok]).sum())
-        if np.any(ok):
-            np.add.at(acc, tuple(idx[ok].T), weights[ok])
-        return acc, leaked, total
-
-    results = ordered_map(deposit, slabs)
-    acc = np.zeros(extents)
+    acc = np.zeros((cells,) * l)
     leaked = 0.0
     total = 0.0
-    for part, lk, tot in results:
+    for img, vals in _source_cells(f, matrix, y):
+        part = np.zeros((cells,) * l)
+        weights = vals * f.cell_volume
+        idx = np.floor((img - np.asarray(origin)) / spacing).astype(int)
+        ok = np.all((idx >= 0) & (idx < cells), axis=1)
+        if np.any(ok):
+            np.add.at(part, tuple(idx[ok].T), weights[ok])
         acc += part
-        leaked += lk
-        total += tot
+        leaked += float(np.abs(weights[~ok]).sum())
+        total += float(np.abs(weights).sum())
     grid = GridFunction(dim=l, origin=origin, spacing=spacing, values=acc / spacing**l)
     frac = leaked / total if total > 0 else 0.0
     return PushforwardDensity(grid=grid, leak_fraction=frac)
@@ -226,8 +215,7 @@ def pairing_check(
     lhs = float(np.sum(tgrid.values.ravel() * h.interpolate(centers)) * tgrid.cell_volume)
 
     rhs = 0.0
-    for a, b in _source_slabs(f):
-        img, vals = _slab_points(f, matrix, y, a, b)
+    for img, vals in _source_cells(f, matrix, y):
         rhs += float(np.sum(vals * h.interpolate(img)))
     rhs *= f.cell_volume
 
@@ -270,12 +258,9 @@ def fourier_check(
     """
     if any(m != 0.0 for m in spec.mean):
         raise ValueError("fourier_check requires a centered Gaussian")
-    y = _check_transform_inputs(matrix, y)
-    if spec.dim != matrix.k:
-        raise ValueError("source grid dimension must equal k")
+    y = _check_transform_inputs(matrix, y, spec.dim)
     f = GridFunction.from_gaussian(spec, cells=cells)
-    # the spacing of plane_transform's target grid, computed as it computes it
-    nyquist = 1.0 / (2.0 * (2.0 * default_target_radius(f, matrix, y) / cells))
+    nyquist = 1.0 / (2.0 * _target_grid(f, matrix, y, cells)[1])
 
     floor = 1e-8 * spec.mass
     excluded = []
@@ -290,8 +275,7 @@ def fourier_check(
     sums = np.zeros(len(kept), dtype=complex)
     if kept:
         zmat = np.stack(kept, axis=0)
-        for a, b in _source_slabs(f):
-            img, vals = _slab_points(f, matrix, y, a, b)
+        for img, vals in _source_cells(f, matrix, y):
             sums += np.exp(-2j * math.pi * (zmat @ img.T)) @ vals
         sums *= f.cell_volume
     for z, disc in zip(kept, sums):
@@ -325,17 +309,14 @@ def oscillatory_sup_bound(
     as 1), so the sup can never exceed ||f||_1 beyond quadrature slack; at
     s = 0 every term is exactly 1 and the two numbers agree to the bit.
     """
-    y = _check_transform_inputs(matrix, y)
-    if f.dim != matrix.k:
-        raise ValueError("f must live on a k-dimensional grid")
+    y = _check_transform_inputs(matrix, y, f.dim)
     u = np.atleast_2d(np.asarray(u_points, dtype=float))
     if u.shape[1] != matrix.l:
         raise ValueError("u points must have l coordinates")
 
     l1 = 0.0
     g = np.zeros(u.shape[0], dtype=complex)
-    for a, b in _source_slabs(f):
-        img, vals = _slab_points(f, matrix, y, a, b)
+    for img, vals in _source_cells(f, matrix, y):
         w = vals * f.cell_volume
         l1 += float(np.abs(w).sum())
         if s == 0.0:

@@ -41,11 +41,13 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
-def test_tests_have_no_unused_imports():
-    # a dead import in a test would count as a read and keep a src/ name past the guards below
+def test_tests_and_demos_have_no_unused_imports():
+    # a dead import in a test or a demo would count as a read and keep a src/
+    # name past the guards below
     found = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted((ROOT / "tests").glob("*.py"))
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for folder in ("tests", "demos")
+        for path in sorted((ROOT / folder).glob("*.py"))
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -115,19 +116,57 @@ def test_middle_row_selected_region_is_empty():
     assert rep.lhs == 0.0
 
 
-def test_region_validation():
-    with pytest.raises(ValueError):
-        region_weight_ratio(BANDED, 0.0, W3, (0, 1), McConfig(n_y=100))
-    with pytest.raises(ValueError):
-        region_weight_ratio(BANDED, 0.0, W3, (3,), McConfig(n_y=100))
-    with pytest.raises(ValueError):
-        pullback_weight_ratio(BANDED, -2.5, W3, McConfig(n_y=100))
-    with pytest.raises(ValueError):
-        pullback_weight_ratio(
-            CoefficientMatrix.from_rows([[1, 0], [2, 0], [0, 1]]), 0.0, W3, McConfig(n_y=100)
-        )
-    with pytest.raises(ValueError):
-        pullback_weight_ratio(BANDED, 0.0, GaussianSpec(dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 1.0)), McConfig(n_y=100))
+SMALL = McConfig(n_y=32, n_radial=8, n_sphere=8)
+W1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,))
+
+
+def centered_3(amplitude: float, sigma: float) -> GaussianSpec:
+    return GaussianSpec(dim=3, amplitude=amplitude, mean=(0.0,) * 3, sigmas=(sigma,) * 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: McConfig(n_radial=0), "node counts must be positive", id="n-radial"),
+        pytest.param(lambda: McConfig(n_sphere=-1), "node counts must be positive", id="n-sphere"),
+        pytest.param(lambda: pullback_weight_ratio(BANDED, -2.5, W3, SMALL),
+                     "rho = -2.5 too negative for a convergent frequency integral", id="rho-low"),
+        pytest.param(lambda: pullback_weight_ratio(BANDED, 400.0, W3, SMALL),
+                     "rho = 400.0: non-finite frequency estimate (the zeta quadrature weight",
+                     id="zeta-overflow"),
+        # C = 3/2 shrinks the zeta radius below the tau radius, so only tau overflows
+        pytest.param(lambda: pullback_weight_ratio(SCALAR, 380.0, W1, SMALL),
+                     "rho = 380.0: non-finite frequency estimate (the tau quadrature weight",
+                     id="tau-overflow"),
+        pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, centered_3(1.0, 10.0), SMALL),
+                     "truncation radius 12.0 covers as little as 0.0000% of the weight's mass",
+                     id="truncation"),
+        pytest.param(lambda: pullback_weight_ratio(
+                         CoefficientMatrix.from_rows([[1, 0], [2, 0], [0, 1]]), 0.0, W3, SMALL),
+                     "the row-submatrix condition must hold", id="singular"),
+        pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, GaussianSpec(
+                         dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 1.0)), SMALL),
+                     "weight must live on R^k", id="weight-dim"),
+        pytest.param(lambda: region_weight_ratio(BANDED, 0.0, W3, (0,), SMALL, mode="bogus"),
+                     "unknown region mode 'bogus'", id="region-mode"),
+        pytest.param(lambda: region_weight_ratio(BANDED, 0.0, W3, (0, 1), SMALL),
+                     "Q must be 1 distinct rows of 0..2", id="q-size"),
+        pytest.param(lambda: region_weight_ratio(BANDED, 0.0, W3, (3,), SMALL),
+                     "Q must be 1 distinct rows of 0..2", id="q-row"),
+        # a subnormal amplitude underflows every value of w to 0
+        pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, centered_3(1e-320, 1.0), SMALL),
+                     "degenerate weight: the pulled-back integral vanishes", id="vanishing"),
+        # a huge amplitude overflows the sample variance
+        pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, centered_3(1e300, 1.0), SMALL),
+                     "rho = 0.0: non-finite frequency estimate (lhs", id="non-finite"),
+        pytest.param(lambda: plancherel_ratio(BANDED, centered_3(1e150, 1.0), SMALL),
+                     "rho = 1.0: non-finite frequency estimate (lhs", id="plancherel-non-finite"),
+    ],
+)
+def test_pullback_input_refusals(call, message):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_one_y_sample_is_refused():

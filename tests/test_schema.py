@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -144,9 +145,16 @@ def test_schema_uses_only_implemented_keywords():
     assert all(isinstance(value, str) for key, value in pairs if key == "type")
 
 
-def test_unknown_keyword_raises():
-    with pytest.raises(ValueError, match="'anyOf' is not implemented"):
-        first_error({}, {"anyOf": [{"type": "object"}]})
+@pytest.mark.parametrize(
+    "schema,message",
+    [
+        ({"anyOf": [{"type": "object"}]}, "schema keyword 'anyOf' is not implemented"),
+        ({"additionalProperties": True}, "only 'additionalProperties: false' is implemented"),
+    ],
+)
+def test_unimplemented_keyword_raises(schema, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        first_error({}, schema)
 
 
 _ROW = {"delta": 0.5, "p_num": 1, "p_den": 1, "norm": 1.0, "ratio": 1.0, "center_id": 0}

@@ -73,7 +73,7 @@ CENTERED_3 = GaussianSpec(dim=3, amplitude=1.0, mean=(0.0,) * 3, sigmas=(0.7,) *
                      "spacing must be positive", id="grid-spacing"),
         pytest.param(lambda: plane_transform(GridFunction.from_gaussian(CENTERED_3, 8), PARABOLOID,
                                              [1.0, 1.0], cells=8),
-                     "source grid dimension must equal k", id="transform-f-dim"),
+                     "f must live on R^k: its dimension is 3, k = 2", id="transform-f-dim"),
         pytest.param(lambda: pairing_check(GridFunction.from_gaussian(CENTERED_2, 8),
                                            GridFunction.from_gaussian(CENTERED_2, 8), PARABOLOID,
                                            [1.0, 1.0], cells=8),
@@ -83,10 +83,10 @@ CENTERED_3 = GaussianSpec(dim=3, amplitude=1.0, mean=(0.0,) * 3, sigmas=(0.7,) *
                                            PARABOLOID, [1.0, 1.0], [[0.5]], cells=8),
                      "fourier_check requires a centered Gaussian", id="fourier-centered"),
         pytest.param(lambda: fourier_check(CENTERED_3, PARABOLOID, [1.0, 1.0], [[0.5]], cells=8),
-                     "source grid dimension must equal k", id="fourier-f-dim"),
+                     "f must live on R^k: its dimension is 3, k = 2", id="fourier-f-dim"),
         pytest.param(lambda: oscillatory_sup_bound(GridFunction.from_gaussian(CENTERED_3, 8),
                                                    PARABOLOID, [1.0, 1.0], 1.0, [[0.0]]),
-                     "f must live on a k-dimensional grid", id="oscillatory-f-dim"),
+                     "f must live on R^k: its dimension is 3, k = 2", id="oscillatory-f-dim"),
         pytest.param(lambda: oscillatory_sup_bound(GridFunction.from_gaussian(CENTERED_2, 8),
                                                    PARABOLOID, [1.0, 1.0], 1.0, [[0.0, 0.0]]),
                      "u points must have l coordinates", id="oscillatory-u"),
