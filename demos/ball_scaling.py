@@ -14,7 +14,7 @@ stays bounded, above it the estimate degenerates as delta -> 0.
 from fractions import Fraction
 
 from surfconv.battery import battery_entry
-from surfconv.convolution import ScalingConfig, ball_scaling_experiment
+from surfconv.convolution import ball_scaling_experiment
 from surfconv.exponents import critical_p0
 
 
@@ -29,7 +29,10 @@ def run_case(entry_id: str) -> None:
         matrix,
         [2.0**-e for e in (3, 4, 5, 6)],
         p_list,
-        ScalingConfig(seed=1234, n_tube=3000, n_centers=3),
+        seed=1234,
+        resolution=None,  # each radius gets a grid of spacing at most delta / 4
+        n_tube=3000,
+        n_centers=3,
     )
 
     print(f"\n{entry_id}: k={k}, l={l}, d={d}, critical p0 = {p0}")

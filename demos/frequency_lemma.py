@@ -29,12 +29,17 @@ def one_d_oracle(c: float, rho: float) -> float:
     return 2.0 * (1.0 - 2.0**-rho) / (rho * abs(c) ** (rho + 1))
 
 
+def plan(seed: int, n_y: int) -> McConfig:
+    """n_y shell samples and the suites' node counts: 48 radial, 64 on the sphere."""
+    return McConfig(seed=seed, n_y=n_y, n_radial=48, n_sphere=64)
+
+
 def main() -> None:
     scalar = CoefficientMatrix.from_rows([[1.5]])
     w1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(0.8,))
     print("rank one sanity: ratio against the closed form")
     for rho in (0.0, 1.0, 2.0):
-        rep = pullback_weight_ratio(scalar, rho, w1, McConfig(seed=11, n_y=4000))
+        rep = pullback_weight_ratio(scalar, rho, w1, plan(11, 4000))
         oracle = one_d_oracle(1.5, rho)
         print(
             f"  rho = {rho}: mc {rep.ratio:.6f}  oracle {oracle:.6f}  "
@@ -45,11 +50,11 @@ def main() -> None:
     w = random_gaussian(np.random.default_rng(5), dim=3)
     print("\nbanded 3x2: ratio under sample doubling (rho = 1)")
     for n_y in (200, 400, 800, 1600):
-        rep = pullback_weight_ratio(banded, 1.0, w, McConfig(seed=13, n_y=n_y))
+        rep = pullback_weight_ratio(banded, 1.0, w, plan(13, n_y))
         print(f"  n_y = {n_y:>4}: ratio {rep.ratio:.6f} (stderr {rep.stderr:.1e})")
 
     print("\nsplitting the frequency integral across selected-row regions:")
-    cfg = McConfig(seed=13, n_y=400)
+    cfg = plan(13, 400)
     total = pullback_weight_ratio(banded, 1.0, w, cfg).lhs
     cover = region_cover_factor(banded, 1.0, w, total, cfg)
     for q, val in cover["per_region"].items():
@@ -61,7 +66,7 @@ def main() -> None:
     print("\nsquared-transform chain (weight |f^|^2, exponent cancels):")
     for i in range(3):
         f = random_gaussian(np.random.default_rng(20 + i), dim=3)
-        rep = plancherel_ratio(banded, f, McConfig(seed=30 + i, n_y=600))
+        rep = plancherel_ratio(banded, f, plan(30 + i, 600))
         print(
             f"  f {i}: weighted integral {rep.lhs:.6f}, "
             f"||f||_2^2 {rep.rhs:.6f}, ratio {rep.ratio:.4f}"

@@ -550,12 +550,6 @@ SHELL_CHUNKS = 16
 
 
 @dataclass(frozen=True)
-class NormMcConfig:
-    seed: int = 0x5EED
-    n_tube: int = 4000
-
-
-@dataclass(frozen=True)
 class NormEstimate:
     norm: float
     stderr: float
@@ -585,7 +579,9 @@ def lq_norm_mc(
     measure: SurfaceMeasure,
     test_set,
     q: float,
-    cfg: NormMcConfig | None = None,
+    *,
+    seed: int,
+    n_tube: int,
 ) -> NormEstimate:
     """(integral |mu * chi_E|^q)^(1/q) by Monte Carlo over the support tube.
 
@@ -599,7 +595,6 @@ def lq_norm_mc(
     positive on a set of positive measure inside the tube and every L^q norm
     is positive.
     """
-    cfg = cfg or NormMcConfig()
     if q < 1:
         raise ValueError("q must be at least 1")
     if test_set.measure <= 0:
@@ -617,13 +612,13 @@ def lq_norm_mc(
         g = measure.convolve_many(test_set, zs)
         return g**q
 
-    seq = np.random.SeedSequence(cfg.seed)
-    [(mean, var, n)] = seeded_mean(tube_chunk, seq, cfg.n_tube, NORM_CHUNKS)
+    seq = np.random.SeedSequence(seed)
+    [(mean, var, n)] = seeded_mean(tube_chunk, seq, n_tube, NORM_CHUNKS)
     total = v_tube * mean
     var = v_tube**2 * (var / n)
     if total <= 0:
         raise ValueError(
-            f"zero norm estimate on {test_set!r}: none of {cfg.n_tube} tube samples "
+            f"zero norm estimate on {test_set!r}: none of {n_tube} tube samples "
             "met the set; raise n_tube"
         )
     norm = total ** (1.0 / q)
@@ -633,14 +628,6 @@ def lq_norm_mc(
 
 # ---------------------------------------------------------------------------
 # ball-scaling experiment
-
-
-@dataclass(frozen=True)
-class ScalingConfig:
-    seed: int = 0x5EED
-    resolution: int | None = None           # default: spacing = delta_min / 4
-    n_tube: int = 3000
-    n_centers: int = 3
 
 
 @dataclass(frozen=True)
@@ -660,7 +647,11 @@ def ball_scaling_experiment(
     matrix: CoefficientMatrix,
     deltas,
     p_list,
-    cfg: ScalingConfig | None = None,
+    *,
+    seed: int,
+    resolution: int | None,
+    n_tube: int,
+    n_centers: int,
 ) -> ScalingReport:
     """Norms of mu * chi_ball(delta) across dyadic delta, at the critical q.
 
@@ -670,17 +661,17 @@ def ball_scaling_experiment(
     delta dropped.  The height of the convolution is ~ delta^k on a tube of
     measure ~ delta^l, so the norm's delta-exponent is k + l/q0; the ratio's
     slope is that minus d/p, crossing zero exactly at the triangle vertex.
+    resolution None gives each delta its own grid (see _res_for).
     """
-    cfg = cfg or ScalingConfig()
     deltas = sorted(float(x) for x in deltas)
     if len(set(deltas)) < 3:
         # with fewer, the fitted radii can coincide and the slope is not determined
         raise ValueError("need at least 3 distinct dyadic radii for a slope")
     min_submatrix_det(matrix)
-    if cfg.resolution and 2.0 / cfg.resolution > deltas[0]:
+    if resolution and 2.0 / resolution > deltas[0]:
         # the grid cannot resolve the smallest ball: its norms would be 0
         raise ValueError(
-            f"resolution {cfg.resolution} gives grid spacing {2.0 / cfg.resolution}, "
+            f"resolution {resolution} gives grid spacing {2.0 / resolution}, "
             f"coarser than the smallest delta {deltas[0]}"
         )
     p_list = [Fraction(p) for p in p_list]
@@ -692,16 +683,16 @@ def ball_scaling_experiment(
         # discretization bias is the same at every delta and cancels in the
         # log-log slope; a fixed global grid would blow the atom windows up
         # at the coarse radii for k = 3.
-        if cfg.resolution:
-            return int(cfg.resolution)
+        if resolution:
+            return int(resolution)
         return min(1024, max(32, 2 ** math.ceil(math.log2(8.0 / delta))))
 
     resolutions = {delta: _res_for(delta) for delta in deltas}
     measures = {delta: SurfaceMeasure(matrix, resolutions[delta]) for delta in deltas}
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     ys = [np.zeros(k)]
-    while len(ys) < cfg.n_centers:
+    while len(ys) < n_centers:
         cand = rng.uniform(-0.7, 0.7, k)
         if (cand**2).sum() < 0.49:
             ys.append(cand)
@@ -712,12 +703,7 @@ def ball_scaling_experiment(
     for cid, center in enumerate(centers):
         for j, delta in enumerate(deltas):
             ball = BallSet(tuple(center), delta)
-            est = lq_norm_mc(
-                measures[delta],
-                ball,
-                q0,
-                NormMcConfig(seed=cfg.seed + 1000 * cid + j, n_tube=cfg.n_tube),
-            )
+            est = lq_norm_mc(measures[delta], ball, q0, seed=seed + 1000 * cid + j, n_tube=n_tube)
             norms[(cid, delta)] = est.norm
             for p in p_list:
                 ratio = est.norm / ball.measure ** float(1 / p)
@@ -756,7 +742,7 @@ def ball_scaling_experiment(
             "deltas": deltas,
             "resolutions": [resolutions[x] for x in deltas],
             "expected_norm_exponent": k + l / q0,
-            "seed": cfg.seed,
+            "seed": seed,
             "n_centers": len(centers),
         },
     )
@@ -829,9 +815,11 @@ def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int):
 def restricted_estimate_scan(
     matrix: CoefficientMatrix,
     p: Fraction,
-    n_sets: int = 12,
-    cfg: NormMcConfig | None = None,
-    resolution: int = 128,
+    *,
+    n_sets: int,
+    seed: int,
+    n_tube: int,
+    resolution: int,
 ) -> ScanReport:
     """Sup of ||mu * chi_E||_q0 / m_d(E)^(1/p) over a deterministic family.
 
@@ -839,7 +827,6 @@ def restricted_estimate_scan(
     region; the sup over the family's first half is reported alongside the
     full sup so growth under doubling is visible.
     """
-    cfg = cfg or NormMcConfig()
     p = Fraction(p)
     if n_sets < 2:
         raise ValueError("n_sets must be at least 2: the growth compares the family's halves")
@@ -854,12 +841,12 @@ def restricted_estimate_scan(
             f"interior to the admissible region for k={k}, d={d}"
         )
     measure = SurfaceMeasure(matrix, resolution)
-    family = standard_set_family(matrix, n_sets, cfg.seed)
+    family = standard_set_family(matrix, n_sets, seed)
 
     rows = []
     sup, max_id, half_sup = 0.0, "", 0.0
     for idx, (set_id, test_set) in enumerate(family):
-        est = lq_norm_mc(measure, test_set, float(q0), cfg)
+        est = lq_norm_mc(measure, test_set, float(q0), seed=seed, n_tube=n_tube)
         ratio = est.norm / test_set.measure ** float(1 / p)
         rows.append(
             {"set_id": set_id, "kind": test_set.kind, "measure": test_set.measure, "ratio": ratio}
@@ -875,8 +862,7 @@ def restricted_estimate_scan(
         max_set_id=max_id,
         half_sup=half_sup,
         growth=growth,
-        params={"p": frac_str(p), "n_sets": n_sets, "seed": cfg.seed,
-                "resolution": resolution},
+        params={"p": frac_str(p), "n_sets": n_sets, "seed": seed, "resolution": resolution},
     )
 
 
@@ -888,8 +874,9 @@ def shell_bilinear_estimate(
     matrix: CoefficientMatrix,
     f,
     test_set,
-    n_samples: int = 20000,
-    seed: int = 0x5EED,
+    *,
+    n_samples: int,
+    seed: int,
     shell: tuple | None = None,
 ) -> RatioReport:
     """MC check of the shell-restricted bilinear bound.
@@ -930,9 +917,10 @@ def shell_sum_estimate(
     matrix: CoefficientMatrix,
     f,
     test_set,
-    n_min: int = -3,
-    n_samples: int = 4000,
-    seed: int = 0x5EED,
+    *,
+    n_min: int,
+    n_samples: int,
+    seed: int,
 ) -> dict:
     """Sum of the shell estimates over all multi-indices n_min <= n_i <= 0.
 

@@ -57,10 +57,10 @@ TAU_SLICE = 65_536
 class McConfig:
     """Sampling plan shared by the ratio estimators."""
 
-    seed: int = 0x5EED
-    n_y: int = 512
-    n_radial: int = 48
-    n_sphere: int = 64
+    seed: int
+    n_y: int
+    n_radial: int
+    n_sphere: int
 
     def __post_init__(self):
         if self.n_radial <= 0 or self.n_sphere <= 0:
@@ -326,7 +326,7 @@ def pullback_weight_ratio(
     matrix: CoefficientMatrix,
     rho: float | Sequence[float],
     w: GaussianSpec,
-    cfg: McConfig | None = None,
+    cfg: McConfig,
 ) -> RatioReport | list[RatioReport]:
     """Ratio of the shell-frequency integral to the pulled-back weight integral.
 
@@ -341,7 +341,6 @@ def pullback_weight_ratio(
     bit-identical to the one a single-rho call gives.  Raises ValueError when
     an estimate is not finite, e.g. when |zeta|^rho overflows.
     """
-    cfg = cfg or McConfig()
     rhos = [float(r) for r in np.atleast_1d(rho)]
     _check_inputs(matrix, rhos, w)
     reports = [
@@ -356,7 +355,7 @@ def region_weight_ratio(
     rho: float,
     w: GaussianSpec,
     q_rows,
-    cfg: McConfig | None = None,
+    cfg: McConfig,
     mode: str = "selected",
 ) -> RatioReport:
     """pullback_weight_ratio with zeta restricted to the region of a row set Q.
@@ -365,7 +364,6 @@ def region_weight_ratio(
     for the two membership modes; "selected" regions partition frequency
     space, "defining" regions overlap (their total measures the overlap).
     """
-    cfg = cfg or McConfig()
     q_rows = tuple(int(i) for i in q_rows)
     _check_inputs(matrix, [rho], w)
     mask = _region_masks(matrix, rho, w, cfg, mode).get(tuple(sorted(q_rows)))
@@ -380,7 +378,7 @@ def region_cover_factor(
     rho: float,
     w: GaussianSpec,
     total_lhs: float,
-    cfg: McConfig | None = None,
+    cfg: McConfig,
     mode: str = "selected",
 ) -> dict:
     """Sum of per-region lhs over all Q against the unrestricted lhs total_lhs.
@@ -393,7 +391,6 @@ def region_cover_factor(
     shell integral, equal to region_weight_ratio(...).lhs, without that
     function's rhs.
     """
-    cfg = cfg or McConfig()
     _check_inputs(matrix, [rho], w)
     parts = {}
     for q, mask in _region_masks(matrix, rho, w, cfg, mode).items():
@@ -409,15 +406,22 @@ def region_cover_factor(
 
 
 def squared_fourier_weight(f: GaussianSpec) -> GaussianSpec:
-    """|f^|^2 as a Gaussian weight: amplitude mass^2, sigma_i' = 1/(2 sqrt2 pi sigma_i)."""
+    """|f^|^2 as a Gaussian weight: amplitude mass^2, sigma_i' = 1/(2 sqrt2 pi sigma_i).
+    Refuses an f whose mass^2 overflows."""
     sig = tuple(1.0 / (2.0 * math.sqrt(2.0) * math.pi * s) for s in f.sigmas)
-    return GaussianSpec(dim=f.dim, amplitude=f.mass**2, mean=(0.0,) * f.dim, sigmas=sig)
+    try:
+        amplitude = f.mass**2
+    except OverflowError:
+        raise ValueError(
+            f"|f^|^2 amplitude overflows: f has amplitude {f.amplitude:g} and mass {f.mass:g}"
+        ) from None
+    return GaussianSpec(dim=f.dim, amplitude=amplitude, mean=(0.0,) * f.dim, sigmas=sig)
 
 
 def plancherel_ratio(
     matrix: CoefficientMatrix,
     f: GaussianSpec,
-    cfg: McConfig | None = None,
+    cfg: McConfig,
 ) -> RatioReport:
     """The L2 chain: shell-frequency integral of |f^|^2 against ||f||_2^2.
 
@@ -428,7 +432,6 @@ def plancherel_ratio(
     which is B again: the reported ratio is the identity's constant itself,
     and no tau quadrature is run.
     """
-    cfg = cfg or McConfig()
     rho = float(matrix.k - matrix.l)  # d - 2l with d = k + l
     w = squared_fourier_weight(f)
     _check_inputs(matrix, [rho], w)

@@ -34,7 +34,7 @@ def gauss_legendre_interval(n: int, a: float, b: float) -> tuple[np.ndarray, np.
     return mid + half * x, half * w
 
 
-def sphere_rule(dim: int, n_polar: int = 32, n_azimuth: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def sphere_rule(dim: int, n_polar: int, n_azimuth: int) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature for the unit sphere S^(dim-1) in R^dim.
 
     dim = 1 is the two-point set {+1, -1} with unit weights.  dim = 2 is the

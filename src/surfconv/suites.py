@@ -18,10 +18,8 @@ from .battery import load_battery
 from .convolution import (
     BallSet,
     BoxUnionSet,
-    NormMcConfig,
     ShearedBoxSet,
     ball_scaling_experiment,
-    ScalingConfig,
     restricted_estimate_scan,
     shell_bilinear_estimate,
     shell_sum_estimate,
@@ -160,13 +158,12 @@ def run_ball_scan(matrix, params, seed) -> SuiteResult:
         else _default_p_list(k, d)
     )
     tol = float(params.get("tolerance", 0.15))
-    cfg = ScalingConfig(
-        seed=seed,
-        resolution=params.get("resolution"),
-        n_tube=int(params.get("n_tube", 3000)),
-        n_centers=int(params.get("n_centers", 3)),
+    n_tube = int(params.get("n_tube", 3000))
+    n_centers = int(params.get("n_centers", 3))
+    rep = ball_scaling_experiment(
+        matrix, deltas, p_list,
+        seed=seed, resolution=params.get("resolution"), n_tube=n_tube, n_centers=n_centers,
     )
-    rep = ball_scaling_experiment(matrix, deltas, p_list, cfg)
     expected = rep.params["expected_norm_exponent"]
     fitted = rep.norm_exponents["mean"]
     verdicts = [
@@ -194,7 +191,7 @@ def run_ball_scan(matrix, params, seed) -> SuiteResult:
         {"report": rep},
         verdicts,
         {"ball_scan": (cols, rows)},
-        {"n_tube": cfg.n_tube, "deltas": len(deltas), "centers": cfg.n_centers},
+        {"n_tube": n_tube, "deltas": len(deltas), "centers": n_centers},
     )
 
 
@@ -202,12 +199,10 @@ def run_restricted_scan(matrix, params, seed) -> SuiteResult:
     k, d = matrix.k, matrix.d
     p = Fraction(params["p"]) if "p" in params else _default_p_list(k, d)[1]
     n_sets = int(params.get("n_sets", 12))
-    cfg = NormMcConfig(
-        seed=seed,
-        n_tube=int(params.get("n_tube", 2500)),
-    )
+    n_tube = int(params.get("n_tube", 2500))
     rep = restricted_estimate_scan(
-        matrix, p, n_sets=n_sets, cfg=cfg, resolution=int(params.get("resolution", 128))
+        matrix, p, n_sets=n_sets, seed=seed, n_tube=n_tube,
+        resolution=int(params.get("resolution", 128)),
     )
     verdicts = [
         Verdict("sup-finite", math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0,
@@ -221,7 +216,7 @@ def run_restricted_scan(matrix, params, seed) -> SuiteResult:
         {"report": rep},
         verdicts,
         {"restricted_scan": (cols, rows)},
-        {"n_sets": n_sets, "n_tube": cfg.n_tube},
+        {"n_sets": n_sets, "n_tube": n_tube},
     )
 
 

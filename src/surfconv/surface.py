@@ -423,7 +423,7 @@ class JacobianBoundReport:
 
 
 def verify_jacobian_bound(
-    matrix: CoefficientMatrix, n_samples: int = 100_000, seed: int = 0
+    matrix: CoefficientMatrix, *, n_samples: int, seed: int
 ) -> JacobianBoundReport:
     """Sample the unit dyadic shell and check the Jacobian lower bound.
 

@@ -153,7 +153,7 @@ def plane_transform(
     f: GridFunction,
     matrix: CoefficientMatrix,
     y,
-    cells: int = 96,
+    cells: int,
 ) -> PushforwardDensity:
     """Pushforward of f dm_k under x -> L_y x, as a density on an l-grid.
 
@@ -197,7 +197,7 @@ def pairing_check(
     h: GridFunction,
     matrix: CoefficientMatrix,
     y,
-    cells: int = 96,
+    cells: int,
 ) -> PairingReport:
     """Both sides of the defining pairing, each by its own grid quadrature.
 
@@ -237,7 +237,7 @@ def fourier_check(
     matrix: CoefficientMatrix,
     y,
     zeta_list,
-    cells: int = 128,
+    cells: int,
 ) -> FourierReport:
     """Compare the transform of Tf(y; .) against the closed form f^(y * C zeta).
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from surfconv.battery import battery_entry, load_battery
 from surfconv.cli import main as cli_main
-from surfconv.convolution import ScalingConfig, ball_scaling_experiment
+from surfconv.convolution import ball_scaling_experiment
 from surfconv.exponents import (
     critical_p0,
     critical_q0,
@@ -54,6 +54,7 @@ BANDED = battery_entry("banded-3-2").matrix
 PARABOLA = battery_entry("parabola-1-1").matrix
 PARABOLOID = battery_entry("paraboloid-2-1").matrix
 STAR_MATRICES = [e.matrix for e in load_battery() if e.expect_star]
+NODES = dict(n_radial=48, n_sphere=64)  # the quadrature node counts of the suites
 
 
 def announce(capsys, num, label, failures):
@@ -232,7 +233,7 @@ def test_08_weighted_frequency_identity(capsys):
     failures = []
     scalar = CoefficientMatrix.from_rows([[Fraction(3, 2)]])
     w1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(0.8,))
-    rep = pullback_weight_ratio(scalar, 0.0, w1, McConfig(seed=801, n_y=4000))
+    rep = pullback_weight_ratio(scalar, 0.0, w1, McConfig(seed=801, n_y=4000, **NODES))
     oracle = 2.0 * math.log(2.0) / 1.5
     if abs(rep.ratio - oracle) / oracle > 0.02:
         failures.append(f"1-d closed form off by {abs(rep.ratio - oracle) / oracle:.2%}")
@@ -243,13 +244,13 @@ def test_08_weighted_frequency_identity(capsys):
     for i in range(20):
         w = random_gaussian(rng, dim=BANDED.k)
         for rho in rho_list:
-            r1 = pullback_weight_ratio(BANDED, rho, w, McConfig(seed=810 + i, n_y=400))
-            r2 = pullback_weight_ratio(BANDED, rho, w, McConfig(seed=810 + i, n_y=800))
+            r1 = pullback_weight_ratio(BANDED, rho, w, McConfig(seed=810 + i, n_y=400, **NODES))
+            r2 = pullback_weight_ratio(BANDED, rho, w, McConfig(seed=810 + i, n_y=800, **NODES))
             drift = abs(r2.ratio - r1.ratio) / r1.ratio
             if drift > 0.10:
                 failures.append(f"w {i}, rho {rho}: drift {drift:.2%}")
     w = random_gaussian(np.random.default_rng(803), dim=3)
-    cfg = McConfig(seed=804, n_y=300)
+    cfg = McConfig(seed=804, n_y=300, **NODES)
     total = pullback_weight_ratio(BANDED, 1.0, w, cfg).lhs
     cover = region_cover_factor(BANDED, 1.0, w, total, cfg)
     if not 0.98 <= cover["cover_factor"] <= 1.10:
@@ -262,8 +263,8 @@ def test_09_squared_transform_chain(capsys):
     rng = np.random.default_rng(901)
     for i in range(20):
         f = random_gaussian(rng, dim=BANDED.k)
-        r1 = plancherel_ratio(BANDED, f, McConfig(seed=910 + i, n_y=400))
-        r2 = plancherel_ratio(BANDED, f, McConfig(seed=910 + i, n_y=800))
+        r1 = plancherel_ratio(BANDED, f, McConfig(seed=910 + i, n_y=400, **NODES))
+        r2 = plancherel_ratio(BANDED, f, McConfig(seed=910 + i, n_y=800, **NODES))
         if not (math.isfinite(r1.ratio) and r1.ratio > 0):
             failures.append(f"f {i}: ratio {r1.ratio}")
             continue
@@ -284,7 +285,10 @@ def _scaling_case(matrix, tol):
         matrix,
         [2.0**-e for e in (3, 4, 5, 6)],
         plist,
-        ScalingConfig(seed=1234, n_tube=3000, n_centers=3),
+        seed=1234,
+        resolution=None,
+        n_tube=3000,
+        n_centers=3,
     )
     failures = []
     expected = float(k + matrix.l / critical_q0(k, d))

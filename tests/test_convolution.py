@@ -25,8 +25,6 @@ from surfconv.convolution import (
     _SKIP_SLACK,
     BallSet,
     BoxUnionSet,
-    NormMcConfig,
-    ScalingConfig,
     ShearedBoxSet,
     SurfaceMeasure,
     TangentTubeSet,
@@ -541,24 +539,31 @@ class TestSetGeometry:
         assert abs(mc_vol - sh.measure) / sh.measure < 0.05
 
 
+# Plans for the tests below that need no particular one.
+PLAN_NORM = dict(seed=0x5EED, n_tube=4000)
+PLAN_SCALING = dict(seed=0x5EED, resolution=None, n_tube=3000, n_centers=3)
+PLAN_SCAN = dict(seed=0x5EED, n_tube=4000, resolution=128)
+PLAN_SHELL = dict(n_samples=20000, seed=0x5EED)
+
+
 class TestNormEstimation:
     def test_q1_matches_fubini_identity(self, mu_paraboloid):
         E = BallSet((0.1, 0.0, 0.15), 0.2)
-        est = lq_norm_mc(mu_paraboloid, E, 1.0, NormMcConfig(seed=5, n_tube=6000))
+        est = lq_norm_mc(mu_paraboloid, E, 1.0, seed=5, n_tube=6000)
         exact = total_mass(mu_paraboloid) * E.measure  # Fubini: |mu| m(E)
         assert abs(est.norm - exact) / exact < 0.02
 
     def test_norm_monotone_in_the_set(self, mu_paraboloid):
         small = BallSet((0.1, 0.0, 0.15), 0.15)
         large = BallSet((0.1, 0.0, 0.15), 0.22)
-        ns = lq_norm_mc(mu_paraboloid, small, 2.0, NormMcConfig(seed=6, n_tube=3000))
-        nl = lq_norm_mc(mu_paraboloid, large, 2.0, NormMcConfig(seed=6, n_tube=3000))
+        ns = lq_norm_mc(mu_paraboloid, small, 2.0, seed=6, n_tube=3000)
+        nl = lq_norm_mc(mu_paraboloid, large, 2.0, seed=6, n_tube=3000)
         slack = 3 * (ns.stderr + nl.stderr) / nl.norm
         assert ns.norm <= nl.norm * (1.0 + slack)
 
     def test_parabola_q3_against_grid_oracle(self, mu_parabola_fine):
         E = BallSet((0.2, 0.3), 1.0 / 16)
-        est = lq_norm_mc(mu_parabola_fine, E, 3.0, NormMcConfig(seed=7, n_tube=8000))
+        est = lq_norm_mc(mu_parabola_fine, E, 3.0, seed=7, n_tube=8000)
         gx = np.linspace(-1.25, 1.25, 701)
         gy = np.linspace(-0.3, 1.45, 701)
         cell = (gx[1] - gx[0]) * (gy[1] - gy[0])
@@ -568,29 +573,28 @@ class TestNormEstimation:
 
     def test_q_below_one_rejected(self, mu_parabola):
         with pytest.raises(ValueError):
-            lq_norm_mc(mu_parabola, BallSet((0.0, 0.0), 0.1), 0.5)
+            lq_norm_mc(mu_parabola, BallSet((0.0, 0.0), 0.1), 0.5, **PLAN_NORM)
 
     def test_empty_set_rejected(self, mu_parabola):
         tiny = BallSet((0.0, 0.0), 1e-200)  # its measure underflows to 0.0
         assert tiny.measure == 0.0
         with pytest.raises(ValueError, match="needs positive measure"):
-            lq_norm_mc(mu_parabola, tiny, 2.0)
+            lq_norm_mc(mu_parabola, tiny, 2.0, **PLAN_NORM)
 
     def test_zero_estimate_is_refused(self):
         # mu * chi_E > 0 on a set of positive measure, so a 0 is a miss, never an exact value
         mu = SurfaceMeasure(PARABOLOID, 8)
         E = BallSet((0.1, 0.0, 0.01), 0.01)
         with pytest.raises(ValueError) as info:
-            lq_norm_mc(mu, E, 3.0, NormMcConfig(seed=1, n_tube=16))
+            lq_norm_mc(mu, E, 3.0, seed=1, n_tube=16)
         assert str(info.value) == (
             f"zero norm estimate on {E!r}: none of 16 tube samples met the set; raise n_tube"
         )
 
     def test_fewer_tube_samples_than_chunks_refused(self, mu_parabola):
-        cfg = NormMcConfig(seed=1, n_tube=4)
         with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):
             warnings.simplefilter("error")
-            lq_norm_mc(mu_parabola, BallSet((0.0, 0.0), 0.1), 2.0, cfg)
+            lq_norm_mc(mu_parabola, BallSet((0.0, 0.0), 0.1), 2.0, seed=1, n_tube=4)
 
 
 class TestBallScaling:
@@ -605,7 +609,7 @@ class TestBallScaling:
             PARABOLOID,
             [2.0**-e for e in (3, 4, 5)],
             plist,
-            ScalingConfig(seed=5, resolution=256, n_tube=2500, n_centers=2),
+            seed=5, resolution=256, n_tube=2500, n_centers=2,
         )
         expected = float(rep.params["expected_norm_exponent"])
         assert abs(rep.norm_exponents["mean"] - expected) < 0.4
@@ -619,7 +623,7 @@ class TestBallScaling:
             PARABOLOID,
             [2.0**-e for e in (3, 4, 5)],
             [Fraction(4, 3)],
-            ScalingConfig(seed=1, n_tube=600, n_centers=1),
+            seed=1, resolution=None, n_tube=600, n_centers=1,
         )
         # deltas ascending; spacing <= delta/4 means res = 8/delta rounded up
         assert rep.params["resolutions"] == [256, 128, 64]
@@ -629,7 +633,7 @@ class TestBallScaling:
             PARABOLOID,
             [2.0**-e for e in (1, 2, 3, 4)],
             [Fraction(4, 3)],
-            ScalingConfig(seed=2, resolution=64, n_tube=400, n_centers=1),
+            seed=2, resolution=64, n_tube=400, n_centers=1,
         )
         norms = {row["delta"]: row["norm"] for row in rep.rows if row["center_id"] == 0}
         kept = sorted(norms)[1:]
@@ -638,12 +642,12 @@ class TestBallScaling:
 
     def test_too_few_radii_rejected(self):
         with pytest.raises(ValueError):
-            ball_scaling_experiment(PARABOLOID, [0.5, 0.25], [Fraction(4, 3)])
+            ball_scaling_experiment(PARABOLOID, [0.5, 0.25], [Fraction(4, 3)], **PLAN_SCALING)
 
     def test_degenerate_matrix_rejected(self):
         bad = CoefficientMatrix.from_rows([[1, 0], [2, 0], [0, 1]])  # rows 0,1 parallel
         with pytest.raises(ValueError):
-            ball_scaling_experiment(bad, [0.5, 0.25, 0.125], [Fraction(4, 3)])
+            ball_scaling_experiment(bad, [0.5, 0.25, 0.125], [Fraction(4, 3)], **PLAN_SCALING)
 
 
 class TestShellEstimates:
@@ -689,19 +693,15 @@ class TestShellEstimates:
 class TestRestrictedScan:
     def test_vertex_exponent_refused(self):
         with pytest.raises(ValueError):
-            restricted_estimate_scan(PARABOLOID, Fraction(4, 3), n_sets=6)
+            restricted_estimate_scan(PARABOLOID, Fraction(4, 3), n_sets=6, **PLAN_SCAN)
 
     def test_fewer_than_two_sets_refused(self):
         # the growth divides the full sup by the first half's sup
         with pytest.raises(ValueError, match="n_sets must be at least 2"):
-            restricted_estimate_scan(PARABOLOID, Fraction(3, 2), n_sets=1)
+            restricted_estimate_scan(PARABOLOID, Fraction(3, 2), n_sets=1, **PLAN_SCAN)
 
     def test_scan_is_finite_and_deterministic(self):
-        kwargs = dict(
-            n_sets=6,
-            cfg=NormMcConfig(seed=8, n_tube=2000),
-            resolution=128,
-        )
+        kwargs = dict(n_sets=6, seed=8, n_tube=2000, resolution=128)
         scan = restricted_estimate_scan(PARABOLOID, Fraction(3, 2), **kwargs)
         assert math.isfinite(scan.sup_ratio) and scan.sup_ratio > 0
         again = restricted_estimate_scan(PARABOLOID, Fraction(3, 2), **kwargs)
@@ -723,9 +723,9 @@ def test_wrong_dimension_is_refused(estimator, test_set):
     mu = SurfaceMeasure(PARABOLOID, 16)
     call = {
         "convolve_many": lambda: mu.convolve_many(test_set, np.zeros((4, 3))),
-        "lq_norm_mc": lambda: lq_norm_mc(mu, test_set, 2.0, NormMcConfig(seed=1, n_tube=64)),
+        "lq_norm_mc": lambda: lq_norm_mc(mu, test_set, 2.0, seed=1, n_tube=64),
         "shell_bilinear_estimate": lambda: shell_bilinear_estimate(
-            PARABOLOID, GaussianSpec.unit_mass(2), test_set, n_samples=64
+            PARABOLOID, GaussianSpec.unit_mass(2), test_set, n_samples=64, seed=0x5EED
         ),
     }[estimator]
     message = rf"test set lives in R\^{test_set.dim}, the surface in R\^3"
@@ -759,11 +759,12 @@ def test_wrong_dimension_is_refused(estimator, test_set):
                          BallSet((0.0, 0.0, 0.0), 10.0), np.zeros((1, 3))),
                      "test set too wide for this resolution's index window", id="window-40M"),
         pytest.param(lambda: shell_bilinear_estimate(
-                         PARABOLOID, GaussianSpec.unit_mass(3), BallSet((0.0, 0.0, 0.0), 0.5)),
+                         PARABOLOID, GaussianSpec.unit_mass(3), BallSet((0.0, 0.0, 0.0), 0.5),
+                         **PLAN_SHELL),
                      "f must live on R^k", id="shell-f-dim"),
         pytest.param(lambda: shell_bilinear_estimate(
                          PARABOLOID, GaussianSpec.unit_mass(2), BallSet((0.0, 0.0, 0.0), 0.5),
-                         shell=(0,)),
+                         shell=(0,), **PLAN_SHELL),
                      "shell multi-index must have k entries", id="shell-length"),
     ],
 )

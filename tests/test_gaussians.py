@@ -129,6 +129,39 @@ def test_evaluate_products_flushes_below_the_normal_range():
     assert np.all(got[~tiny] >= sys.float_info.min)
 
 
+def masked_exp_block(s, side) -> np.ndarray:
+    """product_block's former exp step, kept as the oracle: a mask-gated exp of
+    the exponents at or above log(sys.float_info.min), then a clip at 0."""
+    left = np.concatenate([s * s, s, np.ones((len(s), 1))], axis=1)
+    out = np.matmul(left, side.T)
+    np.exp(out, out=out, where=out >= math.log(sys.float_info.min))
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+def test_product_block_matches_the_masked_exp_bit_for_bit(reuse):
+    # with dim = 1, s = 1 and a side row [a, b, c], the exponent is a + b + c;
+    # the rows [0, 0, c] put c itself in the block
+    bound = math.log(sys.float_info.min)
+    special = [bound, np.nextafter(bound, 0.0), np.nextafter(bound, -np.inf), bound - 50.0,
+               -745.2, -1e300, 0.0, -0.0, 1e-300, 700.0, 710.0, np.nan, np.inf, -np.inf]
+    rng = np.random.default_rng(77)
+    side = np.concatenate([
+        np.column_stack([np.zeros(len(special)), np.zeros(len(special)), special]),
+        rng.uniform(-400.0, 0.0, (300, 3)),
+    ])
+    s = np.concatenate([np.ones((1, 1)), rng.uniform(-2.0, 2.0, (40, 1))])
+    out = np.full((len(s), len(side)), -7.0) if reuse else None
+    with np.errstate(over="ignore"):  # exp(710) overflows to inf
+        oracle = masked_exp_block(s, side)
+        got = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,)).product_block(
+            s, side, out=out)
+    assert (oracle == 0.0).any() and (oracle >= sys.float_info.min).any()
+    assert np.isnan(oracle).any() and np.isposinf(oracle).any()
+    assert got.view(np.uint64).tolist() == oracle.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -157,7 +190,7 @@ def test_gaussian_input_refusals(call, message):
     [
         pytest.param(lambda: gauss_legendre_interval(0, 0.0, 1.0), "need at least one node",
                      id="no-nodes"),
-        pytest.param(lambda: sphere_rule(0), "dimension must be positive", id="dim-0"),
+        pytest.param(lambda: sphere_rule(0, 32, 64), "dimension must be positive", id="dim-0"),
     ],
 )
 def test_quadrature_input_refusals(call, message):
@@ -179,7 +212,7 @@ def test_tensor_rule_separability():
 
 def test_sphere_rule_integrates_polynomials():
     for dim in (1, 2, 3):
-        nodes, w = sphere_rule(dim)
+        nodes, w = sphere_rule(dim, 32, 64)
         assert float(np.sum(w)) == pytest.approx(sphere_area(dim), rel=1e-10)
         # integral of x_0^2 over S^(dim-1) = area / dim
         assert float(np.sum(w * nodes[:, 0] ** 2)) == pytest.approx(
@@ -196,5 +229,5 @@ def test_ball_volume_values():
 def test_polar_rule_gaussian_mass():
     # the polar product rule of the pullback quadratures, at rho = 0
     g = GaussianSpec(dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 1.0))
-    pts, w, _ = _polar_nodes(0.0, 2, 8.0, McConfig(n_radial=64, n_sphere=64))
+    pts, w, _ = _polar_nodes(0.0, 2, 8.0, McConfig(seed=0x5EED, n_y=512, n_radial=64, n_sphere=64))
     assert float(np.sum(w * g.evaluate(pts))) == pytest.approx(g.mass, rel=1e-8)

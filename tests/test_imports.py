@@ -4,7 +4,7 @@ name it defines is read somewhere in the package, and every public name,
 method or property it defines is read by a run, an acceptance gate, a demo,
 the README quickstart or the bench tracer, as is every field of its
 dataclasses.  Only parallel.py spawns seeded streams or takes a sample
-spread."""
+spread, and only suites.py gives a sampling-plan value a default."""
 
 import ast
 from collections import Counter
@@ -254,6 +254,56 @@ def test_package_has_no_unread_fields():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     unread = unread_fields(sources, _outside_reads(), ENCODED)
     found = [f"{name}:{line}: {n}" for name, line, n in unread]
+    assert found == []
+
+
+def is_plan_parameter(name: str) -> bool:
+    """Whether a parameter or field names a sampling-plan value: a seed, a
+    config, a count n_*, a grid resolution or a cell count."""
+    return name in ("seed", "cfg", "resolution", "cells") or name.startswith("n_")
+
+
+def plan_defaults(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every plan parameter that has a default: a function
+    argument, positional or keyword-only, or a dataclass field."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [(a.lineno, a.arg) for a in defaulted if is_plan_parameter(a.arg)]
+    found += [
+        (node.lineno, name)
+        for node, name in dataclass_fields(tree)
+        if node.value is not None and is_plan_parameter(name.split(".")[1])
+    ]
+    return sorted(found)
+
+
+def test_scan_finds_a_plan_default():
+    source = (
+        "from dataclasses import dataclass\n@dataclass\nclass Plan:\n    seed: int = 1\n"
+        "    n_y: int\n    label: str = 'x'\n"
+        "def run(cfg=None, n=3, *, cells=8, resolution, n_min: int = -2, mode='a'):\n    pass\n"
+        "def draw(rng, n_samples, seed=0):\n    pass\n"
+    )
+    assert plan_defaults(source) == [
+        (4, "Plan.seed"), (7, "cells"), (7, "cfg"), (7, "n_min"), (9, "seed"),
+    ]
+
+
+def test_only_the_suites_choose_a_plan():
+    # a run's seeds, sample counts, node counts and grid sizes come from its
+    # config, read by its suite in suites.py; no estimator falls back to one
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "suites.py"
+        for line, name in plan_defaults(path.read_text())
+    ]
     assert found == []
 
 

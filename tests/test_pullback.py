@@ -33,6 +33,12 @@ SCALAR = CoefficientMatrix.from_rows([[Fraction(3, 2)]])
 W3 = GaussianSpec(dim=3, amplitude=1.0, mean=(0.0, 0.0, 0.0), sigmas=(1.0, 0.8, 1.2))
 
 
+def plan(**fields) -> McConfig:
+    """A McConfig of the given fields; seed 0x5EED, 512 y-samples, 48 radial
+    and 64 sphere nodes for the others."""
+    return McConfig(**{"seed": 0x5EED, "n_y": 512, "n_radial": 48, "n_sphere": 64, **fields})
+
+
 def one_d_oracle(c: float, rho: float) -> float:
     # exact ratio of the two frequency integrals for a single coefficient:
     # the y-average of |c y|^-(rho+1) over |y| in [1, 2), both signs
@@ -44,13 +50,13 @@ def one_d_oracle(c: float, rho: float) -> float:
 @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5])
 def test_one_dimensional_closed_form(rho):
     w = GaussianSpec(dim=1, amplitude=1.3, mean=(0.4,), sigmas=(0.8,))
-    rep = pullback_weight_ratio(SCALAR, rho, w, McConfig(n_y=4000, seed=11))
+    rep = pullback_weight_ratio(SCALAR, rho, w, plan(n_y=4000, seed=11))
     assert rep.ratio == pytest.approx(one_d_oracle(1.5, rho), rel=0.02)
 
 
 def test_plancherel_one_dimensional_oracle():
     f = GaussianSpec(dim=1, amplitude=0.9, mean=(0.3,), sigmas=(1.1,))
-    cfg = McConfig(n_y=4000, seed=13)
+    cfg = plan(n_y=4000, seed=13)
     rep = plancherel_ratio(SCALAR, f, cfg)
     assert rep.ratio == pytest.approx(2.0 * math.log(2.0) / 1.5, rel=0.02)
     # the tau quadrature that plancherel_ratio leaves out (its rhs is in
@@ -69,7 +75,7 @@ def test_weighted_integral_is_dilation_invariant():
             mean=tuple(m * t for m in f.mean),
             sigmas=tuple(s * t for s in f.sigmas),
         )
-        rep = plancherel_ratio(BANDED, ft, McConfig(n_y=1500, seed=17))
+        rep = plancherel_ratio(BANDED, ft, plan(n_y=1500, seed=17))
         values.append(rep.lhs)
     assert values[1] == pytest.approx(values[0], rel=0.05)
 
@@ -78,25 +84,10 @@ def test_matrix_homogeneity_power():
     # scaling C by t multiplies the frequency integral by t^-(rho + l)
     rho = 1.0
     doubled = CoefficientMatrix.from_rows([[2, 0], [2, 2], [0, 2]])
-    r1 = pullback_weight_ratio(BANDED, rho, W3, McConfig(n_y=1500, seed=19))
-    r2 = pullback_weight_ratio(doubled, rho, W3, McConfig(n_y=1500, seed=19))
+    r1 = pullback_weight_ratio(BANDED, rho, W3, plan(n_y=1500, seed=19))
+    r2 = pullback_weight_ratio(doubled, rho, W3, plan(n_y=1500, seed=19))
     power = math.log(r2.lhs / r1.lhs) / math.log(2.0)
     assert power == pytest.approx(-(rho + 2), abs=0.05)
-
-
-def test_region_cover_partition_sums_to_total():
-    cfg = McConfig(n_y=800, seed=29)
-    total = pullback_weight_ratio(BANDED, 0.0, W3, cfg).lhs
-    cov = region_cover_factor(BANDED, 0.0, W3, total, cfg, mode="selected")
-    assert cov["cover_factor"] == pytest.approx(1.0, abs=1e-9)
-    assert set(cov["per_region"]) == {"0", "1", "2"}
-
-
-def test_region_cover_defining_overcounts():
-    cfg = McConfig(n_y=800, seed=29)
-    total = pullback_weight_ratio(BANDED, 0.0, W3, cfg).lhs
-    cov = region_cover_factor(BANDED, 0.0, W3, total, cfg, mode="defining")
-    assert cov["cover_factor"] >= 1.0 - 1e-9
 
 
 def test_lemma_cover_total_is_the_lhs_of_its_first_row():
@@ -109,14 +100,34 @@ def test_lemma_cover_total_is_the_lhs_of_its_first_row():
         assert result.payload["cover"][mode]["total_lhs"] == first["lhs"]
 
 
+@pytest.mark.parametrize(
+    "entry,rho,seed",
+    [("banded-3-2", 0.0, 1), ("banded-3-2", 1.0, 2), ("banded-3-2", -0.5, 3), ("random-4-3", 0.5, 4)],
+)
+def test_lemma_cover_verdicts_are_identities(entry, rho, seed):
+    # cover-selected cannot fail: the selected regions partition the zeta nodes
+    # and reuse the total's y-draws, so their sum is the total up to rounding.
+    # cover-defining cannot fail: each defining region contains its selected
+    # region and the integrand is nonnegative, so the factor is at least 1.
+    params = {"rho_list": [rho], "n_w": 1, "n_y": 64, "n_radial": 12, "n_sphere": 12}
+    matrix = battery_entry(entry).matrix
+    result = run_lemma_mc(matrix, params, seed=seed)
+    cover = result.payload["cover"]
+    assert set(cover["selected"]["per_region"]) == {str(i) for i in range(matrix.k)}
+    assert abs(cover["selected"]["cover_factor"] - 1.0) <= 1e-12
+    assert cover["defining"]["cover_factor"] >= 1.0 - 1e-12
+    verdicts = {v.check_id: v.passed for v in result.verdicts}
+    assert verdicts["cover-selected"] and verdicts["cover-defining"]
+
+
 def test_middle_row_selected_region_is_empty():
     # on the unit circle |zeta_1| and |zeta_1 + zeta_2| cannot both be small
     # enough for row 2 to be reached before rows 0 and 1 fill the quota
-    rep = region_weight_ratio(BANDED, 0.0, W3, (2,), McConfig(n_y=400, seed=3))
+    rep = region_weight_ratio(BANDED, 0.0, W3, (2,), plan(n_y=400, seed=3))
     assert rep.lhs == 0.0
 
 
-SMALL = McConfig(n_y=32, n_radial=8, n_sphere=8)
+SMALL = plan(n_y=32, n_radial=8, n_sphere=8)
 W1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,))
 
 
@@ -127,8 +138,8 @@ def centered_3(amplitude: float, sigma: float) -> GaussianSpec:
 @pytest.mark.parametrize(
     "call,message",
     [
-        pytest.param(lambda: McConfig(n_radial=0), "node counts must be positive", id="n-radial"),
-        pytest.param(lambda: McConfig(n_sphere=-1), "node counts must be positive", id="n-sphere"),
+        pytest.param(lambda: plan(n_radial=0), "node counts must be positive", id="n-radial"),
+        pytest.param(lambda: plan(n_sphere=-1), "node counts must be positive", id="n-sphere"),
         pytest.param(lambda: pullback_weight_ratio(BANDED, -2.5, W3, SMALL),
                      "rho = -2.5 too negative for a convergent frequency integral", id="rho-low"),
         pytest.param(lambda: pullback_weight_ratio(BANDED, 400.0, W3, SMALL),
@@ -161,6 +172,10 @@ def centered_3(amplitude: float, sigma: float) -> GaussianSpec:
                      "rho = 0.0: non-finite frequency estimate (lhs", id="non-finite"),
         pytest.param(lambda: plancherel_ratio(BANDED, centered_3(1e150, 1.0), SMALL),
                      "rho = 1.0: non-finite frequency estimate (lhs", id="plancherel-non-finite"),
+        # |f^|^2 has amplitude mass^2, which overflows a float before any estimate runs
+        pytest.param(lambda: plancherel_ratio(BANDED, centered_3(1e160, 1.0), SMALL),
+                     "|f^|^2 amplitude overflows: f has amplitude 1e+160 and mass 1.57496e+161",
+                     id="plancherel-amplitude-overflow"),
     ],
 )
 def test_pullback_input_refusals(call, message):
@@ -171,7 +186,7 @@ def test_pullback_input_refusals(call, message):
 
 def test_one_y_sample_is_refused():
     # one sample has no spread: a stderr of 0 would read as an exact estimate
-    cfg = McConfig(n_y=1)
+    cfg = plan(n_y=1)
     with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):
         warnings.simplefilter("error")
         pullback_weight_ratio(BANDED, 0.0, W3, cfg)
@@ -180,7 +195,7 @@ def test_one_y_sample_is_refused():
 def test_region_ratio_refuses_a_weight_off_r_k():
     w1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,))
     with pytest.raises(ValueError, match=r"weight must live on R\^k"):
-        region_weight_ratio(battery_entry("banded-3-2").matrix, 0.0, w1, (0,), McConfig(n_y=100))
+        region_weight_ratio(battery_entry("banded-3-2").matrix, 0.0, w1, (0,), plan(n_y=100))
 
 
 @dataclass(frozen=True)
@@ -217,7 +232,7 @@ def change_of_variables_check(
     q_rows,
     y_head,
     g: GaussianSpec,
-    cfg: McConfig | None = None,
+    cfg: McConfig,
 ) -> ChangeOfVariablesReport:
     """Verify integral g = integral (g o map) * J over (zeta, y_Q) coordinates.
 
@@ -231,7 +246,6 @@ def change_of_variables_check(
     the Gaussian slice is always resolved; the zeta rule is polar with the
     circle split at the Jacobian's kink directions when l = 2.
     """
-    cfg = cfg or McConfig()
     k, l = matrix.k, matrix.l
     q_rows = tuple(sorted(int(i) for i in q_rows))
     if len(q_rows) != k - l:
@@ -297,17 +311,17 @@ def change_of_variables_check(
 @pytest.mark.parametrize("q", [(0,), (1,), (2,)])
 def test_change_of_variables_banded(q):
     g = GaussianSpec(dim=3, amplitude=1.0, mean=(0.3, -0.2, 0.5), sigmas=(0.8, 1.0, 1.2))
-    rep = change_of_variables_check(BANDED, q, (1.3, -1.6), g, McConfig(n_radial=64))
+    rep = change_of_variables_check(BANDED, q, (1.3, -1.6), g, plan(n_radial=64))
     assert rep.rel_err < 1e-6
 
 
 def test_change_of_variables_square_cases():
     g1 = GaussianSpec(dim=1, amplitude=2.0, mean=(0.4,), sigmas=(0.9,))
-    rep = change_of_variables_check(SCALAR, (), (1.5,), g1, McConfig())
+    rep = change_of_variables_check(SCALAR, (), (1.5,), g1, plan())
     assert rep.rel_err < 1e-8
     m22 = CoefficientMatrix.from_rows([[1, 0], [0, 1]])
     g2 = GaussianSpec(dim=2, amplitude=1.0, mean=(0.2, -0.3), sigmas=(0.7, 1.1))
-    rep = change_of_variables_check(m22, (), (1.2, -1.8), g2, McConfig(n_radial=64))
+    rep = change_of_variables_check(m22, (), (1.2, -1.8), g2, plan(n_radial=64))
     assert rep.rel_err < 1e-6
 
 
@@ -320,7 +334,7 @@ def test_squared_fourier_weight_matches_modulus():
 
 def test_product_grid_evaluation_matches_pointwise_sums(monkeypatch):
     w = GaussianSpec(dim=3, amplitude=1.7, mean=(0.3, -0.2, 0.1), sigmas=(0.9, 0.6, 1.3))
-    cfg = McConfig(n_y=40, n_radial=8, n_sphere=8, seed=21)
+    cfg = plan(n_y=40, n_radial=8, n_sphere=8, seed=21)
     mask = np.arange(8 * 8) % 3 != 0
     fast = [
         _lhs_shell_integral(BANDED, [0.5], w, cfg)[0],
@@ -357,7 +371,7 @@ def one_block_weight_integral(w, exponent, r_max, cfg):
 # the shipped plancherel config's first f, and its doubled plan
 PLANCHEREL_F = random_gaussian(np.random.Generator(np.random.PCG64(np.random.SeedSequence(4))), 3)
 PLANCHEREL_W = squared_fourier_weight(PLANCHEREL_F)
-PLANCHEREL_DOUBLED = McConfig(seed=4, n_y=300).doubled()
+PLANCHEREL_DOUBLED = plan(seed=4, n_y=300).doubled()
 
 
 @pytest.mark.parametrize(
@@ -365,7 +379,7 @@ PLANCHEREL_DOUBLED = McConfig(seed=4, n_y=300).doubled()
     [
         (PLANCHEREL_W, 0.0, PLANCHEREL_DOUBLED, (96, 8192)),
         # lemma's doubled plan: the negative tau exponent rho - k + l = -1 of rho = 0
-        (W3, -1.0, McConfig(n_radial=32, n_sphere=32).doubled(), (400, 2048)),
+        (W3, -1.0, plan(n_radial=32, n_sphere=32).doubled(), (400, 2048)),
     ],
     ids=["plancherel-doubled", "lemma-negative"],
 )
@@ -379,7 +393,7 @@ def test_sliced_weight_integral_is_bit_equal_to_one_block(w, exponent, cfg, shap
 @pytest.mark.parametrize("nodes", [1, 5, 7, 13])
 def test_slices_are_whole_groups_of_8_sphere_nodes(monkeypatch, nodes):
     # on this 320 x 256 rule, slices of 1, 5, 7 or 13 sphere nodes each move the last bit
-    cfg = McConfig(n_radial=8, n_sphere=16)
+    cfg = plan(n_radial=8, n_sphere=16)
     monkeypatch.setattr("surfconv.pullback.TAU_SLICE", 320 * nodes)
     r_max = _tau_radius(W3)
     assert _weight_integral(W3, -1.0, r_max, cfg) == one_block_weight_integral(W3, -1.0, r_max, cfg)
@@ -416,7 +430,7 @@ class TestFrequencyKernelMemory:
 
 def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
     w = GaussianSpec(dim=3, amplitude=1.2, mean=(0.1, 0.4, -0.3), sigmas=(0.8, 1.1, 0.7))
-    cfg = McConfig(n_y=60, n_radial=8, n_sphere=8, seed=13)
+    cfg = plan(n_y=60, n_radial=8, n_sphere=8, seed=13)
     rhos = [-0.5, 0.0, 0.0, 1.0]
     shared = _lhs_shell_integral(BANDED, rhos, w, cfg)
     assert shared == [_lhs_shell_integral(BANDED, [rho], w, cfg)[0] for rho in rhos]
@@ -427,7 +441,7 @@ def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
 
 @pytest.mark.parametrize("mode", ["selected", "defining"])
 def test_cover_regions_equal_region_weight_ratio_lhs(mode):
-    cfg = McConfig(n_y=64, n_radial=12, n_sphere=12, seed=9)
+    cfg = plan(n_y=64, n_radial=12, n_sphere=12, seed=9)
     total = pullback_weight_ratio(BANDED, 0.5, W3, cfg).lhs
     cov = region_cover_factor(BANDED, 0.5, W3, total, cfg, mode=mode)
     for label, lhs in cov["per_region"].items():
@@ -437,7 +451,7 @@ def test_cover_regions_equal_region_weight_ratio_lhs(mode):
 
 def test_doubling_reduces_or_keeps_error_one_d():
     w = GaussianSpec(dim=1, amplitude=1.0, mean=(0.2,), sigmas=(0.9,))
-    cfg = McConfig(n_y=1000, seed=41)
+    cfg = plan(n_y=1000, seed=41)
     oracle = one_d_oracle(1.5, 1.0)
     r1 = pullback_weight_ratio(SCALAR, 1.0, w, cfg)
     r2 = pullback_weight_ratio(SCALAR, 1.0, w, cfg.doubled())

@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from surfconv.battery import battery_entry
 from surfconv.convolution import (
     BallSet,
-    ScalingConfig,
     ball_scaling_experiment,
     restricted_estimate_scan,
     shell_bilinear_estimate,
 )
 from surfconv.gaussians import GaussianSpec
-from surfconv.pullback import plancherel_ratio, pullback_weight_ratio
+from surfconv.pullback import McConfig, plancherel_ratio, pullback_weight_ratio
 from surfconv.surface import (
     CoefficientMatrix,
     RowSelectionError,
@@ -98,24 +97,27 @@ def test_submatrix_condition_witness_is_first_failure():
 
 DEGENERATE_3_2 = battery_entry("degenerate-3-2").matrix
 UNIT_3 = GaussianSpec.unit_mass(3)
+PLAN_MC = McConfig(seed=0x5EED, n_y=512, n_radial=48, n_sphere=64)  # any plan: they refuse first
 
 
 @pytest.mark.parametrize(
     "call",
     [
         pytest.param(lambda: ball_scaling_experiment(
-            DEGENERATE_3_2, [0.25, 0.125, 0.0625], [F(3, 2)], ScalingConfig(n_tube=16)),
+            DEGENERATE_3_2, [0.25, 0.125, 0.0625], [F(3, 2)],
+            seed=0x5EED, resolution=None, n_tube=16, n_centers=3),
             id="ball_scaling_experiment"),
-        pytest.param(lambda: restricted_estimate_scan(DEGENERATE_3_2, F(3, 2), n_sets=2),
+        pytest.param(lambda: restricted_estimate_scan(
+            DEGENERATE_3_2, F(3, 2), n_sets=2, seed=0x5EED, n_tube=4000, resolution=128),
                      id="restricted_estimate_scan"),
-        pytest.param(lambda: pullback_weight_ratio(DEGENERATE_3_2, 0.0, UNIT_3),
+        pytest.param(lambda: pullback_weight_ratio(DEGENERATE_3_2, 0.0, UNIT_3, PLAN_MC),
                      id="pullback_weight_ratio"),
-        pytest.param(lambda: plancherel_ratio(DEGENERATE_3_2, UNIT_3), id="plancherel_ratio"),
+        pytest.param(lambda: plancherel_ratio(DEGENERATE_3_2, UNIT_3, PLAN_MC), id="plancherel_ratio"),
         pytest.param(lambda: plane_transform(GridFunction.from_gaussian(UNIT_3, 8),
                                              DEGENERATE_3_2, [1.0, 1.0, 1.0], cells=8),
                      id="plane_transform"),
         pytest.param(lambda: shell_bilinear_estimate(
-            DEGENERATE_3_2, UNIT_3, BallSet((1.5,) * 5, 0.5), n_samples=64),
+            DEGENERATE_3_2, UNIT_3, BallSet((1.5,) * 5, 0.5), n_samples=64, seed=0x5EED),
             id="shell_bilinear_estimate"),
     ],
 )
