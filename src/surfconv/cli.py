@@ -100,16 +100,17 @@ def _csv_text(columns, rows, preamble: str = "") -> str:
 
 
 def _exponent_error(params: dict) -> str | None:
-    """The error for the first params.p / params.p_list entry that is not a positive rational."""
+    """The error for the first params.p / params.p_list entry that is not a
+    rational p >= 1: a smaller p lies outside the exponent square."""
     fields = [("$.params.p", params["p"])] if "p" in params else []
     fields += [(f"$.params.p_list[{i}]", s) for i, s in enumerate(params.get("p_list", []))]
     for where, text in fields:
         try:
-            positive = Fraction(text) > 0
+            admissible = Fraction(text) >= 1
         except (ValueError, ZeroDivisionError):
-            positive = False
-        if not positive:
-            return f"config invalid at {where}: {text!r} is not a positive rational"
+            admissible = False
+        if not admissible:
+            return f"config invalid at {where}: {text!r} is not a rational p >= 1"
     return None
 
 
@@ -229,6 +230,8 @@ def cmd_run(args) -> int:
         result = run_suite(suite, matrix, params, seed)
     except (ValueError, KeyError) as exc:
         return _fail(f"suite {suite!r} rejected the configuration: {exc}")
+    except ArithmeticError as exc:  # a number of the config overflows or underflows a float
+        return _fail(f"suite {suite!r} rejected the configuration: {type(exc).__name__}: {exc}")
     wall = time.perf_counter() - t0
 
     config_hash = _config_hash(config)
@@ -339,7 +342,10 @@ def cmd_report(args) -> int:
             any_fail = any_fail or not v["passed"]
         if doc["suite"] == "ball-scan":
             for row in doc["results"]["report"]["rows"]:
-                p = row["p_num"] / row["p_den"]
+                try:
+                    p = row["p_num"] / row["p_den"]
+                except OverflowError as exc:  # an integer p_num beyond the float range
+                    return _fail(f"run file {path} holds a p that is not a float: {exc}")
                 curve_rows.append(
                     [
                         run_id,

@@ -54,6 +54,7 @@ from .quadrature import ball_volume
 from .rationals import frac_str
 from .surface import (
     CoefficientMatrix,
+    check_source,
     check_submatrices,
     min_submatrix_det,
     sample_shell,
@@ -886,10 +887,8 @@ def shell_bilinear_estimate(
     sampled from f (nonnegative Gaussian), y uniformly from the shell
     {2^(n_i) <= |y_i| < 2^(n_i+1)}, default the unit shell n = 0.
     """
-    min_submatrix_det(matrix)
+    check_source(matrix, f.dim)
     k, l, d = matrix.k, matrix.l, matrix.d
-    if f.dim != k:
-        raise ValueError("f must live on R^k")
     _check_dim(test_set, d)
     if test_set.measure <= 0:
         raise ValueError("degenerate test set: the shell estimate needs positive measure")
@@ -910,7 +909,7 @@ def shell_bilinear_estimate(
     lhs = scale * mean
     stderr = scale * math.sqrt(var) / math.sqrt(n)
     rhs = f.lp_norm(d / k) * test_set.measure ** (k / d)
-    return RatioReport(lhs=lhs, rhs=rhs, ratio=lhs / rhs, stderr=stderr)
+    return RatioReport(lhs=lhs, rhs=rhs, stderr=stderr)
 
 
 def shell_sum_estimate(

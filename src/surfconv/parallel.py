@@ -6,6 +6,7 @@ chunk layout alone picks every random stream and every float sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,16 +14,24 @@ import numpy as np
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Both sides of a verified inequality and their ratio, with MC error.
-
-    stderr is the lhs's for shell_bilinear_estimate and the pullback ratios, but the
-    ratio's (lhs's / rhs) for plancherel_ratio.  The suites' CSVs call both `stderr`.
-    """
+    """Both sides of a verified inequality, the Monte Carlo stderr of lhs, and
+    ratio = lhs / rhs.  A zero rhs, or a number that is not finite, is refused."""
 
     lhs: float
     rhs: float
-    ratio: float
     stderr: float
+
+    def __post_init__(self):
+        numbers = (self.lhs, self.rhs, self.stderr)
+        # rhs == 0 is tested first: lhs / 0 raises instead of giving inf or nan
+        if self.rhs == 0 or not all(map(math.isfinite, (*numbers, self.ratio))):
+            raise ValueError(
+                f"non-finite estimate: lhs {self.lhs}, rhs {self.rhs}, stderr {self.stderr}"
+            )
+
+    @property
+    def ratio(self) -> float:
+        return self.lhs / self.rhs
 
 
 def ordered_map(fn, items) -> list:
@@ -33,21 +42,26 @@ def ordered_map(fn, items) -> list:
     return [fn(it) for it in items]
 
 
+def chunk_counts(total: int, parts: int) -> list[int]:
+    """total // parts draws per chunk, the last also taking the remainder.
+    Every chunk must draw, so total < parts is refused."""
+    if total < parts:
+        raise ValueError(f"{total} samples cannot fill {parts} seeded chunks")
+    return [total // parts] * (parts - 1) + [total - (parts - 1) * (total // parts)]
+
+
 def seeded_mean(fn, seq: np.random.SeedSequence, total: int, parts: int) -> list:
     """(mean, ddof=1 variance, count) of each row of fn's samples.
 
     fn(rng, n) returns n samples along its last axis, as an (n,) array (one
     row) or an (m, n) block (m rows).  Chunk i draws from the i-th child
-    spawned from seq now, and gets total // parts draws; the last chunk also
-    gets the remainder.  spawn continues seq's child counter, so a second
-    call on the same seq draws the next `parts` streams, never the first
-    call's again.  Every chunk must draw, so total < parts is refused: that
-    one rule is every estimator's sample-count rule.
+    spawned from seq now, and draws chunk_counts(total, parts)[i] samples.
+    spawn continues seq's child counter, so a second call on the same seq
+    draws the next `parts` streams, never the first call's again.  The
+    refusal of total < parts in chunk_counts is every estimator's
+    sample-count rule.
     """
-    if total < parts:
-        raise ValueError(f"{total} samples cannot fill {parts} seeded chunks")
-    counts = [total // parts] * parts
-    counts[-1] += total - sum(counts)
+    counts = chunk_counts(total, parts)
 
     def run(chunk):
         child, n = chunk

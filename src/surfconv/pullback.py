@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianSpec
-from .parallel import RatioReport, seeded_mean
+from .parallel import RatioReport, chunk_counts, seeded_mean
 from .quadrature import gauss_legendre_interval, sphere_rule
 from .surface import (
     CoefficientMatrix,
+    check_source,
     comparability_constant,
     comparable_rows,
-    min_submatrix_det,
     sample_shell,
     shell_measure,
 )
@@ -85,12 +85,10 @@ def _finite_power(base: float, exponent: float) -> bool:
 
 def _check_inputs(matrix: CoefficientMatrix, rhos, w: GaussianSpec) -> None:
     """What every ratio estimator needs: the row-submatrix condition, a weight
-    on R^k whose mass TRUNCATION_RADIUS covers, and convergent rhos whose
-    quadrature weights r^rho (zeta side) and r^(rho - k + l) (tau side) stay
-    finite out to the rule's radius."""
-    min_submatrix_det(matrix)
-    if w.dim != matrix.k:
-        raise ValueError("weight must live on R^k")
+    on R^k (check_source) whose mass TRUNCATION_RADIUS covers, and convergent
+    rhos whose quadrature weights r^rho (zeta side) and r^(rho - k + l) (tau
+    side) stay finite out to the rule's radius."""
+    check_source(matrix, w.dim)
     r_tau = _tau_radius(w)
     r_zeta = _zeta_radius(matrix, w)
     for rho in rhos:
@@ -267,8 +265,8 @@ def _lhs_shell_integral(
             groups.append(built)
             rows += group
 
-    # seeded_mean gives the last chunk the most samples, so its widest block sizes the buffer
-    most = cfg.n_y - (Y_CHUNKS - 1) * (cfg.n_y // Y_CHUNKS)
+    # the chunk with the most samples has the widest block, which sizes the buffer
+    most = max(chunk_counts(cfg.n_y, Y_CHUNKS))
     buffer = np.empty(max((min(step, most) * len(side) for side, step, _ in groups), default=0))
 
     def chunk_values(rng, n) -> np.ndarray:
@@ -303,23 +301,11 @@ def _ratio_report(
 ) -> RatioReport:
     """The report for one rho: lhs against the pulled-back side
     integral |tau|^(rho - k + l) w(tau) over the tau ball.  Refuses a
-    vanishing rhs and any number that is not finite."""
+    vanishing rhs; RatioReport refuses any number that is not finite."""
     rhs = _weight_integral(w, rho - matrix.k + matrix.l, _tau_radius(w), cfg)
     if rhs <= 0:
         raise ValueError("degenerate weight: the pulled-back integral vanishes")
-    return _finite_report(rho, lhs, rhs, stderr)
-
-
-def _finite_report(rho: float, lhs: float, rhs: float, stderr: float) -> RatioReport:
-    """The report of lhs against rhs for one rho.  The one place that refuses
-    an estimate, ratio or stderr that is not finite."""
-    ratio = lhs / rhs
-    if not all(math.isfinite(x) for x in (lhs, stderr, rhs, ratio)):
-        raise ValueError(
-            f"rho = {rho}: non-finite frequency estimate "
-            f"(lhs {lhs}, rhs {rhs}, stderr {stderr})"
-        )
-    return RatioReport(lhs=lhs, rhs=rhs, ratio=ratio, stderr=stderr)
+    return RatioReport(lhs=lhs, rhs=rhs, stderr=stderr)
 
 
 def pullback_weight_ratio(
@@ -430,11 +416,10 @@ def plancherel_ratio(
     w = |f^|^2 and rho = d - 2l makes the pulled-back weight exponent
     rho - (k - l) = 0, so the identity's right side is exactly ||f^||_2^2,
     which is B again: the reported ratio is the identity's constant itself,
-    and no tau quadrature is run.
+    and no tau quadrature is run.  The report's stderr is A's.
     """
     rho = float(matrix.k - matrix.l)  # d - 2l with d = k + l
     w = squared_fourier_weight(f)
     _check_inputs(matrix, [rho], w)
     ((lhs, stderr),) = _lhs_shell_integral(matrix, [rho], w, cfg)
-    b = f.l2_norm_sq
-    return _finite_report(rho, lhs, b, stderr / b)
+    return RatioReport(lhs=lhs, rhs=f.l2_norm_sq, stderr=stderr)

@@ -405,8 +405,9 @@ def run_plancherel(matrix, params, seed) -> SuiteResult:
         rep2 = plancherel_ratio(matrix, f, cfg.doubled())
         drift = abs(rep2.ratio - rep.ratio) / rep.ratio if rep.ratio else math.inf
         drifts.append(drift)
+        # the table's stderr is the ratio's: the lhs's over the exact l2_norm_sq
         rows.append(
-            [f_id, rep.lhs, rep.rhs, rep.ratio, rep.stderr, rep2.ratio, drift]
+            [f_id, rep.lhs, rep.rhs, rep.ratio, rep.stderr / rep.rhs, rep2.ratio, drift]
         )
     exponent_zero = Fraction(d - 2 * l) - Fraction(k - l) == 0
     verdicts = [

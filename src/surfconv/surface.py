@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -160,31 +160,14 @@ class SubmatrixReport:
         }
 
 
-def _cached_on_matrix(fn):
-    """fn(matrix), computed once per CoefficientMatrix and kept on it.
-
-    The value goes into the instance __dict__, as with cached_property, so
-    it lives and dies with the matrix; a module-level cache would keep every
-    matrix ever drawn, e.g. the up to 10 000 rejections of generate_matrix.
-    """
-    key = f"_cached_{fn.__name__}"
-
-    @wraps(fn)
-    def cached(matrix: CoefficientMatrix):
-        if key not in matrix.__dict__:
-            matrix.__dict__[key] = fn(matrix)
-        return matrix.__dict__[key]
-
-    return cached
-
-
-@_cached_on_matrix
+@lru_cache(maxsize=64)
 def check_submatrices(matrix: CoefficientMatrix) -> SubmatrixReport:
     """Exactly test that every l x l row submatrix of C is nonsingular.
 
     Returns the minimum |det| over all row choices and, on failure, the
-    lexicographically first singular row set.  Cached per matrix: every
-    call with the same matrix returns the same frozen report.
+    lexicographically first singular row set.  Cached for the 64 latest
+    matrices, so every call with an equal matrix returns the same frozen
+    report, and the up to 10 000 rejections of generate_matrix do not pile up.
     """
     best: Fraction | None = None
     for rows in itertools.combinations(range(matrix.k), matrix.l):
@@ -210,6 +193,15 @@ def min_submatrix_det(matrix: CoefficientMatrix) -> Fraction:
             f"{[i + 1 for i in report.witness_rows]} (1-based) form a singular submatrix"
         )
     return report.min_abs_det
+
+
+def check_source(matrix: CoefficientMatrix, dim: int) -> None:
+    """The one refusal of an estimator's matrix and source: the row-submatrix
+    condition (min_submatrix_det), then a source function (f, or the weight
+    w) on R^k."""
+    min_submatrix_det(matrix)
+    if dim != matrix.k:
+        raise ValueError(f"f must live on R^k: its dimension is {dim}, k = {matrix.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +238,7 @@ def row_images(matrix: CoefficientMatrix, zeta) -> np.ndarray:
 # comparability constant and row selection
 
 
-@_cached_on_matrix
+@lru_cache(maxsize=64)
 def comparability_constant(matrix: CoefficientMatrix) -> float:
     """Least M with |zeta|_2 <= M * max_{i in P} |(C zeta)_i| for all zeta, P.
 
@@ -257,7 +249,7 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
     det(C_P with column i replaced by s) / det(C_P) (Cramer's rule), so
     det_fraction is the only elimination.  The float conversion at the end
     can overestimate by at most a few ulp.  Requires the row-submatrix
-    condition (see min_submatrix_det).  Cached per matrix.
+    condition (see min_submatrix_det).  Cached as check_submatrices is.
     """
     min_submatrix_det(matrix)
     best_sq = Fraction(0)

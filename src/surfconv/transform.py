@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianSpec
-from .surface import CoefficientMatrix, adjoint_image, bilinear_forms, min_submatrix_det
+from .surface import CoefficientMatrix, adjoint_image, bilinear_forms, check_source
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,15 @@ class PushforwardDensity:
 
 
 def _check_transform_inputs(matrix: CoefficientMatrix, y, source_dim: int) -> np.ndarray:
-    """The one input check of the transform layer: the row-submatrix condition,
-    a well-conditioned y of length k and a source function on R^k."""
-    min_submatrix_det(matrix)
+    """The one input check of the transform layer: check_source, and a
+    well-conditioned y of length k."""
+    check_source(matrix, source_dim)
     y = np.asarray(y, dtype=float)
     if y.shape != (matrix.k,):
         raise ValueError(f"y must be a vector of length {matrix.k}")
     mags = np.abs(y)
     if np.any(mags < 0.5) or np.any(mags > 4.0):
         raise ValueError("all |y_i| must lie in [1/2, 4] for a well-conditioned transform")
-    if source_dim != matrix.k:
-        raise ValueError(f"f must live on R^k: its dimension is {source_dim}, k = {matrix.k}")
     return y
 
 

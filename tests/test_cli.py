@@ -159,6 +159,15 @@ class TestRun:
         assert manifest["matrix"] == "path:m.json"
 
 
+def _one_entry(num, den):
+    """The inline 1 x 1 matrix [[num / den]]."""
+    return {"k": 1, "l": 1, "entries": [[num, den]]}
+
+
+_SMALL_BALL = {"n_tube": 16, "n_centers": 1}
+_SMALL_QUADRATURE = {"n_y": 16, "n_radial": 4, "n_sphere": 4}
+
+
 class TestConfigValidation:
     def test_malformed_json(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -425,6 +434,49 @@ class TestConfigValidation:
         assert f"suite {doc['suite']!r} rejected the configuration: {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "suite, matrix, params, message",
+        [
+            ("ball-scan", {"battery": "paraboloid-2-1"}, {**_SMALL_BALL, "p_list": ["1e-400"]},
+             "config invalid at $.params.p_list[0]: '1e-400' is not a rational p >= 1"),
+            ("ball-scan", {"battery": "paraboloid-2-1"}, {**_SMALL_BALL, "p_list": ["1/100"]},
+             "config invalid at $.params.p_list[0]: '1/100' is not a rational p >= 1"),
+            ("ball-scan", {"battery": "paraboloid-2-1"},
+             {**_SMALL_BALL, "deltas": [1e103, 2e103, 4e103]}, "OverflowError"),
+            ("ball-scan", _one_entry(10**300, 1), _SMALL_BALL, "OverflowError"),
+            ("restricted-scan", _one_entry(10**300, 1),
+             {"n_sets": 2, "n_tube": 16, "resolution": 8}, "OverflowError"),
+            ("lemma-mc", _one_entry(10**300, 1), {"n_w": 1, **_SMALL_QUADRATURE},
+             "ZeroDivisionError"),
+            ("ineq6", _one_entry(1, 10**300), {"n_sets": 2, "n_samples": 16}, "ZeroDivisionError"),
+            ("ineq6", _one_entry(1, 10**400), {"n_sets": 2, "n_samples": 16}, "ZeroDivisionError"),
+            ("lemma-mc", _one_entry(10**400, 1), {"n_w": 1, **_SMALL_QUADRATURE},
+             "OverflowError"),
+            ("plancherel", _one_entry(10**400, 1), {"n_f": 1, **_SMALL_QUADRATURE},
+             "OverflowError"),
+            ("check-star", _one_entry(1, 10**200), None, "OverflowError"),
+            ("check-star", _one_entry(1, 10**300), None, "OverflowError"),
+            ("check-star", _one_entry(1, 10**400), None, "OverflowError"),
+        ],
+        ids=["p-1e-400", "p-1/100", "delta-1e103", "ball-scan-1e300", "restricted-scan-1e300",
+             "lemma-mc-1e300", "ineq6-1e-300", "ineq6-1e-400", "lemma-mc-1e400",
+             "plancherel-1e400", "check-star-1e-200", "check-star-1e-300", "check-star-1e-400"],
+    )
+    def test_float_range_is_a_refused_configuration(self, tmp_path, capsys, suite, matrix,
+                                                     params, message):
+        # each ended in a traceback and exit 1, which reads as a failed check
+        doc = {"suite": suite, "seed": 1, "matrix": matrix}
+        if params is not None:
+            doc["params"] = params
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy may warn of the overflow
+            assert main(["run", "--config", write_config(tmp_path / "c.json", doc),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_payload_is_never_written(self, tmp_path, capsys, monkeypatch):
         nan_result = SuiteResult({"value": float("nan")}, [Verdict("v", True, "")])
         monkeypatch.setattr("surfconv.cli.run_suite", lambda *args: nan_result)
@@ -650,9 +702,14 @@ class TestReport:
              '"results": {"report": {"rows": [{"delta": 0, "p_num": 1, "p_den": 1, "norm": 1.0, '
              '"ratio": 1.0, "center_id": 0}]}}}',
              "$.results.report.rows[0].delta: 0 is less than or equal to the minimum of 0"),
+            ('{"suite": "ball-scan", "passed": true, "verdicts": [], '
+             '"results": {"report": {"rows": [{"delta": 0.5, "p_num": 1' + "0" * 400 + ', '
+             '"p_den": 1, "norm": 1.0, "ratio": 1.0, "center_id": 0}]}}}',
+             "holds a p that is not a float"),
         ],
         ids=["truncated", "list", "verdict-not-object", "verdicts-not-list", "verdict-missing-key",
-             "passed-not-bool", "ball-scan-without-rows", "curve-row-not-object", "zero-delta"],
+             "passed-not-bool", "ball-scan-without-rows", "curve-row-not-object", "zero-delta",
+             "p-beyond-float"],
     )
     def test_bad_run_file_exits_two(self, tmp_path, capsys, text, message):
         root = tmp_path / "runs"
@@ -663,6 +720,7 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(root)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert message in err and str(bad) in err
         assert not (root / "summary.txt").exists() and not (root / "verdicts.csv").exists()
 
@@ -726,7 +784,19 @@ def _reject_constant(name):
 _BATTERY_MATRIX = st.fixed_dictionaries({"battery": st.sampled_from(
     ["banded-3-2", "parabola-1-1", "paraboloid-2-1", "random-4-3", "degenerate-3-2"]
 )})
-_EXPONENT = st.sampled_from(["1", "5/4", "3/2", "5/3", "2", "7/3", "3", "0", "-1", "1/0", "x"])
+_EXPONENT = st.sampled_from(["1", "5/4", "3/2", "5/3", "2", "7/3", "3", "0", "-1", "1/0", "x",
+                             "1/100", "1e-400", "1e400"])
+# small entries, and numerators and denominators at and beyond the float range
+_INLINE_MATRIX = st.fixed_dictionaries({
+    "k": st.integers(1, 3),
+    "l": st.integers(1, 3),
+    "entries": st.lists(
+        st.lists(st.one_of(st.integers(-9, 9), st.sampled_from([1, 10**200, 10**300, 10**400])),
+                 min_size=2, max_size=2),
+        max_size=9,
+    ),
+})
+_ANY_MATRIX = st.one_of(_BATTERY_MATRIX, _INLINE_MATRIX)
 _SEED = st.integers(min_value=0, max_value=2**32)
 
 
@@ -754,7 +824,7 @@ _QUADRATURE_PARAMS = {
 # each suite draws only the params it reads: the schema refuses the others
 _FREQUENCY_CONFIGS = st.one_of(
     _suite_configs("lemma-mc", {"n_w": st.integers(1, 2), **_QUADRATURE_PARAMS},
-                   {"rho_list": st.lists(_RHO, min_size=1, max_size=3)}),
+                   {"rho_list": st.lists(_RHO, min_size=1, max_size=3)}, matrix=_ANY_MATRIX),
     _suite_configs("plancherel", {"n_f": st.integers(1, 2), **_QUADRATURE_PARAMS}),
 )
 
@@ -791,15 +861,9 @@ def test_frequency_suites_keep_the_exit_contract(doc):
     _check_exit_contract(doc)
 
 
-_INLINE_MATRIX = st.fixed_dictionaries({
-    "k": st.integers(1, 3),
-    "l": st.integers(1, 3),
-    "entries": st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=9),
-})
 _SUITE_CONFIGS = {
     "check-star": st.fixed_dictionaries(
-        {"suite": st.just("check-star"), "seed": _SEED},
-        optional={"matrix": st.one_of(_BATTERY_MATRIX, _INLINE_MATRIX)},
+        {"suite": st.just("check-star"), "seed": _SEED}, optional={"matrix": _ANY_MATRIX},
     ),
     "typeset": _suite_configs(
         "typeset", {"k": st.integers(1, 8), "d": st.integers(2, 12)}, matrix=None
@@ -808,11 +872,13 @@ _SUITE_CONFIGS = {
         "ball-scan",
         {"n_tube": st.integers(16, 200), "n_centers": st.integers(1, 2)},
         {
-            "deltas": st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125]), min_size=3, max_size=4),
+            "deltas": st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125, 1e103]),
+                               min_size=3, max_size=4),
             "p_list": st.lists(_EXPONENT, min_size=1, max_size=3),
             "resolution": st.integers(8, 64),
             "tolerance": st.floats(min_value=0.01, max_value=2.0),
         },
+        matrix=_ANY_MATRIX,
     ),
     "restricted-scan": _suite_configs(
         "restricted-scan",
@@ -820,7 +886,8 @@ _SUITE_CONFIGS = {
         {"p": _EXPONENT},
     ),
     "ineq6": _suite_configs(
-        "ineq6", {"n_sets": st.integers(2, 3), "n_samples": st.integers(16, 200)}
+        "ineq6", {"n_sets": st.integers(2, 3), "n_samples": st.integers(16, 200)},
+        matrix=_ANY_MATRIX,
     ),
 }
 _TRANSFORM_CONFIGS = _suite_configs(

@@ -1,10 +1,13 @@
 """Seeded-chunk Monte Carlo: the streams each chunk draws, how the draws
-split, and how seeded_mean reduces them."""
+split, and how seeded_mean reduces them; and the RatioReport contract."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from surfconv.parallel import seeded_mean
+from surfconv.parallel import RatioReport, chunk_counts, seeded_mean
 
 
 def draws(rng, n):
@@ -30,7 +33,7 @@ def test_remainder_lands_on_the_last_chunk():
         return np.arange(n, dtype=float)
 
     [(_, _, n)] = seeded_mean(record, np.random.SeedSequence(0), 23, 5)
-    assert sizes == [4, 4, 4, 4, 7]
+    assert sizes == [4, 4, 4, 4, 7] == chunk_counts(23, 5)
     assert n == 23
 
 
@@ -52,3 +55,27 @@ def test_block_reduces_row_by_row():
 def test_fewer_samples_than_chunks_are_refused(total):
     with pytest.raises(ValueError, match="seeded chunks"):
         seeded_mean(draws, np.random.SeedSequence(0), total, 8)
+    with pytest.raises(ValueError, match="seeded chunks"):
+        chunk_counts(total, 8)
+
+
+def test_ratio_is_derived_from_both_sides():
+    rep = RatioReport(lhs=0.3, rhs=0.7, stderr=0.01)
+    assert rep.ratio == 0.3 / 0.7
+    assert [f.name for f in dataclasses.fields(rep)] == ["lhs", "rhs", "stderr"]
+    assert isinstance(RatioReport.ratio, property)
+
+
+@pytest.mark.parametrize("field", ["lhs", "rhs", "stderr"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ratio_report_refuses_a_non_finite_field(field, value):
+    with pytest.raises(ValueError, match="non-finite estimate"):
+        RatioReport(**{"lhs": 1.0, "rhs": 2.0, "stderr": 0.1, field: value})
+
+
+@pytest.mark.parametrize("lhs, rhs", [(1e300, 1e-300), (1.0, 0.0), (0.0, 0.0)],
+                         ids=["overflow", "zero-rhs", "zero-over-zero"])
+def test_ratio_report_refuses_a_non_finite_ratio(lhs, rhs):
+    # finite sides whose quotient is not a finite number
+    with pytest.raises(ValueError, match="non-finite estimate"):
+        RatioReport(lhs=lhs, rhs=rhs, stderr=0.0)

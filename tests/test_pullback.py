@@ -157,7 +157,7 @@ def centered_3(amplitude: float, sigma: float) -> GaussianSpec:
                      "the row-submatrix condition must hold", id="singular"),
         pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, GaussianSpec(
                          dim=2, amplitude=1.0, mean=(0.0, 0.0), sigmas=(1.0, 1.0)), SMALL),
-                     "weight must live on R^k", id="weight-dim"),
+                     "f must live on R^k: its dimension is 2, k = 3", id="weight-dim"),
         pytest.param(lambda: region_weight_ratio(BANDED, 0.0, W3, (0,), SMALL, mode="bogus"),
                      "unknown region mode 'bogus'", id="region-mode"),
         pytest.param(lambda: region_weight_ratio(BANDED, 0.0, W3, (0, 1), SMALL),
@@ -169,9 +169,9 @@ def centered_3(amplitude: float, sigma: float) -> GaussianSpec:
                      "degenerate weight: the pulled-back integral vanishes", id="vanishing"),
         # a huge amplitude overflows the sample variance
         pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, centered_3(1e300, 1.0), SMALL),
-                     "rho = 0.0: non-finite frequency estimate (lhs", id="non-finite"),
+                     "non-finite estimate: lhs 1.2407195252364573e+301", id="non-finite"),
         pytest.param(lambda: plancherel_ratio(BANDED, centered_3(1e150, 1.0), SMALL),
-                     "rho = 1.0: non-finite frequency estimate (lhs", id="plancherel-non-finite"),
+                     "non-finite estimate: lhs 2.61339550198752e+300", id="plancherel-non-finite"),
         # |f^|^2 has amplitude mass^2, which overflows a float before any estimate runs
         pytest.param(lambda: plancherel_ratio(BANDED, centered_3(1e160, 1.0), SMALL),
                      "|f^|^2 amplitude overflows: f has amplitude 1e+160 and mass 1.57496e+161",
@@ -192,9 +192,17 @@ def test_one_y_sample_is_refused():
         pullback_weight_ratio(BANDED, 0.0, W3, cfg)
 
 
+def test_plancherel_stderr_is_the_lhs_stderr():
+    f = GaussianSpec(dim=3, amplitude=1.0, mean=(0.1, 0.0, -0.2), sigmas=(0.9, 1.0, 1.1))
+    rep = plancherel_ratio(BANDED, f, SMALL)
+    rho = float(BANDED.k - BANDED.l)
+    [(lhs, stderr)] = _lhs_shell_integral(BANDED, [rho], squared_fourier_weight(f), SMALL)
+    assert (rep.lhs, rep.stderr, rep.rhs) == (lhs, stderr, f.l2_norm_sq)
+
+
 def test_region_ratio_refuses_a_weight_off_r_k():
     w1 = GaussianSpec(dim=1, amplitude=1.0, mean=(0.0,), sigmas=(1.0,))
-    with pytest.raises(ValueError, match=r"weight must live on R\^k"):
+    with pytest.raises(ValueError, match=re.escape("f must live on R^k: its dimension is 1, k = 3")):
         region_weight_ratio(battery_entry("banded-3-2").matrix, 0.0, w1, (0,), plan(n_y=100))
 
 
