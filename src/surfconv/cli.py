@@ -90,12 +90,15 @@ def _csv_cell(x) -> str:
 
 
 def _csv_text(columns, rows, preamble: str = "") -> str:
-    """A CSV table after `preamble`, which is written as is."""
+    """A CSV table of dict rows after `preamble`, which is written as is.
+
+    The header is `columns`; a row with a key outside it raises ValueError.
+    """
     buf = io.StringIO()
     buf.write(preamble)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_cell(x) for x in row] for row in rows)
+    writer = csv.DictWriter(buf, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({c: _csv_cell(x) for c, x in row.items()} for row in rows)
     return buf.getvalue()
 
 
@@ -258,9 +261,9 @@ def cmd_run(args) -> int:
     # the matrix JSON holds commas, so these comment lines bypass the CSV quoting
     preamble = f"# config_hash {config_hash}\n# matrix {matrix_json}\n"
     csv_names = []
-    for name, (columns, rows) in result.tables.items():
-        fname = f"{name}.csv"
-        _write_atomic(out_dir / fname, _csv_text(columns, rows, preamble))
+    for name, rows in result.tables.items():
+        fname = f"{name}.csv"  # a table's columns are its rows' keys
+        _write_atomic(out_dir / fname, _csv_text(list(rows[0]), rows, preamble))
         csv_names.append(fname)
 
     report_doc = dict(payload_doc, wall_clock_seconds=wall, tables=sorted(csv_names))
@@ -338,7 +341,8 @@ def cmd_report(args) -> int:
         run_id = str(path.parent.relative_to(root)) if path.parent != root else "."
         suites_seen.append((run_id, doc["suite"], doc["passed"]))
         for v in doc["verdicts"]:
-            verdict_rows.append([run_id, doc["suite"], v["check_id"], v["passed"], v["detail"]])
+            verdict_rows.append({"run": run_id, "suite": doc["suite"], "check_id": v["check_id"],
+                                 "passed": v["passed"], "detail": v["detail"]})
             any_fail = any_fail or not v["passed"]
         if doc["suite"] == "ball-scan":
             for row in doc["results"]["report"]["rows"]:
@@ -346,34 +350,28 @@ def cmd_report(args) -> int:
                     p = row["p_num"] / row["p_den"]
                 except OverflowError as exc:  # an integer p_num beyond the float range
                     return _fail(f"run file {path} holds a p that is not a float: {exc}")
-                curve_rows.append(
-                    [
-                        run_id,
-                        row["delta"],
-                        math.log2(row["delta"]),
-                        p,
-                        row["norm"],
-                        math.log2(row["norm"]) if row["norm"] > 0 else float("nan"),
-                        row["ratio"],
-                        row["center_id"],
-                    ]
-                )
+                curve_rows.append({
+                    "run": run_id, "delta": row["delta"], "log2_delta": math.log2(row["delta"]),
+                    "p": p, "norm": row["norm"],
+                    "log2_norm": math.log2(row["norm"]) if row["norm"] > 0 else float("nan"),
+                    "ratio": row["ratio"], "center_id": row["center_id"],
+                })
 
+    # verdicts.csv is written even with no rows, so it states its header
     verdict_columns = ["run", "suite", "check_id", "passed", "detail"]
     _write_atomic(root / "verdicts.csv", _csv_text(verdict_columns, verdict_rows))
     if curve_rows:
-        curve_columns = ["run", "delta", "log2_delta", "p", "norm", "log2_norm", "ratio", "center_id"]
-        _write_atomic(root / "curves.csv", _csv_text(curve_columns, curve_rows))
+        _write_atomic(root / "curves.csv", _csv_text(list(curve_rows[0]), curve_rows))
 
     lines = [f"overall: {'FAIL' if any_fail else 'PASS'}"]
     lines.append(f"runs: {len(suites_seen)}, checks: {len(verdict_rows)}")
     for run_id, suite, passed in suites_seen:
         lines.append(f"  {'PASS' if passed else 'FAIL'} {suite} ({run_id})")
-    failing = [r for r in verdict_rows if not r[3]]
+    failing = [r for r in verdict_rows if not r["passed"]]
     if failing:
         lines.append("failing checks:")
-        for run_id, suite, check_id, _, detail in failing:
-            lines.append(f"  {run_id}: {check_id}: {detail}")
+        for r in failing:
+            lines.append(f"  {r['run']}: {r['check_id']}: {r['detail']}")
     text = "\n".join(lines) + "\n"
     _write_atomic(root / "summary.txt", text)
     sys.stdout.write(text)

@@ -905,7 +905,7 @@ def shell_bilinear_estimate(
 
     seq = np.random.SeedSequence(seed)
     [(mean, var, n)] = seeded_mean(chunk, seq, n_samples, SHELL_CHUNKS)
-    scale = f.l1_norm * shell_vol
+    scale = f.mass * shell_vol
     lhs = scale * mean
     stderr = scale * math.sqrt(var) / math.sqrt(n)
     rhs = f.lp_norm(d / k) * test_set.measure ** (k / d)

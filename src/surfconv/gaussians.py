@@ -107,10 +107,6 @@ class GaussianSpec:
         return self.amplitude * math.prod(math.sqrt(TWO_PI) * s for s in self.sigmas)
 
     @property
-    def l1_norm(self) -> float:
-        return self.mass  # amplitude > 0
-
-    @property
     def l2_norm_sq(self) -> float:
         return self.amplitude**2 * math.prod(math.sqrt(math.pi) * s for s in self.sigmas)
 

@@ -301,11 +301,15 @@ def _ratio_report(
 ) -> RatioReport:
     """The report for one rho: lhs against the pulled-back side
     integral |tau|^(rho - k + l) w(tau) over the tau ball.  Refuses a
-    vanishing rhs; RatioReport refuses any number that is not finite."""
+    vanishing rhs; RatioReport refuses any number that is not finite, and
+    the refusal names rho."""
     rhs = _weight_integral(w, rho - matrix.k + matrix.l, _tau_radius(w), cfg)
     if rhs <= 0:
         raise ValueError("degenerate weight: the pulled-back integral vanishes")
-    return RatioReport(lhs=lhs, rhs=rhs, stderr=stderr)
+    try:
+        return RatioReport(lhs=lhs, rhs=rhs, stderr=stderr)
+    except ValueError as exc:
+        raise ValueError(f"rho = {rho}: {exc}") from exc
 
 
 def pullback_weight_ratio(

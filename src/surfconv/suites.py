@@ -54,7 +54,7 @@ class Verdict:
 class SuiteResult:
     payload: dict
     verdicts: list
-    tables: dict = field(default_factory=dict)  # name -> (columns, rows)
+    tables: dict = field(default_factory=dict)  # name -> rows, dicts whose keys are the columns
     sample_counts: dict = field(default_factory=dict)
 
     @property
@@ -78,37 +78,21 @@ def run_check_star(matrix, params, seed) -> SuiteResult:
             "report": rep.to_json(),
             "comparability_constant": const,
         }
-        rows.append(
-            [
-                mid,
-                mat.k,
-                mat.l,
-                rep.holds,
-                frac_str(rep.min_abs_det),
-                ";".join(str(i + 1) for i in rep.witness_rows) if rep.witness_rows else "",
-                const if const is not None else "",
-            ]
-        )
+        rows.append({
+            "matrix_id": mid, "k": mat.k, "l": mat.l, "holds": rep.holds,
+            "min_abs_det": frac_str(rep.min_abs_det),
+            "witness_rows": ";".join(str(i + 1) for i in rep.witness_rows or ()),
+            "comparability_constant": const if const is not None else "",
+        })
         detail = (
             f"min |det| = {frac_str(rep.min_abs_det)}"
             if rep.holds
             else f"witness rows {[i + 1 for i in rep.witness_rows]} (1-based)"
         )
-        if expect is None:
-            verdicts.append(Verdict(f"star-{mid}", True, f"holds={rep.holds}, {detail}"))
-        else:
-            verdicts.append(
-                Verdict(
-                    f"star-{mid}",
-                    rep.holds == expect,
-                    f"holds={rep.holds}, expected {expect}, {detail}",
-                )
-            )
-    table = (
-        ["matrix_id", "k", "l", "holds", "min_abs_det", "witness_rows", "comparability_constant"],
-        rows,
-    )
-    return SuiteResult(payload, verdicts, {"star": table}, {"matrices": len(cases)})
+        expected = "" if expect is None else f", expected {expect}"
+        verdicts.append(Verdict(f"star-{mid}", expect is None or rep.holds == expect,
+                                f"holds={rep.holds}{expected}, {detail}"))
+    return SuiteResult(payload, verdicts, {"star": rows}, {"matrices": len(cases)})
 
 
 def run_typeset(matrix, params, seed) -> SuiteResult:
@@ -121,10 +105,10 @@ def run_typeset(matrix, params, seed) -> SuiteResult:
     dual_closed = all(
         any(v.dual() == w for w in ts.vertices) for v in ts.vertices
     )
-    labels = ["origin", "diagonal", "critical"]
     rows = [
-        [labels[i], v.inv_p.numerator, v.inv_p.denominator, v.inv_q.numerator, v.inv_q.denominator]
-        for i, v in enumerate(ts.vertices)
+        {"label": label, "inv_p_num": v.inv_p.numerator, "inv_p_den": v.inv_p.denominator,
+         "inv_q_num": v.inv_q.numerator, "inv_q_den": v.inv_q.denominator}
+        for label, v in zip(["origin", "diagonal", "critical"], ts.vertices)
     ]
     payload = {
         "k": k,
@@ -138,8 +122,18 @@ def run_typeset(matrix, params, seed) -> SuiteResult:
         Verdict("vertex-identity", identity, f"k + l/q0 = {Fraction(k) + Fraction(l)/q0}, d/p0 = {Fraction(d)/p0}"),
         Verdict("vertex-self-duality", dual_closed, "vertex set closed under (1/p,1/q) -> (1-1/q,1-1/p)"),
     ]
-    table = (["label", "inv_p_num", "inv_p_den", "inv_q_num", "inv_q_den"], rows)
-    return SuiteResult(payload, verdicts, {"vertices": table}, {})
+    return SuiteResult(payload, verdicts, {"vertices": rows}, {})
+
+
+def _mc_config(params, seed, n_y: int) -> McConfig:
+    """The frequency suites' sampling plan; only the n_y default differs between them."""
+    count = lambda key, default: int(params.get(key, default))
+    return McConfig(seed, count("n_y", n_y), count("n_radial", 48), count("n_sphere", 64))
+
+
+def _drift(value: float, doubled: float) -> float:
+    """The relative move of an estimate when its samples double."""
+    return abs(doubled - value) / value
 
 
 def _default_p_list(k: int, d: int):
@@ -185,12 +179,10 @@ def run_ball_scan(matrix, params, seed) -> SuiteResult:
             verdicts.append(
                 Verdict(f"slope-decaying-{key}", slope <= -0.05, f"slope {slope:.4f} <= -0.05")
             )
-    cols = ["delta", "p_num", "p_den", "norm", "ratio", "stderr", "center_id"]
-    rows = [[r[c] for c in cols] for r in rep.rows]
     return SuiteResult(
         {"report": rep},
         verdicts,
-        {"ball_scan": (cols, rows)},
+        {"ball_scan": rep.rows},
         {"n_tube": n_tube, "deltas": len(deltas), "centers": n_centers},
     )
 
@@ -210,12 +202,10 @@ def run_restricted_scan(matrix, params, seed) -> SuiteResult:
         Verdict("doubling-growth", rep.growth < 0.25,
                 f"family doubling grew the sup by {rep.growth:.2%}"),
     ]
-    cols = ["set_id", "kind", "measure", "ratio"]
-    rows = [[r[c] for c in cols] for r in rep.rows]
     return SuiteResult(
         {"report": rep},
         verdicts,
-        {"restricted_scan": (cols, rows)},
+        {"restricted_scan": rep.rows},
         {"n_sets": n_sets, "n_tube": n_tube},
     )
 
@@ -224,12 +214,7 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     rho_list = params.get("rho_list") or [0.0, 1.0, float(d - 2 * l)]
     n_w = int(params.get("n_w", 20))
-    cfg = McConfig(
-        seed=seed,
-        n_y=int(params.get("n_y", 512)),
-        n_radial=int(params.get("n_radial", 48)),
-        n_sphere=int(params.get("n_sphere", 64)),
-    )
+    cfg = _mc_config(params, seed, n_y=512)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     weights = [random_gaussian(rng, k, normalized=False) for _ in range(n_w)]
 
@@ -244,23 +229,25 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
         )
         for w in weights
     ]
-    rows, drifts = [], []
+    rows = []
     for j, rho in enumerate(rho_list):
         for i, reps in enumerate(per_weight):
             rep, rep2 = reps[j]
-            drift = abs(rep2.ratio - rep.ratio) / rep.ratio if rep.ratio else math.inf
-            drifts.append(drift)
-            rows.append([rho, f"w{i:02d}", rep.lhs, rep.rhs, rep.ratio, rep.stderr, rep2.ratio, drift])
+            rows.append({
+                "rho": rho, "w_id": f"w{i:02d}", "lhs": rep.lhs, "rhs": rep.rhs,
+                "ratio": rep.ratio, "stderr": rep.stderr, "ratio_doubled": rep2.ratio,
+                "drift": _drift(rep.ratio, rep2.ratio),
+            })
 
+    max_drift = max(r["drift"] for r in rows)
     verdicts = [
         Verdict(
             "doubling-drift",
-            max(drifts) < 0.10,
-            f"max ratio drift under sample doubling {max(drifts):.2%}",
+            max_drift < 0.10,
+            f"max ratio drift under sample doubling {max_drift:.2%}",
         )
     ]
-    columns = ["rho", "w_id", "lhs", "rhs", "ratio", "stderr", "ratio_doubled", "drift"]
-    payload = {"rows": [dict(zip(columns, r)) for r in rows]}
+    payload = {"rows": rows}
 
     if k == 1 and l == 1:
         c = abs(float(matrix.entries[0][0]))
@@ -270,7 +257,7 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
             # (1 - 2^-rho) / rho, without the cancellation that gives 0 for tiny rho
             factor = math.log(2.0) if rho == 0 else -math.expm1(-rho * math.log(2.0)) / rho
             oracle = 2.0 * c ** (-rho - 1.0) * factor
-            measured = [r[4] for r in rows if r[0] == rho]
+            measured = [r["ratio"] for r in rows if r["rho"] == rho]
             oracle_rels.extend(abs(m - oracle) / oracle for m in measured)
         verdicts.append(
             Verdict(
@@ -304,20 +291,24 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
         )
         for mode, cov in (("selected", cov_sel), ("defining", cov_def)):
             for q_label, lhs in cov["per_region"].items():
-                cover_rows.append([mode, q_label, lhs, cov["total_lhs"], cov["cover_factor"]])
+                cover_rows.append({
+                    "mode": mode, "q_rows": q_label, "region_lhs": lhs,
+                    "total_lhs": cov["total_lhs"], "cover_factor": cov["cover_factor"],
+                })
 
-    tables = {"lemma_mc": (columns, rows)}
+    tables = {"lemma_mc": rows}
     if cover_rows:
-        tables["cover"] = (
-            ["mode", "q_rows", "region_lhs", "total_lhs", "cover_factor"],
-            cover_rows,
-        )
+        tables["cover"] = cover_rows
     return SuiteResult(
         payload,
         verdicts,
         tables,
         {"n_w": n_w, "n_y": cfg.n_y, "rho_values": len(rho_list)},
     )
+
+
+def _check_row(check: str, value: float, bound: float, passed: bool) -> dict:
+    return {"check": check, "value": value, "bound": bound, "passed": passed}
 
 
 def run_transform_check(matrix, params, seed) -> SuiteResult:
@@ -339,17 +330,17 @@ def run_transform_check(matrix, params, seed) -> SuiteResult:
         rep = pairing_check(f, h, matrix, y, cells=cells)
         worst_leak = max(worst_leak, rep.leak_fraction)
         worst_pair = max(worst_pair, rep.rel_err)
-        rows.append([f"pairing-{i}", rep.rel_err, 0.01, rep.rel_err <= 0.01])
+        rows.append(_check_row(f"pairing-{i}", rep.rel_err, 0.01, rep.rel_err <= 0.01))
     verdicts.append(Verdict("pairing", worst_pair <= 0.01, f"worst pairing rel err {worst_pair:.2%}"))
     verdicts.append(Verdict("mass-leak", worst_leak < 0.001, f"worst leak fraction {worst_leak:.3%}"))
-    rows.append(["mass-leak", worst_leak, 0.001, worst_leak < 0.001])
+    rows.append(_check_row("mass-leak", worst_leak, 0.001, worst_leak < 0.001))
 
     f_spec = GaussianSpec(
         dim=k, amplitude=1.0, mean=(0.0,) * k, sigmas=tuple(rng.uniform(0.5, 0.8, k))
     )
     zetas = rng.uniform(-2.0, 2.0, (8, l))
     frep = fourier_check(f_spec, matrix, y, zetas, cells=cells)
-    rows.append(["fourier", frep.max_rel_err, 0.02, frep.max_rel_err <= 0.02])
+    rows.append(_check_row("fourier", frep.max_rel_err, 0.02, frep.max_rel_err <= 0.02))
     verdicts.append(
         Verdict("fourier", frep.max_rel_err <= 0.02, f"max Fourier rel err {frep.max_rel_err:.2e}")
     )
@@ -364,7 +355,9 @@ def run_transform_check(matrix, params, seed) -> SuiteResult:
             eq0 = abs(excess) < 1e-12
         else:
             worst_osc = max(worst_osc, excess)
-        rows.append([f"oscillatory-s{s}", orep.sup_abs / orep.l1_norm, 1.0 + 1e-3, excess <= 1e-3])
+        rows.append(
+            _check_row(f"oscillatory-s{s}", orep.sup_abs / orep.l1_norm, 1.0 + 1e-3, excess <= 1e-3)
+        )
     verdicts.append(
         Verdict("oscillatory", worst_osc <= 1e-3 and eq0,
                 f"worst sup/l1 excess {worst_osc:.2e}; s=0 exact: {eq0}")
@@ -382,7 +375,7 @@ def run_transform_check(matrix, params, seed) -> SuiteResult:
     return SuiteResult(
         payload,
         verdicts,
-        {"transform": (["check", "value", "bound", "passed"], rows)},
+        {"transform": rows},
         {"n_f": n_f, "cells": cells},
     )
 
@@ -390,41 +383,35 @@ def run_transform_check(matrix, params, seed) -> SuiteResult:
 def run_plancherel(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     n_f = int(params.get("n_f", 20))
-    cfg = McConfig(
-        seed=seed,
-        n_y=int(params.get("n_y", 400)),
-        n_radial=int(params.get("n_radial", 48)),
-        n_sphere=int(params.get("n_sphere", 64)),
-    )
+    cfg = _mc_config(params, seed, n_y=400)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    rows, drifts = [], []
+    rows = []
     for i in range(n_f):
         f = random_gaussian(rng, k)
-        f_id = f"f{i:02d}"
         rep = plancherel_ratio(matrix, f, cfg)
         rep2 = plancherel_ratio(matrix, f, cfg.doubled())
-        drift = abs(rep2.ratio - rep.ratio) / rep.ratio if rep.ratio else math.inf
-        drifts.append(drift)
-        # the table's stderr is the ratio's: the lhs's over the exact l2_norm_sq
-        rows.append(
-            [f_id, rep.lhs, rep.rhs, rep.ratio, rep.stderr / rep.rhs, rep2.ratio, drift]
-        )
+        rows.append({
+            "f_id": f"f{i:02d}", "weighted_integral": rep.lhs, "l2_norm_sq": rep.rhs,
+            "ratio": rep.ratio,
+            "stderr": rep.stderr / rep.rhs,  # the ratio's: the lhs's over the exact l2_norm_sq
+            "ratio_doubled": rep2.ratio, "drift": _drift(rep.ratio, rep2.ratio),
+        })
     exponent_zero = Fraction(d - 2 * l) - Fraction(k - l) == 0
+    max_drift = max(r["drift"] for r in rows)
     verdicts = [
-        Verdict("doubling-drift", max(drifts) < 0.10,
-                f"max ratio drift under sample doubling {max(drifts):.2%}"),
+        Verdict("doubling-drift", max_drift < 0.10,
+                f"max ratio drift under sample doubling {max_drift:.2%}"),
         Verdict("exponent-identity", exponent_zero,
                 f"(d - 2l) - (k - l) = {d - 2 * l} - {k - l} = 0 exactly"),
     ]
-    columns = ["f_id", "weighted_integral", "l2_norm_sq", "ratio", "stderr", "ratio_doubled", "drift"]
     payload = {
-        "rows": [dict(zip(columns, r)) for r in rows],
-        "all_ratios_finite": all(math.isfinite(r[3]) for r in rows),
+        "rows": rows,
+        "all_ratios_finite": all(math.isfinite(r["ratio"]) for r in rows),
     }
     return SuiteResult(
         payload,
         verdicts,
-        {"plancherel": (columns, rows)},
+        {"plancherel": rows},
         {"n_f": n_f, "n_y": cfg.n_y},
     )
 
@@ -506,25 +493,27 @@ def run_ineq6(matrix, params, seed) -> SuiteResult:
     for set_id, ts in family:
         rep = shell_bilinear_estimate(matrix, f, ts, n_samples=n_samples, seed=seed)
         rep2 = shell_bilinear_estimate(matrix, f, ts, n_samples=2 * n_samples, seed=seed)
-        rows.append([set_id, ts.kind, ts.measure, rep.lhs, rep.rhs, rep.ratio, rep.stderr])
+        rows.append({
+            "set_id": set_id, "kind": ts.kind, "measure": ts.measure,
+            "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio, "stderr": rep.stderr,
+        })
         sup_half = max(sup_half, rep.ratio)
         sup_full = max(sup_full, rep2.ratio)
-    zero = [row[0] for row in rows if row[3] <= 0]
+    zero = [row["set_id"] for row in rows if row["lhs"] <= 0]
     if zero:
         # every set has positive measure and meets the shell: a 0 is a miss, not a value
         raise ValueError(
             f"zero shell estimate on {', '.join(zero)}: no sample met the set; raise n_samples"
         )
-    growth = abs(sup_full - sup_half) / sup_half
+    growth = _drift(sup_half, sup_full)
     verdicts = [
         Verdict("sup-finite", math.isfinite(sup_half) and sup_half > 0,
                 f"sup LHS/RHS = {sup_half:.4f}"),
         Verdict("doubling-stability", growth < 0.25,
                 f"sup moved {growth:.2%} when samples doubled"),
     ]
-    columns = ["set_id", "kind", "measure", "lhs", "rhs", "ratio", "stderr"]
     payload = {
-        "rows": [dict(zip(columns, r)) for r in rows],
+        "rows": rows,
         "sup_ratio": sup_half,
         "sup_ratio_doubled": sup_full,
     }
@@ -547,7 +536,7 @@ def run_ineq6(matrix, params, seed) -> SuiteResult:
     return SuiteResult(
         payload,
         verdicts,
-        {"ineq6": (columns, rows)},
+        {"ineq6": rows},
         {"n_sets": len(family), "n_samples": n_samples},
     )
 

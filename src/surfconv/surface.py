@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,7 +249,9 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
     rational maximized over sign patterns.  Each coordinate of C_P^{-1} s is
     det(C_P with column i replaced by s) / det(C_P) (Cramer's rule), so
     det_fraction is the only elimination.  The float conversion at the end
-    can overestimate by at most a few ulp.  Requires the row-submatrix
+    is within a few ulp of M; the square is scaled by a power
+    of 4 first, so a square beyond the float range still gives M, and an M
+    that is not a normal float raises ValueError.  Requires the row-submatrix
     condition (see min_submatrix_det).  Cached as check_submatrices is.
     """
     min_submatrix_det(matrix)
@@ -265,7 +268,15 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
             ) / det_sq
             if val > best_sq:
                 best_sq = val
-    return math.sqrt(float(best_sq))
+    # M^2 / 4^e lies in [1/2, 4); the power-of-2 scalings are exact on normal floats
+    e = (best_sq.numerator.bit_length() - best_sq.denominator.bit_length()) // 2
+    try:
+        m = math.ldexp(math.sqrt(float(best_sq / Fraction(4) ** e)), e)
+    except OverflowError:
+        m = math.inf
+    if not sys.float_info.min <= m < math.inf:
+        raise ValueError(f"the comparability constant M ~ 2^{e} is not a normal float")
+    return m
 
 
 def comparable_rows(

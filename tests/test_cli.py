@@ -454,13 +454,14 @@ class TestConfigValidation:
              "OverflowError"),
             ("plancherel", _one_entry(10**400, 1), {"n_f": 1, **_SMALL_QUADRATURE},
              "OverflowError"),
-            ("check-star", _one_entry(1, 10**200), None, "OverflowError"),
-            ("check-star", _one_entry(1, 10**300), None, "OverflowError"),
-            ("check-star", _one_entry(1, 10**400), None, "OverflowError"),
+            ("check-star", _one_entry(1, 10**400), None,
+             "the comparability constant M ~ 2^1328 is not a normal float"),
+            ("check-star", _one_entry(10**400, 1), None,
+             "the comparability constant M ~ 2^-1329 is not a normal float"),
         ],
         ids=["p-1e-400", "p-1/100", "delta-1e103", "ball-scan-1e300", "restricted-scan-1e300",
              "lemma-mc-1e300", "ineq6-1e-300", "ineq6-1e-400", "lemma-mc-1e400",
-             "plancherel-1e400", "check-star-1e-200", "check-star-1e-300", "check-star-1e-400"],
+             "plancherel-1e400", "check-star-1e-400", "check-star-1e400"],
     )
     def test_float_range_is_a_refused_configuration(self, tmp_path, capsys, suite, matrix,
                                                      params, message):
@@ -476,6 +477,20 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "num, den, constant",
+        [(1, 10**200, 1e200), (1, 10**300, 1e300), (10**200, 1, 1e-200)],
+        ids=["check-star-1e-200", "check-star-1e-300", "check-star-1e200"],
+    )
+    def test_comparability_constant_beyond_float_squares(self, tmp_path, num, den, constant):
+        # M^2 leaves the float range while M does not: the first two were refused
+        # with an OverflowError and the third reported M = 0.0
+        out = tmp_path / "out"
+        cfg = checkstar_config(tmp_path, matrix=_one_entry(num, den))
+        assert run_cli(cfg, out) == 0
+        reported = json.loads((out / "payload.json").read_text())["results"]["reports"]["inline"]
+        assert reported["comparability_constant"] == pytest.approx(constant, rel=1e-15)
 
     def test_non_finite_payload_is_never_written(self, tmp_path, capsys, monkeypatch):
         nan_result = SuiteResult({"value": float("nan")}, [Verdict("v", True, "")])

@@ -657,7 +657,7 @@ class TestShellEstimates:
         huge = BoxUnionSet(((-50.0, -50.0),), ((50.0, 50.0),))
         rep = shell_bilinear_estimate(PARABOLA, self.FK, huge, n_samples=4000, seed=3)
         # every sample pair lands in E, so lhs == ||f||_1 * |shell| exactly
-        assert abs(rep.lhs - self.FK.l1_norm * 2.0) < 1e-12
+        assert abs(rep.lhs - self.FK.mass * 2.0) < 1e-12
 
     def test_one_d_erf_closed_form(self):
         E = BoxUnionSet(((1.2, 0.1),), ((1.9, 0.8),))
@@ -667,7 +667,7 @@ class TestShellEstimates:
             return 0.5 * (1 + np.vectorize(erf)((t - 0.1) / (0.9 * math.sqrt(2))))
 
         yq, wq = gauss_legendre_interval(200, 1.2, 1.9)
-        oracle = self.FK.l1_norm * float(np.sum(wq * (fcdf(0.8 / yq) - fcdf(0.1 / yq))))
+        oracle = self.FK.mass * float(np.sum(wq * (fcdf(0.8 / yq) - fcdf(0.1 / yq))))
         assert abs(rep.lhs - oracle) / oracle < 0.05
 
     def test_measure_zero_set_is_refused(self):

@@ -1,11 +1,15 @@
 """The README quickstart runs as printed, every name the demos import from
 the package resolves in the module it names, and so does every function the
-bench tracer wraps."""
+bench tracer wraps.  Every CSV the README names is written by some run."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import re
 from pathlib import Path
+
+from surfconv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,3 +55,19 @@ def test_bench_tracer_targets_resolve():
         if not callable(target):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def test_readme_csv_names_are_written(tmp_path):
+    # a shipped config writes the tables its digests record; report writes the rest
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"`(\w+\.csv)`", readme))
+    assert named
+    digests = json.loads((ROOT / "tests" / "data" / "shipped_digests.json").read_text())
+    written = {f for files in digests["configs"].values() for f in files if f.endswith(".csv")}
+    run = {"suite": "ball-scan", "passed": True, "verdicts": [], "results": {"report": {"rows": [
+        {"delta": 0.5, "p_num": 2, "p_den": 1, "norm": 1.0, "ratio": 1.0, "center_id": 0}
+    ]}}}
+    (tmp_path / "report.json").write_text(json.dumps(run))
+    assert main(["report", str(tmp_path)]) == 0
+    written |= {p.name for p in tmp_path.glob("*.csv")}
+    assert sorted(named - written) == []

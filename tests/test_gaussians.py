@@ -14,7 +14,7 @@ from surfconv.quadrature import ball_volume, gauss_legendre_interval, sphere_rul
 def test_mass_and_norms_closed_forms():
     g = GaussianSpec(dim=2, amplitude=3.0, mean=(0.5, -1.0), sigmas=(0.7, 1.3))
     assert g.mass == pytest.approx(3.0 * 2 * math.pi * 0.7 * 1.3)
-    assert g.l1_norm == pytest.approx(g.mass)  # positive amplitude
+    assert g.lp_norm(1) == pytest.approx(g.mass)  # positive amplitude
     # ||g||_2^2 = amp^2 prod sigma_i sqrt(pi)
     assert g.l2_norm_sq == pytest.approx(9.0 * (0.7 * math.sqrt(math.pi)) * (1.3 * math.sqrt(math.pi)))
     # lp consistency: ||g||_p^p = amp^p prod sigma sqrt(2 pi / p)

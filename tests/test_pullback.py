@@ -169,7 +169,7 @@ def centered_3(amplitude: float, sigma: float) -> GaussianSpec:
                      "degenerate weight: the pulled-back integral vanishes", id="vanishing"),
         # a huge amplitude overflows the sample variance
         pytest.param(lambda: pullback_weight_ratio(BANDED, 0.0, centered_3(1e300, 1.0), SMALL),
-                     "non-finite estimate: lhs 1.2407195252364573e+301", id="non-finite"),
+                     "rho = 0.0: non-finite estimate: lhs 1.2407195252364573e+301", id="non-finite"),
         pytest.param(lambda: plancherel_ratio(BANDED, centered_3(1e150, 1.0), SMALL),
                      "non-finite estimate: lhs 2.61339550198752e+300", id="plancherel-non-finite"),
         # |f^|^2 has amplitude mass^2, which overflows a float before any estimate runs
