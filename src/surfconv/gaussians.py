@@ -61,17 +61,20 @@ class GaussianSpec:
         so the block for rows s (A, dim) and v (B, dim) is exp([s^2, s, 1] @ R.T)
         with R of shape (B, 2 dim + 1), and no (A, B, dim) array of products.
         log(amplitude) sits in R's constant column, inside the exponent, so no
-        factor applied after exp can underflow on its own.  R depends on v
-        alone, so a caller that evaluates many s-blocks against the same v
-        builds it once and passes it to product_block.
+        factor applied after exp can underflow on its own.  R is written in
+        place, column block by column block, as ((-p / 2) v) v and (p m) v.  It
+        depends on v alone, so a caller that evaluates many s-blocks against
+        the same v builds it once and passes it to product_block.
         """
         v = np.asarray(v, dtype=float)
         prec = 1.0 / np.asarray(self.sigmas) ** 2
         mean = np.asarray(self.mean)
-        const = math.log(self.amplitude) - 0.5 * float(np.sum(prec * mean * mean))
-        return np.concatenate(
-            [-0.5 * prec * v * v, prec * mean * v, np.full((len(v), 1), const)], axis=1
-        )
+        side = np.empty((len(v), 2 * self.dim + 1))
+        np.multiply(-0.5 * prec, v, out=side[:, : self.dim])
+        side[:, : self.dim] *= v
+        np.multiply(prec * mean, v, out=side[:, self.dim : -1])
+        side[:, -1] = math.log(self.amplitude) - 0.5 * float(np.sum(prec * mean * mean))
+        return side
 
     def product_block(self, s, side, out=None) -> np.ndarray:
         """The (A, B) block w(s_a * v_b) for side = product_side(v).

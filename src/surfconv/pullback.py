@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import GaussianSpec
-from .parallel import RatioReport, chunk_counts, seeded_mean
+from .parallel import RatioReport, seeded_mean
 from .quadrature import gauss_legendre_interval, sphere_rule
 from .surface import (
     CoefficientMatrix,
@@ -49,8 +49,8 @@ Y_CHUNKS = 16
 # tighten it to the ball holding all but 1e-9 of a more concentrated weight.
 TRUNCATION_RADIUS = 12.0
 
-# About the most values of w that _weight_integral evaluates at once: its memory bound.
-TAU_SLICE = 65_536
+# About the most values of w in one block of either quadrature: their memory bound.
+BLOCK_VALUES = 65_536
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,7 @@ class McConfig:
 
     def doubled(self) -> "McConfig":
         """The same plan with twice the y-samples and denser quadrature."""
-        return McConfig(
-            seed=self.seed,
-            n_y=2 * self.n_y,
-            n_radial=2 * self.n_radial,
-            n_sphere=2 * self.n_sphere,
-        )
+        return McConfig(self.seed, 2 * self.n_y, 2 * self.n_radial, 2 * self.n_sphere)
 
 
 def _finite_power(base: float, exponent: float) -> bool:
@@ -165,14 +160,14 @@ def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConf
     The polar rule is a product of radial nodes r and sphere nodes theta, so
     the integral is (wr * r^exponent) @ W @ wtheta for the (n_r, n_theta)
     block W = w(r_a * theta_b).  W is built and contracted with the radial
-    factor in slices of about TAU_SLICE values, whole groups of 8 sphere
+    factor in slices of about BLOCK_VALUES values, whole groups of 8 sphere
     nodes: each node keeps the vector lane it has in one product with all
     of W, and so every bit (other widths moved some).  For exponent < 0 the
     rule leaves out a core ball (see _radial_rule).
     """
     r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
     radial, factor = np.repeat(r[:, None], w.dim, axis=1), wr * r**exponent
-    step = max(8, TAU_SLICE // len(r) // 8 * 8)
+    step = max(8, BLOCK_VALUES // len(r) // 8 * 8)
     per_node = np.empty(len(theta))
     for lo in range(0, len(theta), step):
         side = w.product_side(theta[lo : lo + step])
@@ -217,16 +212,17 @@ def _zeta_radius(matrix: CoefficientMatrix, w: GaussianSpec) -> float:
 
 def _node_group(matrix: CoefficientMatrix, group: list[float], w: GaussianSpec, r_zeta: float,
                 cfg: McConfig, node_mask: np.ndarray | None):
-    """Node side, block row step and per-rho factor vectors of rhos sharing one
-    polar rule; None if node_mask keeps no node.  The rule's nodes, weights and
-    radii die on return, so the chunk loop does not hold them."""
+    """Node side, block row step (about BLOCK_VALUES values, whole groups of 8
+    y-samples) and per-rho factor vectors of rhos sharing one polar rule; None
+    if node_mask keeps no node.  The rule's nodes, weights and radii die on
+    return, so the chunk loop does not hold them."""
     nodes, weights, radii = _polar_nodes(group[0], matrix.l, r_zeta, cfg)
     if node_mask is not None:
         nodes, weights, radii = nodes[node_mask], weights[node_mask], radii[node_mask]
     if len(nodes) == 0:
         return None
     side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
-    step = max(1, 2_000_000 // len(side))
+    step = max(8, BLOCK_VALUES // len(side) // 8 * 8)
     return side, step, [weights * radii**rho for rho in group]
 
 
@@ -245,8 +241,11 @@ def _lhs_shell_integral(
     y-samples against all nodes is one GaussianSpec.product_block call, whose
     node side (built from v = C zeta) is built once per group, and the block
     is contracted with each rho's factor vector in its own matrix-vector
-    product.  Every block is written into one buffer per call, sized for
-    the largest, so the chunks reuse its memory.  The y-samples are drawn
+    product.  A block is a slice of whole groups of 8 y-samples, and a lone
+    last sample joins the slice before it (numpy contracts a one-row block
+    by another BLAS path), so each sample keeps every bit of one product
+    with its whole chunk, on any number of BLAS threads.  The blocks share
+    one buffer per call, of step + 1 rows.  The y-samples are drawn
     in Y_CHUNKS seeded chunks and parallel.seeded_mean reduces each rho's
     row on its own, so results do not depend on which other rhos share the
     call.  node_mask, if given, selects among the nodes of the rule that
@@ -265,20 +264,18 @@ def _lhs_shell_integral(
             groups.append(built)
             rows += group
 
-    # the chunk with the most samples has the widest block, which sizes the buffer
-    most = max(chunk_counts(cfg.n_y, Y_CHUNKS))
-    buffer = np.empty(max((min(step, most) * len(side) for side, step, _ in groups), default=0))
+    buffer = np.empty(max(((step + 1) * len(side) for side, step, _ in groups), default=0))
 
     def chunk_values(rng, n) -> np.ndarray:
         ys = sample_shell(rng, unit_shell, n)
         out = np.empty((len(rows), n))
         row = 0
         for side, step, factors in groups:
-            for lo in range(0, n, step):
-                s = ys[lo : lo + step]
+            for lo, hi in itertools.pairwise([0, *range(step, n - 1, step), n]):
+                s = ys[lo:hi]
                 block = w.product_block(s, side, out=buffer[: len(s) * len(side)].reshape(len(s), -1))
                 for i, f in enumerate(factors):
-                    out[row + i, lo : lo + step] = block @ f
+                    out[row + i, lo:hi] = block @ f
             row += len(factors)
         return out
 

@@ -1,17 +1,22 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from surfconv.battery import battery_entry
 from surfconv.gaussians import GaussianSpec, random_gaussian
+from surfconv.parallel import seeded_mean
 from surfconv.pullback import (
-    TAU_SLICE,
+    BLOCK_VALUES,
     McConfig,
     _lhs_shell_integral,
     _polar_nodes,
@@ -78,16 +83,6 @@ def test_weighted_integral_is_dilation_invariant():
         rep = plancherel_ratio(BANDED, ft, plan(n_y=1500, seed=17))
         values.append(rep.lhs)
     assert values[1] == pytest.approx(values[0], rel=0.05)
-
-
-def test_matrix_homogeneity_power():
-    # scaling C by t multiplies the frequency integral by t^-(rho + l)
-    rho = 1.0
-    doubled = CoefficientMatrix.from_rows([[2, 0], [2, 2], [0, 2]])
-    r1 = pullback_weight_ratio(BANDED, rho, W3, plan(n_y=1500, seed=19))
-    r2 = pullback_weight_ratio(doubled, rho, W3, plan(n_y=1500, seed=19))
-    power = math.log(r2.lhs / r1.lhs) / math.log(2.0)
-    assert power == pytest.approx(-(rho + 2), abs=0.05)
 
 
 def test_lemma_cover_total_is_the_lhs_of_its_first_row():
@@ -394,7 +389,7 @@ PLANCHEREL_DOUBLED = plan(seed=4, n_y=300).doubled()
 def test_sliced_weight_integral_is_bit_equal_to_one_block(w, exponent, cfg, shape):
     r_max = _tau_radius(w)
     r, _, theta, _ = _polar_rule(exponent, w.dim, r_max, cfg)
-    assert (len(r), len(theta)) == shape and len(r) * len(theta) > TAU_SLICE
+    assert (len(r), len(theta)) == shape and len(r) * len(theta) > BLOCK_VALUES
     assert _weight_integral(w, exponent, r_max, cfg) == one_block_weight_integral(w, exponent, r_max, cfg)
 
 
@@ -402,14 +397,76 @@ def test_sliced_weight_integral_is_bit_equal_to_one_block(w, exponent, cfg, shap
 def test_slices_are_whole_groups_of_8_sphere_nodes(monkeypatch, nodes):
     # on this 320 x 256 rule, slices of 1, 5, 7 or 13 sphere nodes each move the last bit
     cfg = plan(n_radial=8, n_sphere=16)
-    monkeypatch.setattr("surfconv.pullback.TAU_SLICE", 320 * nodes)
+    monkeypatch.setattr("surfconv.pullback.BLOCK_VALUES", 320 * nodes)
     r_max = _tau_radius(W3)
     assert _weight_integral(W3, -1.0, r_max, cfg) == one_block_weight_integral(W3, -1.0, r_max, cfg)
 
 
+def shell_samples(monkeypatch, *args, **kwargs):
+    """_lhs_shell_integral's estimates and the sample block of each seeded chunk."""
+    chunks = []
+
+    def recording(fn, *rest):
+        return seeded_mean(lambda rng, n: chunks.append(fn(rng, n)) or chunks[-1], *rest)
+
+    monkeypatch.setattr("surfconv.pullback.seeded_mean", recording)
+    return _lhs_shell_integral(*args, **kwargs), chunks
+
+
+@pytest.mark.parametrize("n_y", [400, 600])
+@pytest.mark.parametrize("rows", [1, 5, 7, 13])
+def test_shell_slices_are_whole_groups_of_8_y_samples(monkeypatch, rows, n_y):
+    # chunks of 25, or 37 and 45, y-samples against 128 nodes: each product stays on one
+    # BLAS thread.  Slices of 1, 5, 7 or 13 samples move the last bit of some samples,
+    # and so does a lone last sample in a slice of its own (25 = 3 * 8 + 1).
+    cfg = plan(n_y=n_y, n_radial=8, n_sphere=16)
+    nodes = len(_polar_nodes(0.0, BANDED.l, 1.0, cfg)[0])
+    monkeypatch.setattr("surfconv.pullback.BLOCK_VALUES", nodes * n_y)
+    whole, whole_chunks = shell_samples(monkeypatch, BANDED, [0.0, 1.0], W3, cfg)
+    monkeypatch.setattr("surfconv.pullback.BLOCK_VALUES", nodes * rows)
+    sliced, sliced_chunks = shell_samples(monkeypatch, BANDED, [0.0, 1.0], W3, cfg)
+    assert [c.tobytes() for c in sliced_chunks] == [c.tobytes() for c in whole_chunks]
+    assert sliced == whole
+
+
+# a child interpreter: the sample blocks of plancherel's doubled plan on its first f, as hex
+_THREADS_CHILD = """
+import surfconv.pullback as pullback
+from surfconv.battery import battery_entry
+from surfconv.gaussians import GaussianSpec
+from surfconv.pullback import McConfig
+chunks = []
+seeded_mean = pullback.seeded_mean
+pullback.seeded_mean = lambda fn, *rest: seeded_mean(
+    lambda rng, n: chunks.append(fn(rng, n)) or chunks[-1], *rest)
+pullback.plancherel_ratio(battery_entry("banded-3-2").matrix, {f!r}, {cfg!r})
+print(*(c.tobytes().hex() for c in chunks))
+"""
+
+
+def test_shell_samples_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a matrix-vector product of enough rows over its threads; a split
+    # that is not on a group of 8 rows moves the last bit of samples near it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = _THREADS_CHILD.format(f=PLANCHEREL_F, cfg=PLANCHEREL_DOUBLED)
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        runs.append([np.frombuffer(bytes.fromhex(c)) for c in proc.stdout.split()])
+    one, two = runs
+    assert len(one) == len(two) == 16
+    differing = {i: int(np.sum(a != b)) for i, (a, b) in enumerate(zip(one, two))
+                 if a.tobytes() != b.tobytes()}
+    assert differing == {}, f"differing samples per chunk: {differing}"
+
+
 class TestFrequencyKernelMemory:
-    """Warm peaks of the frequency kernel on plancherel's doubled plan, where
-    a shell block is 45 x 12 288 exponents (4.4 MB) and the tau rule 96 x 8 192."""
+    """Warm peaks of the frequency kernel on the doubled plans of plancherel, where
+    a shell block is at most 9 x 12 288 exponents (0.9 MB) and the tau rule
+    96 x 8 192, and of lemma-mc."""
 
     @staticmethod
     def warm_peak(fn):
@@ -423,17 +480,56 @@ class TestFrequencyKernelMemory:
         assert first == second
         return peak
 
-    def test_plancherel_ratio_holds_one_shell_block(self):
-        # one reused block buffer: 6.2 MB; a fresh block per chunk and a tau quadrature: 8.6 MB
+    def test_plancherel_ratio_holds_one_slice_of_8_y_samples(self):
+        # slices of 8 y-samples: 1.8 MB; a whole chunk of 45 per block: 5.8 MB
         matrix = battery_entry("banded-3-2").matrix
         peak = self.warm_peak(lambda: plancherel_ratio(matrix, PLANCHEREL_F, PLANCHEREL_DOUBLED))
-        assert peak < 6_500_000
+        assert peak < 2_000_000
+
+    def test_lemma_ratio_holds_one_slice_of_8_y_samples(self):
+        # the shipped lemma-mc config's first weight on its doubled plan, both rhos:
+        # slices of 8 y-samples: 0.94 MB; a whole chunk per block: 2.0 MB
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
+        w = random_gaussian(rng, 3, normalized=False)
+        cfg = plan(seed=11, n_y=300, n_radial=32, n_sphere=32).doubled()
+        peak = self.warm_peak(lambda: pullback_weight_ratio(BANDED, [0.0, 1.0], w, cfg))
+        assert peak < 1_200_000
 
     def test_weight_integral_holds_one_sphere_slice(self):
         # 96 x 680 values per slice: 1.0 MB; the whole 96 x 8 192 block: 8.6 MB
         w = PLANCHEREL_W
         peak = self.warm_peak(lambda: _weight_integral(w, 0.0, _tau_radius(w), PLANCHEREL_DOUBLED))
         assert peak < 1_500_000
+
+
+def dilated(matrix: CoefficientMatrix, j: int) -> CoefficientMatrix:
+    """2^-j C, exactly."""
+    return CoefficientMatrix.from_rows([[x * Fraction(2) ** -j for x in row] for row in matrix.entries])
+
+
+@pytest.mark.parametrize("name", ["banded-3-2", "paraboloid-2-1"])
+@pytest.mark.parametrize(
+    "rhos, j",
+    [([0.0, 1.0], j) for j in (-1, 1, 2, 3, 30)] + [([-0.5, 0.5], j) for j in (2, 30)],
+)
+def test_frequency_estimators_obey_the_tail_dilation_exactly(name, rhos, j):
+    # zeta -> zeta / eps carries the shell integral of eps C onto that of C, so at
+    # eps = 2^-j the lhs and its stderr scale by 2^(j (rho + l)) and the rhs (w alone)
+    # stays; plancherel_ratio is the case rho = k - l.  With j (rho + l) whole, every
+    # node, weight and r^rho scales by a power of 2 (odd j at rho = 0.5 is 1 ulp off).
+    matrix = battery_entry(name).matrix
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    w, f = random_gaussian(rng, matrix.k, normalized=False), random_gaussian(rng, matrix.k)
+    cfg = plan(n_y=64, n_radial=8, n_sphere=8)
+    pairs = list(zip(pullback_weight_ratio(matrix, rhos, w, cfg),
+                     pullback_weight_ratio(dilated(matrix, j), rhos, w, cfg), rhos))
+    pairs.append((plancherel_ratio(matrix, f, cfg), plancherel_ratio(dilated(matrix, j), f, cfg),
+                  matrix.k - matrix.l))
+    for base, small, rho in pairs:
+        e = int(j * (rho + matrix.l))
+        assert e == j * (rho + matrix.l)
+        assert (small.lhs, small.stderr, small.rhs) == (
+            math.ldexp(base.lhs, e), math.ldexp(base.stderr, e), base.rhs)
 
 
 def test_multi_rho_shell_integral_is_bit_equal_to_single_rho_calls():
