@@ -68,7 +68,12 @@ class McConfig:
 
     def doubled(self) -> "McConfig":
         """The same plan with twice the y-samples and denser quadrature."""
-        return McConfig(self.seed, 2 * self.n_y, 2 * self.n_radial, 2 * self.n_sphere)
+        return McConfig(
+            seed=self.seed,
+            n_y=2 * self.n_y,
+            n_radial=2 * self.n_radial,
+            n_sphere=2 * self.n_sphere,
+        )
 
 
 def _finite_power(base: float, exponent: float) -> bool:

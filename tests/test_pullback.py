@@ -85,6 +85,16 @@ def test_weighted_integral_is_dilation_invariant():
     assert values[1] == pytest.approx(values[0], rel=0.05)
 
 
+def test_matrix_homogeneity_power():
+    # scaling C by t multiplies the frequency integral by t^-(rho + l)
+    rho = 1.0
+    doubled = CoefficientMatrix.from_rows([[2, 0], [2, 2], [0, 2]])
+    r1 = pullback_weight_ratio(BANDED, rho, W3, plan(n_y=1500, seed=19))
+    r2 = pullback_weight_ratio(doubled, rho, W3, plan(n_y=1500, seed=19))
+    power = math.log(r2.lhs / r1.lhs) / math.log(2.0)
+    assert power == pytest.approx(-(rho + 2), abs=0.05)
+
+
 def test_lemma_cover_total_is_the_lhs_of_its_first_row():
     # the cover reuses the lhs of the (rho_list[0], w00) row instead of recomputing it
     params = {"rho_list": [0.5, 1.0], "n_w": 2, "n_y": 64, "n_radial": 12, "n_sphere": 12}
