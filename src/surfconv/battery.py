@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
+from . import parallel
 from .surface import CoefficientMatrix, SubmatrixReport, check_submatrices
 
 
@@ -61,7 +60,7 @@ def generate_matrix(
     Returns the matrix and its submatrix report."""
     if not 1 <= l <= k:
         raise ValueError("need 1 <= l <= k")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     for _ in range(max_rejections):
         entries = rng.integers(-9, 10, size=(k, l))
         matrix = CoefficientMatrix.from_rows(entries.tolist())

@@ -48,6 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import parallel
 from .exponents import ExponentPair, critical_q0, typeset, typeset_contains
 from .parallel import RatioReport, seeded_mean
 from .quadrature import ball_volume
@@ -554,7 +555,10 @@ SHELL_CHUNKS = 16
 class NormEstimate:
     norm: float
     stderr: float
-    low_confidence: bool
+
+    @property
+    def low_confidence(self) -> bool:
+        return self.stderr > 0.1 * self.norm
 
 
 def _support_tube(measure: SurfaceMeasure, test_set):
@@ -613,8 +617,7 @@ def lq_norm_mc(
         g = measure.convolve_many(test_set, zs)
         return g**q
 
-    seq = np.random.SeedSequence(seed)
-    [(mean, var, n)] = seeded_mean(tube_chunk, seq, n_tube, NORM_CHUNKS)
+    [(mean, var, n)] = seeded_mean(tube_chunk, seed, n_tube, NORM_CHUNKS)
     total = v_tube * mean
     var = v_tube**2 * (var / n)
     if total <= 0:
@@ -624,7 +627,7 @@ def lq_norm_mc(
         )
     norm = total ** (1.0 / q)
     stderr = total ** (1.0 / q - 1.0) / q * math.sqrt(var)
-    return NormEstimate(norm=norm, stderr=stderr, low_confidence=bool(stderr > 0.1 * norm))
+    return NormEstimate(norm=norm, stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +694,7 @@ def ball_scaling_experiment(
     resolutions = {delta: _res_for(delta) for delta in deltas}
     measures = {delta: SurfaceMeasure(matrix, resolutions[delta]) for delta in deltas}
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     ys = [np.zeros(k)]
     while len(ys) < n_centers:
         cand = rng.uniform(-0.7, 0.7, k)
@@ -769,7 +772,7 @@ def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int):
     Extending the family (larger n_sets, same seed) keeps the earlier sets
     as a prefix, which is what the doubling-stability checks rely on.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     k, d = matrix.k, matrix.d
     sets = []
     while len(sets) < n_sets:
@@ -805,11 +808,9 @@ def standard_set_family(matrix: CoefficientMatrix, n_sets: int, seed: int):
         b = a * a * float(np.abs(matrix.array).sum(axis=0).max() + 1.0)
         tube = TangentTubeSet(matrix, tuple(y0), a, b)
         lo, hi = tube.bounding_box()
-        if np.max(np.abs(np.concatenate([lo, hi]))) <= 1.0:
-            sets.append((f"tube-{len(sets)}", tube))
-        else:
-            y0 = y0 * 0.3
-            sets.append((f"tube-{len(sets)}", TangentTubeSet(matrix, tuple(y0), a, b)))
+        if np.max(np.abs(np.concatenate([lo, hi]))) > 1.0:
+            tube = TangentTubeSet(matrix, tuple(y0 * 0.3), a, b)
+        sets.append((f"tube-{len(sets)}", tube))
     return sets
 
 
@@ -903,8 +904,7 @@ def shell_bilinear_estimate(
         tails = (xs * ys) @ matrix.array
         return test_set.contains_coords([*ys.T, *tails.T]).astype(float)
 
-    seq = np.random.SeedSequence(seed)
-    [(mean, var, n)] = seeded_mean(chunk, seq, n_samples, SHELL_CHUNKS)
+    [(mean, var, n)] = seeded_mean(chunk, seed, n_samples, SHELL_CHUNKS)
     scale = f.mass * shell_vol
     lhs = scale * mean
     stderr = scale * math.sqrt(var) / math.sqrt(n)

@@ -97,7 +97,7 @@ class GaussianSpec:
         out[low] = 0.0
         return out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng, size: int) -> np.ndarray:
         """Draws from the normalized density proportional to this Gaussian."""
         z = rng.standard_normal(size=(size, self.dim))
         return np.asarray(self.mean) + z * np.asarray(self.sigmas)
@@ -157,7 +157,7 @@ class GaussianSpec:
 
 
 def random_gaussian(
-    rng: np.random.Generator,
+    rng,
     dim: int,
     sigma_range: tuple[float, float] = (0.6, 1.4),
     mean_radius: float = 1.0,

@@ -1,4 +1,5 @@
-"""Deterministic work distribution and the one seeded Monte Carlo reduction.
+"""Deterministic work distribution, the one random stream constructor and the
+one seeded Monte Carlo reduction.
 
 Tasks are always enumerated, chunked, and reduced in a fixed order, so the
 chunk layout alone picks every random stream and every float sum.
@@ -50,22 +51,28 @@ def chunk_counts(total: int, parts: int) -> list[int]:
     return [total // parts] * (parts - 1) + [total - (parts - 1) * (total // parts)]
 
 
-def seeded_mean(fn, seq: np.random.SeedSequence, total: int, parts: int) -> list:
+def rng(seed) -> np.random.Generator:
+    """PCG64 seeded by an int or a SeedSequence.  It is pinned here, not left to
+    np.random.default_rng, because numpy reserves the right to change that
+    default (NEP 19), and a change would move every seeded payload byte."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def seeded_mean(fn, seed: int, total: int, parts: int) -> list:
     """(mean, ddof=1 variance, count) of each row of fn's samples.
 
     fn(rng, n) returns n samples along its last axis, as an (n,) array (one
-    row) or an (m, n) block (m rows).  Chunk i draws from the i-th child
-    spawned from seq now, and draws chunk_counts(total, parts)[i] samples.
-    spawn continues seq's child counter, so a second call on the same seq
-    draws the next `parts` streams, never the first call's again.  The
-    refusal of total < parts in chunk_counts is every estimator's
-    sample-count rule.
+    row) or an (m, n) block (m rows).  Chunk i draws
+    chunk_counts(total, parts)[i] samples from child i of
+    SeedSequence(seed).spawn(parts).  The refusal of total < parts in
+    chunk_counts is every estimator's sample-count rule.
     """
     counts = chunk_counts(total, parts)
 
     def run(chunk):
         child, n = chunk
-        return fn(np.random.Generator(np.random.PCG64(child)), n)
+        return fn(rng(child), n)
 
-    samples = np.concatenate(ordered_map(run, zip(seq.spawn(parts), counts)), axis=-1)
+    children = np.random.SeedSequence(seed).spawn(parts)
+    samples = np.concatenate(ordered_map(run, zip(children, counts)), axis=-1)
     return [(float(v.mean()), float(v.var(ddof=1)), len(v)) for v in np.atleast_2d(samples)]

@@ -52,6 +52,10 @@ TRUNCATION_RADIUS = 12.0
 # About the most values of w in one block of either quadrature: their memory bound.
 BLOCK_VALUES = 65_536
 
+# The most sphere nodes in one dot product: OpenBLAS splits a longer dot over its
+# threads, and the split moves the last bit with the thread count.
+DOT_NODES = 8_192
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -159,25 +163,32 @@ def _polar_nodes(rho: float, dim: int, r_max: float, cfg: McConfig):
     return nodes, weights, np.repeat(r, len(wtheta))
 
 
+def _slice_rows(row_values: int) -> int:
+    """Rows per block slice of either quadrature: about BLOCK_VALUES values, in
+    whole groups of 8 rows, so each row keeps its bits from one whole-block product."""
+    return max(8, BLOCK_VALUES // row_values // 8 * 8)
+
+
 def _weight_integral(w: GaussianSpec, exponent: float, r_max: float, cfg: McConfig) -> float:
     """integral |tau|^exponent w(tau) dtau over the ball of radius r_max.
 
     The polar rule is a product of radial nodes r and sphere nodes theta, so
     the integral is (wr * r^exponent) @ W @ wtheta for the (n_r, n_theta)
     block W = w(r_a * theta_b).  W is built and contracted with the radial
-    factor in slices of about BLOCK_VALUES values, whole groups of 8 sphere
-    nodes: each node keeps the vector lane it has in one product with all
-    of W, and so every bit (other widths moved some).  For exponent < 0 the
-    rule leaves out a core ball (see _radial_rule).
+    factor in slices of sphere nodes (see _slice_rows; other widths moved
+    some bits), and the sphere sum is taken in order over slices of
+    DOT_NODES nodes, so no bit depends on the BLAS thread count.  For
+    exponent < 0 the rule leaves out a core ball (see _radial_rule).
     """
     r, wr, theta, wtheta = _polar_rule(exponent, w.dim, r_max, cfg)
     radial, factor = np.repeat(r[:, None], w.dim, axis=1), wr * r**exponent
-    step = max(8, BLOCK_VALUES // len(r) // 8 * 8)
+    step = _slice_rows(len(r))
     per_node = np.empty(len(theta))
     for lo in range(0, len(theta), step):
         side = w.product_side(theta[lo : lo + step])
         per_node[lo : lo + step] = factor @ w.product_block(radial, side)
-    return float(per_node @ wtheta)
+    return float(sum(per_node[lo : lo + DOT_NODES] @ wtheta[lo : lo + DOT_NODES]
+                     for lo in range(0, len(theta), DOT_NODES)))
 
 
 def _region_masks(
@@ -217,18 +228,17 @@ def _zeta_radius(matrix: CoefficientMatrix, w: GaussianSpec) -> float:
 
 def _node_group(matrix: CoefficientMatrix, group: list[float], w: GaussianSpec, r_zeta: float,
                 cfg: McConfig, node_mask: np.ndarray | None):
-    """Node side, block row step (about BLOCK_VALUES values, whole groups of 8
-    y-samples) and per-rho factor vectors of rhos sharing one polar rule; None
-    if node_mask keeps no node.  The rule's nodes, weights and radii die on
-    return, so the chunk loop does not hold them."""
+    """Node side, block row step (y-samples per slice, see _slice_rows) and
+    per-rho factor vectors of rhos sharing one polar rule; None if node_mask
+    keeps no node.  The rule's nodes, weights and radii die on return, so the
+    chunk loop does not hold them."""
     nodes, weights, radii = _polar_nodes(group[0], matrix.l, r_zeta, cfg)
     if node_mask is not None:
         nodes, weights, radii = nodes[node_mask], weights[node_mask], radii[node_mask]
     if len(nodes) == 0:
         return None
     side = w.product_side(nodes @ matrix.array.T)  # from C zeta per node
-    step = max(8, BLOCK_VALUES // len(side) // 8 * 8)
-    return side, step, [weights * radii**rho for rho in group]
+    return side, _slice_rows(len(side)), [weights * radii**rho for rho in group]
 
 
 def _lhs_shell_integral(
@@ -286,9 +296,8 @@ def _lhs_shell_integral(
 
     estimates = {}
     if groups:
-        seq = np.random.SeedSequence(cfg.seed)
         shell_volume = float(shell_measure(unit_shell))
-        for rho, (mean, var, n) in zip(rows, seeded_mean(chunk_values, seq, cfg.n_y, Y_CHUNKS)):
+        for rho, (mean, var, n) in zip(rows, seeded_mean(chunk_values, cfg.seed, cfg.n_y, Y_CHUNKS)):
             estimates[rho] = (shell_volume * mean, shell_volume * math.sqrt(var) / math.sqrt(n))
     return [estimates.get(rho, (0.0, 0.0)) for rho in rhos]
 

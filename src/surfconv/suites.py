@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import parallel
 from .battery import load_battery
 from .convolution import (
     BallSet,
@@ -215,7 +216,7 @@ def run_lemma_mc(matrix, params, seed) -> SuiteResult:
     rho_list = params.get("rho_list") or [0.0, 1.0, float(d - 2 * l)]
     n_w = int(params.get("n_w", 20))
     cfg = _mc_config(params, seed, n_y=512)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     weights = [random_gaussian(rng, k, normalized=False) for _ in range(n_w)]
 
     # each weight's shell blocks are evaluated once for all rhos; rows stay in (rho, w) order
@@ -318,7 +319,7 @@ def run_transform_check(matrix, params, seed) -> SuiteResult:
     cells = int(params.get("cells", 128))
     n_f = int(params.get("n_f", 3))
     y = np.array(params.get("y", [1.0] * k), dtype=float)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
 
     rows, verdicts = [], []
     worst_pair, worst_leak = 0.0, 0.0
@@ -384,7 +385,7 @@ def run_plancherel(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     n_f = int(params.get("n_f", 20))
     cfg = _mc_config(params, seed, n_y=400)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     rows = []
     for i in range(n_f):
         f = random_gaussian(rng, k)
@@ -448,7 +449,7 @@ def _shell_set_family(matrix, f, n_sets, seed):
     lands in them; boxes span a per-axis slab of the shell with a tail
     window around the same image point.  Prefix-stable in n_sets.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     k, l = matrix.k, matrix.l
     arr = matrix.array
     mean = np.asarray(f.mean)
@@ -478,7 +479,7 @@ def run_ineq6(matrix, params, seed) -> SuiteResult:
     k, l, d = matrix.k, matrix.l, matrix.d
     n_sets = int(params.get("n_sets", 8))
     n_samples = int(params.get("n_samples", 20000))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = parallel.rng(seed)
     f = random_gaussian(rng, k, sigma_range=(0.7, 1.2), mean_radius=0.5)
 
     family = _shell_set_family(matrix, f, n_sets, seed)

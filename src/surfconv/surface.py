@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import parallel
 from .rationals import frac_to_pair, pair_to_frac
 
 
@@ -442,16 +443,15 @@ def verify_jacobian_bound(
         code = sum(1 << i for i in rows)
         dets[code] = abs(float(det_fraction(matrix.row_submatrix(rows))))
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = parallel.rng(seed)
     min_ratio = math.inf
     n_violations = 0
     worst: dict = {}
     chunk = 20_000
-    done = 0
     bits = 1 << np.arange(k)
-    while done < n_samples:
+    for done in range(0, n_samples, chunk):
         n = min(chunk, n_samples - done)
-        y = rng.uniform(1.0, 2.0, size=(n, k)) * rng.choice([-1.0, 1.0], size=(n, k))
+        y = sample_shell(rng, (0,) * k, n)
         zeta = rng.standard_normal(size=(n, l))
         norms, w, _, sel = comparable_rows(matrix, zeta, m)
         head_code = ((~sel) @ bits).astype(int)
@@ -469,7 +469,6 @@ def verify_jacobian_bound(
                 "rows": np.flatnonzero(sel[i]).tolist(),
                 "ratio": float(ratio[i]),
             }
-        done += n
     return JacobianBoundReport(
         n_samples=n_samples,
         min_ratio=min_ratio,
@@ -492,7 +491,7 @@ def shell_measure(index) -> Fraction:
     return Fraction(2) ** total
 
 
-def sample_shell(rng: np.random.Generator, index, size: int) -> np.ndarray:
+def sample_shell(rng, index, size: int) -> np.ndarray:
     """Uniform samples from the two-sided dyadic shell with the given index."""
     index = tuple(int(n) for n in index)
     k = len(index)

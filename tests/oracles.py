@@ -4,12 +4,13 @@ None of these is read by a run, so they live with the tests.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from surfconv.gaussians import GaussianSpec
 from surfconv.quadrature import gauss_legendre_interval
-from surfconv.surface import surface_heights
+from surfconv.surface import CoefficientMatrix, surface_heights
 
 
 def atom_points(mu) -> np.ndarray:
@@ -26,6 +27,12 @@ def atom_points(mu) -> np.ndarray:
     ys = np.stack([a.ravel() for a in axes], axis=-1)
     ys = ys[(ys**2).sum(axis=1) < 1.0]
     return np.concatenate([ys, surface_heights(mu.matrix, ys)], axis=1)
+
+
+def dilated(matrix: CoefficientMatrix, j: int) -> CoefficientMatrix:
+    """2^-j C, exactly: the surface of C with every tail scaled by 2^-j."""
+    scale = Fraction(2) ** -j
+    return CoefficientMatrix.from_rows([[x * scale for x in row] for row in matrix.entries])
 
 
 def box_rule(n: int, box) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ Oracles used here:
   * atom counts of the windowed kernel vs a brute-force sum over all atoms,
   * pushforward integrals vs direct Gauss-Legendre quadrature on the base,
   * an L^q grid oracle for the parabola (dense z-grid + power-mean),
-  * a 1-d erf closed form for the shell bilinear pairing.
+  * a 1-d erf closed form for the shell bilinear pairing,
+  * the paper's tail dilation (y; z) -> (y; z / eps), exact at eps = 2^-j.
 """
 
 import math
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import atom_points
-from surfconv.battery import load_battery
+from oracles import atom_points, dilated
+from surfconv.battery import battery_entry, load_battery
 from surfconv.convolution import (
     _SKIP_SLACK,
     BallSet,
@@ -36,9 +37,10 @@ from surfconv.convolution import (
     shell_sum_estimate,
     standard_set_family,
 )
-from surfconv.gaussians import GaussianSpec
+from surfconv.exponents import critical_q0
+from surfconv.gaussians import GaussianSpec, random_gaussian
 from surfconv.quadrature import gauss_legendre_interval
-from surfconv.surface import CoefficientMatrix, surface_heights
+from surfconv.surface import CoefficientMatrix, comparability_constant, surface_heights
 
 PARABOLOID = CoefficientMatrix.from_rows([[1], [1]])  # k=2 l=1 d=3
 PARABOLA = CoefficientMatrix.from_rows([[1]])  # k=1 l=1 d=2
@@ -689,6 +691,55 @@ class TestShellEstimates:
         assert len(out["per_shell"]) == 4  # n = -3..0
         assert out["sum_lhs"] >= max(row["lhs"] for row in out["per_shell"])
 
+
+
+def tail_dilated(test_set, matrix: CoefficientMatrix, eps: float):
+    """T^-1 E, every tail coordinate of E scaled by eps, where matrix = eps C and
+    T(y; z) = (y; z / eps) carries the surface of eps C onto that of C."""
+    if isinstance(test_set, TangentTubeSet):
+        return TangentTubeSet(matrix, test_set.y0, test_set.half_width, test_set.thickness * eps)
+    if isinstance(test_set, ShearedBoxSet):
+        return ShearedBoxSet(matrix, tail_dilated(test_set.base, matrix, eps))
+
+    def scaled(corner):
+        return (*corner[: matrix.k], *(x * eps for x in corner[matrix.k :]))
+
+    return BoxUnionSet(tuple(map(scaled, test_set.lows)), tuple(map(scaled, test_set.highs)))
+
+
+@pytest.mark.parametrize("j", [2, 4, 30])
+@pytest.mark.parametrize("name", ["paraboloid-2-1", "banded-3-2"])
+def test_lq_norm_obeys_the_tail_dilation(name, j):
+    # ||mu_(eps C) * chi_(T^-1 E)||_q = eps^(l/q) ||mu_C * chi_E||_q.  At eps = 2^-j every
+    # tail, atom height and tube band scales by a power of 2, so only the q-th root and
+    # eps^(l/q) round
+    matrix, eps = battery_entry(name).matrix, 2.0**-j
+    small = dilated(matrix, j)
+    q = float(critical_q0(matrix.k, matrix.d))
+    mu, mu_small = SurfaceMeasure(matrix, 32), SurfaceMeasure(small, 32)
+    sets = set_kinds(matrix, np.random.default_rng(1))
+    for kind in ("box-union", "tube", "sheared"):
+        base = lq_norm_mc(mu, sets[kind], q, seed=3, n_tube=64)
+        got = lq_norm_mc(mu_small, tail_dilated(sets[kind], small, eps), q, seed=3, n_tube=64)
+        want = eps ** (matrix.l / q) * base.norm
+        assert abs(got.norm - want) <= 4 * math.ulp(want), kind
+
+
+@pytest.mark.parametrize("j", [2, 4, 30])
+@pytest.mark.parametrize("name", ["paraboloid-2-1", "banded-3-2"])
+def test_shell_lhs_and_comparability_constant_obey_the_tail_dilation(name, j):
+    # the tails (x * y) @ C of the shell samples scale exactly, so the same samples
+    # land in T^-1 E; the comparability constant is 1-homogeneous in 1 / eps
+    matrix, eps = battery_entry(name).matrix, 2.0**-j
+    small = dilated(matrix, j)
+    f = random_gaussian(np.random.default_rng(5), matrix.k)
+    k, l = matrix.k, matrix.l
+    E = BoxUnionSet(((-2.0,) * k + (-1.0,) * l,), ((2.0,) * k + (0.5,) * l,))  # heads cover the shell
+    base = shell_bilinear_estimate(matrix, f, E, n_samples=256, seed=3)
+    got = shell_bilinear_estimate(small, f, tail_dilated(E, small, eps), n_samples=256, seed=3)
+    assert 0 < base.lhs < f.mass * 2.0**k  # some shell samples miss E, some hit
+    assert (got.lhs, got.stderr) == (base.lhs, base.stderr)
+    assert comparability_constant(small) == comparability_constant(matrix) / eps
 
 class TestRestrictedScan:
     def test_vertex_exponent_refused(self):

@@ -3,8 +3,8 @@ block, every name it or a test imports is used, every private module-level
 name it defines is read somewhere in the package, and every public name,
 method or property it defines is read by a run, an acceptance gate, a demo,
 the README quickstart or the bench tracer, as is every field of its
-dataclasses.  Only parallel.py spawns seeded streams or takes a sample
-spread, and only suites.py gives a sampling-plan value a default."""
+dataclasses.  Only parallel.py builds or spawns seeded streams or takes a
+sample spread, and only suites.py gives a sampling-plan value a default."""
 
 import ast
 from collections import Counter
@@ -333,5 +333,50 @@ def test_only_parallel_reduces_seeded_samples():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "parallel.py"
         for line, attr in sample_reductions(path.read_text())
+    ]
+    assert found == []
+
+
+STREAM_NAMES = ("PCG64", "SeedSequence", "default_rng")
+
+
+def random_streams(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every use of PCG64, SeedSequence, default_rng or
+    np.random.Generator, as a name or an attribute, annotations included,
+    and of every name imported from numpy.random: the pieces a random
+    stream is built from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            found += [(node.lineno, a.name) for a in node.names]
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in STREAM_NAMES or (
+            name == "Generator" and isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "random"
+        ):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_random_streams():
+    source = (
+        "import numpy as np\nfrom numpy.random import PCG64\n"
+        "g = np.random.Generator(PCG64(np.random.SeedSequence(1)))\n"
+        "def draw(rng: np.random.Generator, Generator=None):\n    return np.random.default_rng(2)\n"
+    )
+    assert random_streams(source) == [
+        (2, "PCG64"), (3, "Generator"), (3, "PCG64"), (3, "SeedSequence"), (4, "Generator"),
+        (5, "default_rng"),
+    ]
+
+
+def test_only_parallel_builds_random_streams():
+    # one stream constructor: parallel.rng pins the bit generator, so
+    # seeding is decided in one place
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "parallel.py"
+        for line, name in random_streams(path.read_text())
     ]
     assert found == []

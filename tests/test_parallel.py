@@ -7,22 +7,26 @@ import math
 import numpy as np
 import pytest
 
-from surfconv.parallel import RatioReport, chunk_counts, seeded_mean
+from surfconv.parallel import RatioReport, chunk_counts, rng, seeded_mean
 
 
 def draws(rng, n):
     return rng.uniform(size=n)
 
 
-def test_two_calls_continue_one_spawn_split():
-    seq = np.random.SeedSequence(17)
-    first = seeded_mean(draws, seq, 40, 4)
-    second = seeded_mean(draws, seq, 24, 4)
-    children = np.random.SeedSequence(17).spawn(8)
-    counts = [10] * 4 + [6] * 4
-    want = [np.random.Generator(np.random.PCG64(c)).uniform(size=n) for c, n in zip(children, counts)]
-    for got, expected in zip(first + second, [np.concatenate(want[:4]), np.concatenate(want[4:])]):
-        assert got == (float(expected.mean()), float(expected.var(ddof=1)), len(expected))
+def pcg64_draws(seed, n):
+    return np.random.Generator(np.random.PCG64(seed)).uniform(size=n)
+
+
+def test_chunk_i_draws_from_child_i_of_the_seed():
+    chunks = []
+    for _ in range(2):  # a second call on the same seed draws the same streams again
+        seeded_mean(lambda rng, n: chunks.append(draws(rng, n)) or chunks[-1], 17, 43, 4)
+    children = np.random.SeedSequence(17).spawn(4)
+    want = [pcg64_draws(c, n) for c, n in zip(children, chunk_counts(43, 4))]
+    assert [c.tolist() for c in chunks] == [w.tolist() for w in want * 2]
+    # an int seed and its SeedSequence give one stream
+    assert draws(rng(17), 9).tolist() == pcg64_draws(np.random.SeedSequence(17), 9).tolist()
 
 
 def test_remainder_lands_on_the_last_chunk():
@@ -32,7 +36,7 @@ def test_remainder_lands_on_the_last_chunk():
         sizes.append(n)
         return np.arange(n, dtype=float)
 
-    [(_, _, n)] = seeded_mean(record, np.random.SeedSequence(0), 23, 5)
+    [(_, _, n)] = seeded_mean(record, 0, 23, 5)
     assert sizes == [4, 4, 4, 4, 7] == chunk_counts(23, 5)
     assert n == 23
 
@@ -42,9 +46,9 @@ def test_block_reduces_row_by_row():
         u = rng.uniform(size=n)
         return np.stack([u, u**2, np.exp(u)])
 
-    rows = seeded_mean(block, np.random.SeedSequence(5), 101, 8)
+    rows = seeded_mean(block, 5, 101, 8)
     singles = [
-        seeded_mean(lambda rng, n, i=i: block(rng, n)[i], np.random.SeedSequence(5), 101, 8)[0]
+        seeded_mean(lambda rng, n, i=i: block(rng, n)[i], 5, 101, 8)[0]
         for i in range(3)
     ]
     assert rows == singles
@@ -54,7 +58,7 @@ def test_block_reduces_row_by_row():
 @pytest.mark.parametrize("total", [0, 1, 7])
 def test_fewer_samples_than_chunks_are_refused(total):
     with pytest.raises(ValueError, match="seeded chunks"):
-        seeded_mean(draws, np.random.SeedSequence(0), total, 8)
+        seeded_mean(draws, 0, total, 8)
     with pytest.raises(ValueError, match="seeded chunks"):
         chunk_counts(total, 8)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dilated
 from surfconv.battery import battery_entry
 from surfconv.gaussians import GaussianSpec, random_gaussian
 from surfconv.parallel import seeded_mean
@@ -454,23 +455,49 @@ print(*(c.tobytes().hex() for c in chunks))
 """
 
 
-def test_shell_samples_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a matrix-vector product of enough rows over its threads; a split
-    # that is not on a group of 8 rows moves the last bit of samples near it
+def outputs_on_1_and_2_blas_threads(code: str) -> list[str]:
+    """The stdout of code in two child interpreters, with OPENBLAS_NUM_THREADS 1 and 2."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = _THREADS_CHILD.format(f=PLANCHEREL_F, cfg=PLANCHEREL_DOUBLED)
-    runs = []
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                    OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
-        runs.append([np.frombuffer(bytes.fromhex(c)) for c in proc.stdout.split()])
-    one, two = runs
+        outputs.append(proc.stdout)
+    return outputs
+
+
+def test_shell_samples_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a matrix-vector product of enough rows over its threads; a split
+    # that is not on a group of 8 rows moves the last bit of samples near it
+    code = _THREADS_CHILD.format(f=PLANCHEREL_F, cfg=PLANCHEREL_DOUBLED)
+    one, two = ([np.frombuffer(bytes.fromhex(c)) for c in out.split()]
+                for out in outputs_on_1_and_2_blas_threads(code))
     assert len(one) == len(two) == 16
     differing = {i: int(np.sum(a != b)) for i, (a, b) in enumerate(zip(one, two))
                  if a.tobytes() != b.tobytes()}
     assert differing == {}, f"differing samples per chunk: {differing}"
+
+
+# a child interpreter: tau-side integrals on a rule of 96 x 192 = 18 432 sphere nodes, as hex
+_TAU_THREADS_CHILD = """
+from surfconv.gaussians import GaussianSpec
+from surfconv.pullback import McConfig, _tau_radius, _weight_integral
+for w in {weights!r}:
+    for exponent in (-1.0, 0.0):
+        print(_weight_integral(w, exponent, _tau_radius(w), {cfg!r}).hex())
+"""
+
+
+def test_weight_integral_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than about 10 000 terms over its threads;
+    # a sum over all 18 432 sphere nodes in one dot moved the last bit of all four values
+    cfg = plan(n_radial=4, n_sphere=192)
+    assert len(_polar_rule(0.0, 3, 1.0, cfg)[2]) == 18_432
+    code = _TAU_THREADS_CHILD.format(weights=[W3, PLANCHEREL_W], cfg=cfg)
+    one, two = (out.split() for out in outputs_on_1_and_2_blas_threads(code))
+    assert len(one) == 4 and one == two
 
 
 class TestFrequencyKernelMemory:
@@ -510,11 +537,6 @@ class TestFrequencyKernelMemory:
         w = PLANCHEREL_W
         peak = self.warm_peak(lambda: _weight_integral(w, 0.0, _tau_radius(w), PLANCHEREL_DOUBLED))
         assert peak < 1_500_000
-
-
-def dilated(matrix: CoefficientMatrix, j: int) -> CoefficientMatrix:
-    """2^-j C, exactly."""
-    return CoefficientMatrix.from_rows([[x * Fraction(2) ** -j for x in row] for row in matrix.entries])
 
 
 @pytest.mark.parametrize("name", ["banded-3-2", "paraboloid-2-1"])
