@@ -2,11 +2,15 @@
 one seeded Monte Carlo reduction.
 
 Tasks are always enumerated, chunked, and reduced in a fixed order, so the
-chunk layout alone picks every random stream and every float sum.
+chunk layout alone picks every random stream and every float sum.  A seeded
+reduction holds one (rows, total) sample block plus one chunk at its peak:
+each chunk is copied into the block as it is drawn, and the block is reduced
+in place.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,18 +65,36 @@ def rng(seed) -> np.random.Generator:
 def seeded_mean(fn, seed: int, total: int, parts: int) -> list:
     """(mean, ddof=1 variance, count) of each row of fn's samples.
 
-    fn(rng, n) returns n samples along its last axis, as an (n,) array (one
-    row) or an (m, n) block (m rows).  Chunk i draws
+    fn(rng, n) returns n float64 samples along its last axis, as an (n,)
+    array (one row) or an (m, n) block (m rows).  Chunk i draws
     chunk_counts(total, parts)[i] samples from child i of
     SeedSequence(seed).spawn(parts).  The refusal of total < parts in
     chunk_counts is every estimator's sample-count rule.
+
+    One (rows, total) block is allocated when the first chunk returns, and
+    each chunk is copied into its columns, so the peak is that block plus
+    one chunk.  Each row is then reduced in place by the operations of
+    ndarray.mean and ndarray.var(ddof=1): a pairwise sum over the whole
+    contiguous row, so the numbers are theirs to the last bit.
     """
     counts = chunk_counts(total, parts)
+    starts = itertools.accumulate(counts, initial=0)
+    block = None  # allocated once the first chunk has given its row count
 
     def run(chunk):
-        child, n = chunk
-        return fn(rng(child), n)
+        nonlocal block
+        child, start, n = chunk
+        samples = np.atleast_2d(fn(rng(child), n))
+        if block is None:
+            block = np.empty((len(samples), total))
+        block[:, start : start + n] = samples
 
     children = np.random.SeedSequence(seed).spawn(parts)
-    samples = np.concatenate(ordered_map(run, zip(children, counts)), axis=-1)
-    return [(float(v.mean()), float(v.var(ddof=1)), len(v)) for v in np.atleast_2d(samples)]
+    ordered_map(run, zip(children, starts, counts))
+    rows = []
+    for v in block:
+        mean = np.add.reduce(v) / total
+        v -= mean
+        v *= v
+        rows.append((float(mean), float(np.add.reduce(v) / (total - 1)), total))
+    return rows

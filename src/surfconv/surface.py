@@ -249,11 +249,12 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
     is attained at a sign vector, so the square of the answer is an exact
     rational maximized over sign patterns.  Each coordinate of C_P^{-1} s is
     det(C_P with column i replaced by s) / det(C_P) (Cramer's rule), so
-    det_fraction is the only elimination.  The float conversion at the end
-    is within a few ulp of M; the square is scaled by a power
-    of 4 first, so a square beyond the float range still gives M, and an M
-    that is not a normal float raises ValueError.  Requires the row-submatrix
-    condition (see min_submatrix_det).  Cached as check_submatrices is.
+    det_fraction is the only elimination.  M is the correctly rounded root
+    of that square: the square is scaled by a power of 4 and its integer
+    root rounded once, so a square beyond the float range still gives M,
+    and an M that is not a normal float raises ValueError.  Requires the
+    row-submatrix condition (see min_submatrix_det).  Cached as
+    check_submatrices is.
     """
     min_submatrix_det(matrix)
     best_sq = Fraction(0)
@@ -269,10 +270,15 @@ def comparability_constant(matrix: CoefficientMatrix) -> float:
             ) / det_sq
             if val > best_sq:
                 best_sq = val
-    # M^2 / 4^e lies in [1/2, 4); the power-of-2 scalings are exact on normal floats
     e = (best_sq.numerator.bit_length() - best_sq.denominator.bit_length()) // 2
+    # M^2 / 4^e lies in [1/2, 4), so the root of M^2 * 4^(55 - e) has 55 or 56 bits;
+    # its isqrt, with a sticky last bit when inexact, rounds once to 53 bits
+    shift = 2 * (55 - e)
+    num, den = best_sq.numerator << max(shift, 0), best_sq.denominator << max(-shift, 0)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
     try:
-        m = math.ldexp(math.sqrt(float(best_sq / Fraction(4) ** e)), e)
+        m = math.ldexp(float(root), e - 55)
     except OverflowError:
         m = math.inf
     if not sys.float_info.min <= m < math.inf:

@@ -1,9 +1,11 @@
-"""Closed forms and quadrature rules that the tests compare the package against.
+"""Closed forms and quadrature rules that the tests compare the package against,
+and the warm allocation peak that the memory tests bound.
 
 None of these is read by a run, so they live with the tests.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,20 @@ def atom_points(mu) -> np.ndarray:
     ys = np.stack([a.ravel() for a in axes], axis=-1)
     ys = ys[(ys**2).sum(axis=1) < 1.0]
     return np.concatenate([ys, surface_heights(mu.matrix, ys)], axis=1)
+
+
+def warm_peak(fn):
+    """The tracemalloc peak in bytes of a second call of fn, after a first call
+    has filled the caches (Legendre rules, matrix checks); both must agree."""
+    first = fn()
+    tracemalloc.start()
+    try:
+        second = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == second
+    return peak
 
 
 def dilated(matrix: CoefficientMatrix, j: int) -> CoefficientMatrix:

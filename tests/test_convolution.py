@@ -9,6 +9,7 @@ Oracles used here:
   * the paper's tail dilation (y; z) -> (y; z / eps), exact at eps = 2^-j.
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -740,6 +741,55 @@ def test_shell_lhs_and_comparability_constant_obey_the_tail_dilation(name, j):
     assert 0 < base.lhs < f.mass * 2.0**k  # some shell samples miss E, some hit
     assert (got.lhs, got.stderr) == (base.lhs, base.stderr)
     assert comparability_constant(small) == comparability_constant(matrix) / eps
+
+@pytest.mark.parametrize("j", [2, 4, 30])
+@pytest.mark.parametrize("name", ["paraboloid-2-1", "banded-3-2"])
+def test_convolve_many_obeys_the_tail_dilation(name, j):
+    # (mu_(eps C) * chi_(T^-1 E))(T^-1 z) = (mu_C * chi_E)(z) at every z: at eps = 2^-j
+    # every atom height, tail coordinate and tube band scales exactly, so the same
+    # atoms meet the set and the sums of atom weights agree bit for bit
+    matrix, eps = battery_entry(name).matrix, 2.0**-j
+    small = dilated(matrix, j)
+    mu, mu_small = SurfaceMeasure(matrix, 32), SurfaceMeasure(small, 32)
+    rng = np.random.default_rng(7)
+    for kind, test_set in set_kinds(matrix, np.random.default_rng(1)).items():
+        if kind == "ball":  # T does not map a ball to a ball
+            continue
+        lo, hi = test_set.bounding_box()
+        zs = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (500, matrix.d))
+        base = mu.convolve_many(test_set, zs)
+        assert np.count_nonzero(base) >= 10, kind
+        zs[:, matrix.k :] *= eps
+        got = mu_small.convolve_many(tail_dilated(test_set, small, eps), zs)
+        assert np.array_equal(got, base), kind
+
+
+def permuted(matrix: CoefficientMatrix, rows, cols) -> CoefficientMatrix:
+    """C with its rows (the head axes) and columns (the tail axes) reordered."""
+    return CoefficientMatrix.from_rows([[matrix.entries[r][c] for c in cols] for r in rows])
+
+
+@pytest.mark.parametrize("name", ["paraboloid-2-1", "banded-3-2"])
+def test_convolve_many_obeys_axis_permutations(name):
+    # permuting the head axes with the rows of C and the tail axes with its columns
+    # carries the surface, the ball and the points onto their images, and the grid
+    # of cell centers is the same on every head axis
+    matrix = battery_entry(name).matrix
+    k, l, d = matrix.k, matrix.l, matrix.d
+    rng = np.random.default_rng(4)
+    y = rng.uniform(-0.7, 0.7, (400, k))
+    zs = np.concatenate([y, surface_heights(matrix, y)], axis=1) + rng.uniform(-0.1, 0.1, (400, d))
+    mu = SurfaceMeasure(matrix, 32)
+    for center in [np.zeros(d), rng.uniform(-0.3, 0.3, d)]:
+        base = mu.convolve_many(BallSet(tuple(center), 0.45), zs)
+        assert np.count_nonzero(base) >= 350
+        for rows in itertools.permutations(range(k)):
+            for cols in itertools.permutations(range(l)):
+                axes = [*rows, *(k + c for c in cols)]
+                moved = SurfaceMeasure(permuted(matrix, rows, cols), 32)
+                got = moved.convolve_many(BallSet(tuple(center[axes]), 0.45), zs[:, axes])
+                assert np.array_equal(got, base), (tuple(center), rows, cols)
+
 
 class TestRestrictedScan:
     def test_vertex_exponent_refused(self):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import warm_peak
 from surfconv.parallel import RatioReport, chunk_counts, rng, seeded_mean
 
 
@@ -53,6 +54,49 @@ def test_block_reduces_row_by_row():
     ]
     assert rows == singles
     assert [n for _, _, n in rows] == [101] * 3
+
+
+def recorded(fn):
+    """fn, and the list its samples are appended to, chunk by chunk."""
+    chunks = []
+
+    def record(rng, n):
+        chunks.append(fn(rng, n))
+        return chunks[-1]
+
+    return record, chunks
+
+
+SAMPLERS = {
+    "uniform": lambda rng, n: rng.uniform(size=n),
+    "block": lambda rng, n: np.stack([u := rng.uniform(size=n), u**2, -np.exp(u)]),
+    # one row from 1e-150 to 1e150 (its squares stay finite), one at unit scale
+    "wide": lambda rng, n: np.stack([10.0 ** rng.uniform(-150, 150, n), rng.normal(size=n)]),
+}
+
+
+@pytest.mark.parametrize("total, parts", [(43, 4), (8, 8), (5003, 16)],
+                         ids=["remainder", "one-each", "pairwise-blocks"])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_reduction_is_numpys_mean_and_variance(sampler, total, parts):
+    # the block reduced in place gives the bits of mean and var(ddof=1) of the
+    # concatenated samples, row by row
+    record, chunks = recorded(SAMPLERS[sampler])
+    got = seeded_mean(record, 9, total, parts)
+    samples = np.atleast_2d(np.concatenate(chunks, axis=-1))
+    assert got == [(float(v.mean()), float(v.var(ddof=1)), len(v)) for v in samples]
+    assert [len(c) if c.ndim == 1 else c.shape[1] for c in chunks] == chunk_counts(total, parts)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_reduction_holds_one_sample_block(rows):
+    # 200 000 samples over 16 chunks: the block plus one chunk is 1.07 blocks;
+    # concatenating the chunks and then taking var's deviations held 2.00
+    def draw(rng, n):
+        return rng.uniform(size=(n,) if rows == 1 else (rows, n))
+
+    peak = warm_peak(lambda: seeded_mean(draw, 3, 200_000, 16))
+    assert peak <= 1.25 * rows * 200_000 * 8
 
 
 @pytest.mark.parametrize("total", [0, 1, 7])

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dilated
+from oracles import dilated, warm_peak
 from surfconv.battery import battery_entry
 from surfconv.gaussians import GaussianSpec, random_gaussian
 from surfconv.parallel import seeded_mean
@@ -505,22 +504,10 @@ class TestFrequencyKernelMemory:
     a shell block is at most 9 x 12 288 exponents (0.9 MB) and the tau rule
     96 x 8 192, and of lemma-mc."""
 
-    @staticmethod
-    def warm_peak(fn):
-        first = fn()  # fills the caches of the Legendre rules and the matrix checks
-        tracemalloc.start()
-        try:
-            second = fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert first == second
-        return peak
-
     def test_plancherel_ratio_holds_one_slice_of_8_y_samples(self):
         # slices of 8 y-samples: 1.8 MB; a whole chunk of 45 per block: 5.8 MB
         matrix = battery_entry("banded-3-2").matrix
-        peak = self.warm_peak(lambda: plancherel_ratio(matrix, PLANCHEREL_F, PLANCHEREL_DOUBLED))
+        peak = warm_peak(lambda: plancherel_ratio(matrix, PLANCHEREL_F, PLANCHEREL_DOUBLED))
         assert peak < 2_000_000
 
     def test_lemma_ratio_holds_one_slice_of_8_y_samples(self):
@@ -529,13 +516,13 @@ class TestFrequencyKernelMemory:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
         w = random_gaussian(rng, 3, normalized=False)
         cfg = plan(seed=11, n_y=300, n_radial=32, n_sphere=32).doubled()
-        peak = self.warm_peak(lambda: pullback_weight_ratio(BANDED, [0.0, 1.0], w, cfg))
+        peak = warm_peak(lambda: pullback_weight_ratio(BANDED, [0.0, 1.0], w, cfg))
         assert peak < 1_200_000
 
     def test_weight_integral_holds_one_sphere_slice(self):
         # 96 x 680 values per slice: 1.0 MB; the whole 96 x 8 192 block: 8.6 MB
         w = PLANCHEREL_W
-        peak = self.warm_peak(lambda: _weight_integral(w, 0.0, _tau_radius(w), PLANCHEREL_DOUBLED))
+        peak = warm_peak(lambda: _weight_integral(w, 0.0, _tau_radius(w), PLANCHEREL_DOUBLED))
         assert peak < 1_500_000
 
 

@@ -2,8 +2,9 @@
 
 tests/data/shipped_digests.json holds, for every configs/*.json, the sha256
 of payload.json, of every CSV table and of manifest.json (report.json holds
-the wall clock and stays out).  The test runs each config once through the
-CLI and compares.  The matmul-heavy suites may round differently on another
+the wall clock and stays out).  The tests run each config through the CLI
+and compare: once in this process, and once in a child interpreter with one
+OpenBLAS thread.  The matmul-heavy suites may round differently on another
 numpy or BLAS kernel, so the file also records the numpy version and the
 OpenBLAS core it was made with; a different environment fails with a message
 saying so.
@@ -20,6 +21,9 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +62,9 @@ def run_digests(config: Path, out: Path) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
-def test_shipped_outputs_match_recorded_digests(tmp_path):
+def digest_problems(tmp_path: Path) -> list[str]:
+    """Every way the shipped configs' outputs, run under tmp_path, differ from
+    the recorded digests; the environment is checked first."""
     recorded = json.loads(DIGESTS.read_text())
     here = environment()
     assert here == recorded["environment"], (
@@ -84,6 +90,33 @@ def test_shipped_outputs_match_recorded_digests(tmp_path):
                 problems.append(
                     f"{stem}: {fname} has digest {got.get(fname)}, recorded {want.get(fname)}"
                 )
+    return problems
+
+
+def test_shipped_outputs_match_recorded_digests(tmp_path):
+    problems = digest_problems(tmp_path)
+    assert not problems, "\n".join(problems)
+
+
+# a child interpreter: the same comparison, its problems as JSON on the last line
+_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, {tests!r})
+from test_shipped_digests import digest_problems
+print(json.dumps(digest_problems(Path({out!r}))))
+"""
+
+
+def test_shipped_outputs_match_on_one_blas_thread(tmp_path):
+    # OpenBLAS splits long products over its threads; the shipped bytes must not
+    # depend on how many it has
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    code = _CHILD.format(tests=str(ROOT / "tests"), out=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    problems = json.loads(proc.stdout.splitlines()[-1])
     assert not problems, "\n".join(problems)
 
 

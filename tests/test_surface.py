@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from surfconv.battery import battery_entry
+from surfconv.battery import battery_entry, load_battery
 from surfconv.convolution import (
     BallSet,
     ball_scaling_experiment,
@@ -142,6 +142,50 @@ def test_comparability_constant_values():
     # the banded 3x2 matrix needs sqrt(5)
     assert comparability_constant(PARABOLA) == pytest.approx(1.0, abs=1e-12)
     assert comparability_constant(BANDED) == pytest.approx(math.sqrt(5.0), abs=1e-12)
+
+
+def solve_exactly(rows, rhs) -> list[Fraction]:
+    """x with rows @ x = rhs, by Gauss-Jordan elimination over the rationals."""
+    a = [[F(x) for x in row] + [F(b)] for row, b in zip(rows, rhs)]
+    for i in range(len(a)):
+        pivot = next(r for r in range(i, len(a)) if a[r][i] != 0)
+        a[i], a[pivot] = a[pivot], a[i]
+        a[i] = [x / a[i][i] for x in a[i]]
+        a = [row if r == i else [x - row[i] * y for x, y in zip(row, a[i])]
+             for r, row in enumerate(a)]
+    return [row[-1] for row in a]
+
+
+def comparability_square(matrix: CoefficientMatrix) -> Fraction:
+    """M^2 = max |C_P^-1 s|^2 over l-row sets P and sign vectors s, by elimination
+    rather than Cramer's rule."""
+    return max(
+        sum(x * x for x in solve_exactly([matrix.entries[i] for i in rows], s))
+        for rows in itertools.combinations(range(matrix.k), matrix.l)
+        for s in itertools.product((1, -1), repeat=matrix.l)
+    )
+
+
+ROUNDING_CASES = {
+    **{e.entry_id: e.matrix for e in load_battery() if check_submatrices(e.matrix).holds},
+    # the entries whose square leaves the float range; M is 1e200, 1e300 and 1e-200
+    **{f"entry-{label}": CoefficientMatrix.from_rows([[F(num, den)]])
+       for label, num, den in [("1e-200", 1, 10**200), ("1e-300", 1, 10**300),
+                               ("1e200", 10**200, 1)]},
+}
+
+
+@pytest.mark.parametrize("matrix", ROUNDING_CASES.values(), ids=ROUNDING_CASES)
+def test_comparability_constant_is_the_correctly_rounded_root(matrix):
+    # M^2 lies between the squares of the midpoints from m to its float neighbours
+    m = comparability_constant(matrix)
+    below, above = ((F(m) + F(math.nextafter(m, to))) / 2 for to in (0.0, math.inf))
+    assert below**2 <= comparability_square(matrix) <= above**2
+
+
+def test_comparability_constant_is_rounded_once():
+    # rounding M^2 to a float before its square root gave 9.999999999999999e+299
+    assert comparability_constant(CoefficientMatrix.from_rows([[F(1, 10**300)]])) == 1e300
 
 
 # integer k x l matrices with k <= 4 and l <= min(k, 3)
