@@ -26,16 +26,17 @@ membership test, and every set runs it per axis, so no (B * window, d)
 point array is ever assembled.  Other callers pass points as columns,
 points.T.  np.bincount adds the column counts into per-z counts.
 
-A certificate batch holds at most _BATCH_POINTS = 32 768 window columns,
-and a membership batch at most as many points.  The membership batch's
+A certificate batch holds at most _BATCH_POINTS = 8 192 window columns,
+and a membership batch at most as many points.  The certificate builds its
+per-row tables once for many rows and masks them in equal batches, so a
+small batch does not repeat the per-row work.  Each batch allocates its own
 full-size arrays (the tails, the last head's squares and coordinates, the
-validity sum and mask, and the ball's squares and running sums) are
-written with out= ufunc calls into the module's scratch buffers (_scratch),
-which grow to the largest batch and are never shrunk, so a run faults them
-in once instead of on every call.  Every call shares them, so two calls
-must not run at once.  Every point's arithmetic is the one a full scan of
-the cube does, in the same order, so every count is bit-identical.  No
-result a public function returns is a scratch view.
+validity mask, and the ball's squares and running sums), filled with out=
+ufunc calls where that saves a temporary.  At 8 192 float64 points such an
+array is 64 KB, below glibc's default 128 KB mmap threshold, so it comes
+from the heap, not from a fresh mapping; nothing outlives a call.  Every
+point's arithmetic is the one a full scan of the cube does, in the same
+order, so every count is bit-identical, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -101,12 +102,9 @@ class BallSet:
         + ...), each part left to right.  For d <= 7 that is the order of the
         two-lane SSE sum-of-products loop in numpy 2.4, which computed the
         shipped outputs, so they stay bit-identical.
-
-        Full-size squares and sums are written into the scratch buffers; the
-        returned mask is a new array.
         """
         shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
-        even, odd, tmp = _scratch("ball", 3, shape)
+        even, odd, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
 
         def squares(axes):
             # a full-size square lives in tmp until _ordered_sum has added it
@@ -290,29 +288,11 @@ class ShearedBoxSet:
 
 
 # Batch size of convolve_many: window columns per certificate batch, and
-# kept-column points per membership batch.  At d = 5 a membership batch's
-# scratch (two tails, the last head's squares and coordinates, the ball's
-# two sums and its square, the mask) is about 1.8 MB.  The last head axis
-# is full-size here, so 65 536 points, the batch of a whole-cube scan, raise
-# restricted_paraboloid's max RSS above that scan's; 32 768 keep every
-# shipped config at or below it.
-_BATCH_POINTS = 32_768
-
-_SCRATCH: dict[str, np.ndarray] = {}
-
-
-def _scratch(key: str, count: int, shape, dtype=float) -> list:
-    """count arrays of `shape`, views of the scratch buffer `key`.
-
-    A buffer grows to the largest request and is never shrunk.  The next
-    request for `key` overwrites the views, so a public function never
-    returns one.
-    """
-    n = math.prod(shape)
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < count * n:
-        buf = _SCRATCH[key] = np.empty(count * n, dtype)
-    return [buf[i * n : (i + 1) * n].reshape(shape) for i in range(count)]
+# kept-column points per membership batch.  It bounds memory only; no count
+# depends on it.  A full-size float64 batch array is 64 KB, under glibc's
+# default 128 KB mmap threshold, so it comes from the heap; past that
+# threshold every batch array is mmapped and faulted in afresh.
+_BATCH_POINTS = 8_192
 
 
 def _ordered_sum(terms, out: np.ndarray):
@@ -331,7 +311,10 @@ def _ordered_sum(terms, out: np.ndarray):
 
 
 def _squares_interval(lo, hi):
-    """Componentwise bounds of y**2 over the interval [lo, hi]."""
+    """Componentwise bounds of y**2 over the interval [lo, hi]; one array when lo is hi."""
+    if lo is hi:
+        sq = np.square(lo)
+        return sq, sq
     lo2, hi2 = np.square(lo), np.square(hi)
     return np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(lo2, hi2)), np.maximum(lo2, hi2)
 
@@ -343,15 +326,16 @@ def _box_bounds(arr: np.ndarray, y_lo, y_hi):
     y_lo and y_hi hold one broadcastable array (or scalar) per head axis, and
     arr is the (k, l) coefficient array.  Every sum runs left to right over
     the axes, the order of numpy's reduction over a length-k axis, so the
-    bounds are bit-identical to that reduction's.
+    bounds are bit-identical to that reduction's; an axis whose c_ij is 0
+    adds nothing and is left out of tail j's sums.
     """
     sq = [_squares_interval(a, b) for a, b in zip(y_lo, y_hi)]
 
     def ordered(terms):
-        return sum(terms[1:], terms[0])
+        return sum(terms[1:], terms[0]) if terms else 0.0
 
-    h_lo = [ordered([(lo2 if ci > 0 else hi2) * ci for ci, (lo2, hi2) in zip(c, sq)]) for c in arr.T]
-    h_hi = [ordered([(hi2 if ci > 0 else lo2) * ci for ci, (lo2, hi2) in zip(c, sq)]) for c in arr.T]
+    h_lo = [ordered([(lo2 if ci > 0 else hi2) * ci for ci, (lo2, hi2) in zip(c, sq) if ci]) for c in arr.T]
+    h_hi = [ordered([(hi2 if ci > 0 else lo2) * ci for ci, (lo2, hi2) in zip(c, sq) if ci]) for c in arr.T]
     return ordered([lo2 for lo2, _ in sq]), h_lo, h_hi
 
 
@@ -443,45 +427,54 @@ class SurfaceMeasure:
         return base, reach, may_hit
 
     def _column_certificate(self, lo, hi, z, base, reach):
-        """The column certificate of a batch of rows that passed the row certificate.
+        """The column certificate of rows that passed the row certificate.
 
         A column fixes the window's first k - 1 head indices; its last index
         runs over the row's index interval clipped to the grid.  Returns the
-        fixed axes' y as (B, n_i) tables, and a (B, n_1, ..., n_{k-1}) mask
-        that is False only where the column provably holds no atom inside
-        the set: a fixed head z_i - y_i lies outside the box, or _may_hit
-        refuses the column's index box.  A fixed index off the grid has
-        |y_i| >= 1 + s/2, so _may_hit refuses it.
+        fixed axes' y as (B, n_i) tables, and a function that takes a slice
+        of the rows and returns their (len, n_1, ..., n_{k-1}) mask, False
+        only where the column provably holds no atom inside the set: a fixed
+        head z_i - y_i lies outside the box, or _may_hit refuses the column's
+        index box.  A fixed index off the grid has |y_i| >= 1 + s/2, so
+        _may_hit refuses it.  The index arithmetic, y tables and head masks
+        are built once for all the rows; the function only bounds boxes.
         """
         k, m = self.k, reach[-1]
         lead = (len(z),) + (1,) * (k - 1)
-        y_fixed, y_box, heads_in = [], [], True
+        y_fixed, y_box, heads_in = [], [], []
         for i in range(k - 1):
             y = self._grid_y(base[:, i, None] + np.arange(-reach[i], reach[i] + 1))
             y_fixed.append(y)
             y = y.reshape([len(z)] + [-1 if a == i else 1 for a in range(k - 1)])
             y_box.append(y)
             head = z[:, i].reshape(lead) - y
-            heads_in = heads_in & (head >= lo[i] - _SKIP_SLACK) & (head <= hi[i] + _SKIP_SLACK)
+            heads_in.append((head >= lo[i] - _SKIP_SLACK) & (head <= hi[i] + _SKIP_SLACK))
         last = base[:, -1]
         y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
         y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
         tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
-        keep = _may_hit(self.matrix.array, y_box + [y_lo], y_box + [y_hi], tails, lo[k:], hi[k:])
-        return y_fixed, keep & heads_in
+
+        def mask(rows):
+            box = [y[rows] for y in y_box]
+            tail = [t[rows] for t in tails]
+            keep = _may_hit(self.matrix.array, box + [y_lo[rows]], box + [y_hi[rows]], tail, lo[k:], hi[k:])
+            for head_in in heads_in:
+                keep &= head_in[rows]
+            return keep
+
+        return y_fixed, mask
 
     def convolve_many(self, test_set, zs: np.ndarray) -> np.ndarray:
         """(mu * chi_E)(z) for a batch of z, over one cube index window each.
 
         The row certificate drops every z whose whole window is certified
-        empty.  The column certificate takes the kept z in batches of at
-        most _BATCH_POINTS window columns and keeps the columns that can
-        hold a hit.  E's contains_coords runs on at most _BATCH_POINTS
-        points of kept columns at a time, each column the whole run of
-        2 reach_k + 1 last-axis indices (an index off the grid fails the
-        unit-ball test), and np.bincount adds the column counts into per-z
-        counts.  The full-size arrays live in the scratch buffers; the
-        returned array is new.
+        empty.  The column certificate builds tables for the kept z with at
+        most _BATCH_POINTS entries each, and keeps the columns that can hold a
+        hit in equal batches of at most _BATCH_POINTS window columns.  E's
+        contains_coords runs on at most _BATCH_POINTS points of kept columns
+        at a time, each column the whole run of 2 reach_k + 1 last-axis
+        indices (an index off the grid fails the unit-ball test), and
+        np.bincount adds the column counts into per-z counts.
         """
         _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -494,28 +487,28 @@ class SurfaceMeasure:
             raise ValueError("test set too wide for this resolution's index window")
         rows = np.flatnonzero(may_hit)
         run = np.arange(-reach[-1], reach[-1] + 1)  # the last axis's offsets
+        table_batch = max(1, _BATCH_POINTS // (2 * int(max(reach)) + 1))  # rows per table
         row_batch = max(1, _BATCH_POINTS // (window // len(run)))
         col_batch = max(1, _BATCH_POINTS // len(run))
-        for b0 in range(0, len(rows), row_batch):
-            r = rows[b0 : b0 + row_batch]
-            y_fixed, keep = self._column_certificate(lo, hi, zs[r], base[r], reach)
-            row, *fixed = np.nonzero(keep)
+        for b0 in range(0, len(rows), table_batch):
+            rt = rows[b0 : b0 + table_batch]
+            y_fixed, mask = self._column_certificate(lo, hi, zs[rt], base[rt], reach)
             # every column of a row shares the last axis's y: square it and subtract it once
-            y_last = self._grid_y(base[r, -1, None] + run)
-            sq_last, head_last = y_last**2, zs[r, k - 1, None] - y_last
-            counts = np.zeros(len(r))
-            for c0 in range(0, len(row), col_batch):
-                sel = row[c0 : c0 + col_batch]
-                z = zs[r[sel]]
-                y = [t[sel, c[c0 : c0 + col_batch], None] for t, c in zip(y_fixed, fixed)]
-                sq, head = _scratch("last", 2, (len(sel), len(run)))
-                # mode="clip" lets take write straight into out; every index is in range
-                np.take(sq_last, sel, axis=0, out=sq, mode="clip")
-                np.take(head_last, sel, axis=0, out=head, mode="clip")
-                ysq = [yi**2 for yi in y] + [sq]
-                heads = [z[:, i, None] - yi for i, yi in enumerate(y)] + [head]
-                counts += np.bincount(sel, self._column_hits(test_set, z, ysq, heads), len(r))
-            out[r] = counts * s**k
+            y_last = self._grid_y(base[rt, -1, None] + run)
+            sq_last, head_last = y_last**2, zs[rt, k - 1, None] - y_last
+            counts = np.zeros(len(rt))
+            step = math.ceil(len(rt) / math.ceil(len(rt) / row_batch))  # equal row batches
+            for r0 in range(0, len(rt), step):
+                row, *fixed = np.nonzero(mask(slice(r0, r0 + step)))
+                row += r0
+                for c0 in range(0, len(row), col_batch):
+                    sel = row[c0 : c0 + col_batch]
+                    z = zs[rt[sel]]
+                    y = [t[sel, c[c0 : c0 + col_batch], None] for t, c in zip(y_fixed, fixed)]
+                    ysq = [yi**2 for yi in y] + [np.take(sq_last, sel, axis=0)]
+                    heads = [z[:, i, None] - yi for i, yi in enumerate(y)] + [np.take(head_last, sel, axis=0)]
+                    counts += np.bincount(sel, self._column_hits(test_set, z, ysq, heads), len(rt))
+            out[rt] = counts * s**k
         return out
 
     def _column_hits(self, test_set, z, ysq, heads) -> np.ndarray:
@@ -526,11 +519,10 @@ class SurfaceMeasure:
         """
         k, arr = self.k, self.matrix.array
         shape = ysq[-1].shape
-        tails = _scratch("tails", self.l, shape)
-        (valid,) = _scratch("valid", 1, shape, bool)
+        tails = [np.empty(shape) for _ in range(self.l)]
         # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid;
         # tails[0] holds the sum until the first tail overwrites it
-        np.less(_ordered_sum(ysq, tails[0]), 1.0, out=valid)
+        valid = np.less(_ordered_sum(ysq, tails[0]), 1.0)
         coords = list(heads)
         for j, tail in enumerate(tails):
             # the last axis's term goes into tail first, so the sum allocates nothing full-size

@@ -31,6 +31,27 @@ def atom_points(mu) -> np.ndarray:
     return np.concatenate([ys, surface_heights(mu.matrix, ys)], axis=1)
 
 
+def ball_lens_volume(radius: float, dist) -> np.ndarray:
+    """m(B ∩ (B + t)) for a ball B of R^3 and a shift t of length dist: the
+    two-ball lens pi (4 r + |t|) (2 r - |t|)^2 / 12, and 0 from |t| = 2 r on."""
+    gap = np.clip(2.0 * radius - dist, 0.0, None)
+    return math.pi / 12.0 * (4.0 * radius + dist) * gap**2
+
+
+def l2_norm_sq(mu, ball) -> float:
+    """||mu * chi_B||_2^2 for a ball B of R^3, exactly up to rounding: the pair
+    sum over atoms a, b of w_a w_b m(B ∩ (B + a - b)), every weight the cell
+    volume s^k.  It does not depend on where B sits."""
+    if mu.d != 3 or ball.dim != 3:
+        raise ValueError("the lens volume is the closed form for balls of R^3")
+    atoms = atom_points(mu)
+    total = 0.0
+    for start in range(0, len(atoms), 128):
+        dist = np.linalg.norm(atoms[start : start + 128, None, :] - atoms[None, :, :], axis=-1)
+        total += ball_lens_volume(ball.radius, dist).sum()
+    return total * mu.spacing ** (2 * mu.k)
+
+
 def warm_peak(fn):
     """The tracemalloc peak in bytes of a second call of fn, after a first call
     has filled the caches (Legendre rules, matrix checks); both must agree."""

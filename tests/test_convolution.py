@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import atom_points, dilated
+from oracles import atom_points, dilated, l2_norm_sq
+from surfconv import convolution
 from surfconv.battery import battery_entry, load_battery
 from surfconv.convolution import (
     _SKIP_SLACK,
@@ -214,7 +215,7 @@ def kept_columns(mu, test_set, z) -> int:
     base, reach, may_hit = mu._head_windows(lo, hi, z[None, :])
     if not may_hit[0]:
         return 0
-    return int(np.count_nonzero(mu._column_certificate(lo, hi, z[None, :], base, reach)[1]))
+    return int(np.count_nonzero(mu._column_certificate(lo, hi, z[None, :], base, reach)[1](slice(None))))
 
 
 def column_flip_pair(mu, test_set, z, far):
@@ -280,7 +281,7 @@ class TestKernelScratch:
         mu = SurfaceMeasure(BANDED, 256)
         ball = surface_ball(BANDED, (0.0, 0.0, 0.0), 1 / 32)
         zs = tube_zs(mu, ball, 375, 3)
-        first = mu.convolve_many(ball, zs)  # grows the scratch
+        first = mu.convolve_many(ball, zs)
         tracemalloc.start()
         try:
             second = mu.convolve_many(ball, zs)
@@ -292,8 +293,8 @@ class TestKernelScratch:
 
     def test_warm_k2_call_on_a_restricted_scan_set_stays_small(self):
         # one lq_norm_mc chunk (1500 / 8 z) of the shipped restricted scan on its widest
-        # box union, a 69 x 61 window: the certificate grids are bounded by the batch, and
-        # the gathered last-axis squares, coordinates and height terms go to the scratch
+        # box union, a 69 x 61 window: the certificate grids and the gathered last-axis
+        # squares, coordinates and height terms are all bounded by the batch
         mu = SurfaceMeasure(PARABOLOID, 128)
         boxes = dict(standard_set_family(PARABOLOID, 8, 8))["boxes-7"]
         zs = tube_zs(mu, boxes, 188, 3)
@@ -312,7 +313,7 @@ class TestKernelScratch:
         rng = np.random.default_rng(5)
         a, b = surface_ball(PARABOLOID, (0.1, 0.2), 0.2), surface_ball(PARABOLOID, (-0.3, 0.0), 0.1)
         pts_a, pts_b = rng.uniform(-0.5, 0.5, (2, 500, 3))
-        counts = mu.convolve_many(a, tube_zs(mu, a, 200, 1))  # grows the scratch first
+        counts = mu.convolve_many(a, tube_zs(mu, a, 200, 1))
         kept_counts = counts.copy()
         mask = a.contains_coords(pts_a.T)
         kept_mask = mask.copy()
@@ -320,6 +321,39 @@ class TestKernelScratch:
         mu.convolve_many(b, tube_zs(mu, b, 300, 2))
         assert np.array_equal(mask, kept_mask) and np.array_equal(counts, kept_counts)
         assert mask.any() and counts.any()
+
+    def test_cold_call_peak_is_bounded_and_nothing_outlives_it(self):
+        # the same shipped k = 3 chunk, measured on its first call: every batch array is
+        # freed when the call returns, so traced memory goes back to its level before it
+        mu = SurfaceMeasure(BANDED, 256)
+        ball = surface_ball(BANDED, (0.0, 0.0, 0.0), 1 / 32)
+        zs = tube_zs(mu, ball, 375, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = mu.convolve_many(ball, zs)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(counts) > 0
+        assert peak < 1_000_000
+        assert abs(after - before) < 65_536
+
+
+@pytest.mark.parametrize("name,resolution", [("paraboloid-2-1", 64), ("banded-3-2", 32)])
+def test_convolve_many_does_not_depend_on_the_batch_size(name, resolution, monkeypatch):
+    # the batch bounds memory only; at 1 and 7 every window here has more than 7 columns
+    # of more than 3 last-axis points, so each batch is one row and one column
+    matrix = battery_entry(name).matrix
+    mu = SurfaceMeasure(matrix, resolution)
+    for kind, test_set in set_kinds(matrix, np.random.default_rng(2)).items():
+        zs = tube_zs(mu, test_set, 300, 5)
+        results = []
+        for batch in (1, 7, 64, 8_192, 32_768):
+            monkeypatch.setattr(convolution, "_BATCH_POINTS", batch)
+            results.append(mu.convolve_many(test_set, zs))
+        assert np.count_nonzero(results[0]) > 0, kind
+        assert all(np.array_equal(r, results[0]) for r in results[1:]), kind
 
 
 @settings(max_examples=60, deadline=None)
@@ -593,6 +627,18 @@ class TestNormEstimation:
         assert str(info.value) == (
             f"zero norm estimate on {E!r}: none of 16 tube samples met the set; raise n_tube"
         )
+
+    def test_q2_tube_estimate_is_calibrated_against_the_lens_oracle(self):
+        # ||mu * chi_B||_2^2 is an exact pair sum of lens volumes; over 40 seeds the tube's
+        # squared norm must be unbiased and its stderr (of the square, 2 norm stderr) honest
+        mu = SurfaceMeasure(battery_entry("paraboloid-2-1").matrix, 64)
+        ball = BallSet((0.1, 0.0, 0.15), 0.2)
+        exact = l2_norm_sq(mu, ball)
+        ests = [lq_norm_mc(mu, ball, 2.0, seed=seed, n_tube=3000) for seed in range(40)]
+        sq = np.array([e.norm**2 for e in ests])
+        z = (sq - exact) / np.array([2.0 * e.norm * e.stderr for e in ests])
+        assert abs(sq.mean() - exact) < 4 * sq.std(ddof=1) / math.sqrt(len(sq))
+        assert 0.7 <= z.std(ddof=1) <= 1.3
 
     def test_fewer_tube_samples_than_chunks_refused(self, mu_parabola):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):

@@ -1,6 +1,7 @@
 """The README quickstart runs as printed, every name the demos import from
 the package resolves in the module it names, and so does every function the
-bench tracer wraps.  Every CSV the README names is written by some run."""
+bench tracer wraps.  Every CSV the README names is written by some run, and
+every batch size it quotes is the kernel's."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import json
 import re
 from pathlib import Path
 
+from surfconv import convolution
 from surfconv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +73,13 @@ def test_readme_csv_names_are_written(tmp_path):
     assert main(["report", str(tmp_path)]) == 0
     written |= {p.name for p in tmp_path.glob("*.csv")}
     assert sorted(named - written) == []
+
+
+def test_readme_batch_figures_are_the_kernel_batch():
+    # every figure of 1 000 or more in a sentence with the word "batch", in the README
+    # and in the kernel module's docstring
+    text = " ".join(((ROOT / "README.md").read_text() + convolution.__doc__).split())
+    sentences = [s for s in re.split(r"(?<=\.) ", text) if re.search(r"\bbatch\b", s)]
+    figures = [int(re.sub(r"\D", "", f)) for s in sentences
+               for f in re.findall(r"\b\d{1,3}(?:[ ,]\d{3})+\b|\b\d{4,}\b", s)]
+    assert figures and set(figures) == {convolution._BATCH_POINTS}

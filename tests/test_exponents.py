@@ -106,6 +106,8 @@ def test_pair_coordinates_validated():
                      "cannot parse Fraction(1, 2) as an exact rational", id="not-a-pair"),
         pytest.param(lambda: pair_to_frac([1, 0]), ValueError,
                      "rational pair [1, 0] has a zero denominator", id="zero-denominator"),
+        pytest.param(lambda: ExponentPair(F(3, 2), F(1, 2)), ValueError,
+                     "exponent coordinate 3/2 outside [0, 1]", id="pair-outside-square"),
     ],
 )
 def test_exact_input_refusals(call, exc, message):

@@ -227,6 +227,8 @@ def test_comparability_constant_is_the_float_operator_norm(rows):
                      "each quadratic form must be a 2x2 matrix", id="curvature-1x1"),
         pytest.param(lambda: pair_curvature_invariant([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]),
                      "each quadratic form must be a 2x2 matrix", id="curvature-2x3"),
+        pytest.param(lambda: pair_curvature_invariant([[1, 2], [0, 1]], [[1, 0], [0, 1]]),
+                     "quadratic form matrix must be symmetric", id="curvature-asymmetric"),
         pytest.param(lambda: diagonal_forms(BANDED),
                      "diagonal form extraction needs a 2x2 coefficient matrix", id="diagonal-3x2"),
     ],
