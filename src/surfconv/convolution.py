@@ -29,14 +29,13 @@ points.T.  np.bincount adds the column counts into per-z counts.
 A certificate batch holds at most _BATCH_POINTS = 8 192 window columns,
 and a membership batch at most as many points.  The certificate builds its
 per-row tables once for many rows and masks them in equal batches, so a
-small batch does not repeat the per-row work.  Each batch allocates its own
-full-size arrays (the tails, the last head's squares and coordinates, the
-validity mask, and the ball's squares and running sums), filled with out=
-ufunc calls where that saves a temporary.  At 8 192 float64 points such an
-array is 64 KB, below glibc's default 128 KB mmap threshold, so it comes
-from the heap, not from a fresh mapping; nothing outlives a call.  Every
-point's arithmetic is the one a full scan of the cube does, in the same
-order, so every count is bit-identical, whatever the batch size.
+small batch does not repeat the per-row work.  Every batch array is
+numpy's own, made by the expression that computes it; at 8 192 float64
+points it is 64 KB, below glibc's default 128 KB mmap threshold, so it comes
+from the heap, not from a fresh mapping, and nothing outlives a call.  Every
+sum over axes is the builtin sum, taken left to right, so every point's
+arithmetic is the one a full scan of the cube does, in the same order, and
+every count is bit-identical, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -103,21 +102,11 @@ class BallSet:
         two-lane SSE sum-of-products loop in numpy 2.4, which computed the
         shipped outputs, so they stay bit-identical.
         """
-        shape = np.broadcast_shapes(*(np.shape(x) for x in coords))
-        even, odd, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-
         def squares(axes):
-            # a full-size square lives in tmp until _ordered_sum has added it
-            for i in axes:
-                x, c = coords[i], self.center[i]
-                if np.shape(x) == shape:
-                    yield np.square(np.subtract(x, c, out=tmp), out=tmp)
-                else:
-                    yield np.square(x - c)
+            return (np.square(coords[i] - self.center[i]) for i in axes)
 
         d = len(coords)
-        total = np.add(_ordered_sum(squares(range(0, d, 2)), even),
-                       _ordered_sum(squares(range(1, d, 2)), odd), out=even)
+        total = sum(squares(range(0, d, 2))) + sum(squares(range(1, d, 2)))
         return np.less_equal(total, self.radius**2)
 
 
@@ -295,21 +284,6 @@ class ShearedBoxSet:
 _BATCH_POINTS = 8_192
 
 
-def _ordered_sum(terms, out: np.ndarray):
-    """The builtin sum(terms), ((0 + t0) + t1) + ..., bit for bit.
-
-    Each partial sum of out's shape is written into out, so the full-size
-    ones allocate nothing; the smaller ones are new arrays.
-    """
-    acc = 0
-    for t in terms:
-        if np.broadcast(acc, t).shape == out.shape:
-            acc = np.add(acc, t, out=out)
-        else:
-            acc = acc + t
-    return acc
-
-
 def _squares_interval(lo, hi):
     """Componentwise bounds of y**2 over the interval [lo, hi]; one array when lo is hi."""
     if lo is hi:
@@ -330,13 +304,9 @@ def _box_bounds(arr: np.ndarray, y_lo, y_hi):
     adds nothing and is left out of tail j's sums.
     """
     sq = [_squares_interval(a, b) for a, b in zip(y_lo, y_hi)]
-
-    def ordered(terms):
-        return sum(terms[1:], terms[0]) if terms else 0.0
-
-    h_lo = [ordered([(lo2 if ci > 0 else hi2) * ci for ci, (lo2, hi2) in zip(c, sq) if ci]) for c in arr.T]
-    h_hi = [ordered([(hi2 if ci > 0 else lo2) * ci for ci, (lo2, hi2) in zip(c, sq) if ci]) for c in arr.T]
-    return ordered([lo2 for lo2, _ in sq]), h_lo, h_hi
+    h_lo = [sum((lo2 if ci > 0 else hi2) * ci for ci, (lo2, hi2) in zip(c, sq) if ci) for c in arr.T]
+    h_hi = [sum((hi2 if ci > 0 else lo2) * ci for ci, (lo2, hi2) in zip(c, sq) if ci) for c in arr.T]
+    return sum(lo2 for lo2, _ in sq), h_lo, h_hi
 
 
 # Absolute slack of the empty-window certificate.  Coordinates are O(1), so
@@ -518,17 +488,15 @@ class SurfaceMeasure:
         columns on the fixed axes, (n, n_k) tables on the last.
         """
         k, arr = self.k, self.matrix.array
-        shape = ysq[-1].shape
-        tails = [np.empty(shape) for _ in range(self.l)]
-        # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid;
-        # tails[0] holds the sum until the first tail overwrites it
-        valid = np.less(_ordered_sum(ysq, tails[0]), 1.0)
+        # an index off the grid puts |y_i| >= 1 + s/2, so this also keeps to the grid
+        valid = sum(ysq) < 1.0
         coords = list(heads)
-        for j, tail in enumerate(tails):
-            # the last axis's term goes into tail first, so the sum allocates nothing full-size
-            np.multiply(ysq[-1], arr[-1, j], out=tail)
-            heights = _ordered_sum([ysq[i] * arr[i, j] for i in range(k - 1)] + [tail], tail)
-            coords.append(np.subtract(z[:, k + j, None], heights, out=tail))
+        for j in range(self.l):
+            # the last axis's term first, the head terms' sum added into it (a + b == b + a),
+            # then z_t - heights written over it: one full-size array per tail
+            tail = ysq[-1] * arr[-1, j]
+            tail += sum(ysq[i] * arr[i, j] for i in range(k - 1))
+            coords.append(np.subtract(z[:, k + j, None], tail, out=tail))
         valid &= test_set.contains_coords(coords)
         return valid.sum(axis=1)
 

@@ -148,10 +148,10 @@ class GaussianSpec:
             frac += sf((radius - m) / s) + sf((radius + m) / s)
         return frac
 
-    def box_for_mass(self, tail: float = 1e-9) -> float:
-        """A radius R with at most the given mass fraction outside [-R, R]^dim."""
+    def box_for_mass(self) -> float:
+        """A radius R with at most a 1e-9 fraction of the mass outside [-R, R]^dim."""
         r = max(abs(m) + s for m, s in zip(self.mean, self.sigmas))
-        while self.tail_outside_box(r) > tail:
+        while self.tail_outside_box(r) > 1e-9:
             r *= 1.25
         return r
 

@@ -116,7 +116,7 @@ def _check_inputs(matrix: CoefficientMatrix, rhos, w: GaussianSpec) -> None:
 def _tau_radius(w: GaussianSpec) -> float:
     """Radius of the tau ball: the origin-centered ball holding all but 1e-9
     of w's mass, capped at TRUNCATION_RADIUS."""
-    return min(TRUNCATION_RADIUS, math.sqrt(w.dim) * w.box_for_mass(1e-9))
+    return min(TRUNCATION_RADIUS, math.sqrt(w.dim) * w.box_for_mass())
 
 
 def _radial_rule(rho: float, dim: int, r_max: float, n_radial: int):

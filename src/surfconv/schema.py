@@ -103,11 +103,13 @@ def _max_items(n, x, schema, path):
 
 
 def _one_of(subs, x, schema, path):
-    n_valid = sum(is_valid(x, sub) for sub in subs)
-    if n_valid == 0:
+    valid = [sub for sub in subs if is_valid(x, sub)]
+    if not valid:
         yield path, f"{x!r} is not valid under any of the given schemas"
-    elif n_valid > 1:
-        yield path, f"{x!r} is valid under {n_valid} of the given schemas"
+    elif len(valid) > 1:
+        # jsonschema names the valid branches after the first, then the first
+        reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+        yield path, f"{x!r} is valid under each of {reprs}"
 
 
 def _all_of(subs, x, schema, path):

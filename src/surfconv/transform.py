@@ -81,7 +81,7 @@ class GridFunction:
     @classmethod
     def from_gaussian(cls, spec: GaussianSpec, cells: int) -> "GridFunction":
         """Sample a Gaussian on a centered box covering essentially all its mass."""
-        radius = spec.box_for_mass(1e-9)
+        radius = spec.box_for_mass()
         origin = tuple(m - radius for m in spec.mean)
         spacing = 2.0 * radius / cells
         axes = [o + (np.arange(cells) + 0.5) * spacing for o in origin]

@@ -282,6 +282,12 @@ class TestConfigValidation:
         assert main(["run", "--config", cfg]) == 2
         assert "config invalid at $.matrix" in capsys.readouterr().err
 
+    def test_matrix_wider_than_tall(self, tmp_path, capsys):
+        cfg = checkstar_config(tmp_path, seed=1, matrix={"k": 1, "l": 2, "entries": [[1, 1], [2, 1]]})
+        assert main(["run", "--config", cfg]) == 2
+        assert ("config invalid at $.matrix: codimension l=2 cannot exceed surface dimension k=1"
+                in capsys.readouterr().err)
+
     def test_zero_denominator_exponent(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

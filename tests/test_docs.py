@@ -1,14 +1,19 @@
-"""The README quickstart runs as printed, every name the demos import from
-the package resolves in the module it names, and so does every function the
-bench tracer wraps.  Every CSV the README names is written by some run, and
-every batch size it quotes is the kernel's."""
+"""The README quickstart runs as printed, the fast demos run, every name the
+demos import from the package resolves in the module it names, and so does
+every function the bench tracer wraps.  Every CSV the README names is
+written by some run, and every batch size it quotes is the kernel's."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from surfconv import convolution
 from surfconv.cli import main
@@ -25,8 +30,20 @@ def test_readme_quickstart_runs_and_prints_its_comments(capsys):
     assert f"# {lines[1]}" in block
 
 
+@pytest.mark.parametrize(
+    "name", ["ball_scaling", "exponent_regions", "frequency_lemma", "surface_checks"]
+)
+def test_fast_demo_runs(name, tmp_path):
+    # each takes under a second; plane_transform_tour takes about a minute and is left out
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_demo_imports_resolve():
-    # the demos run for seconds to minutes, so only their imports are checked
+    # every demo, plane_transform_tour too, whose run is too slow for this suite
     demos = sorted((ROOT / "demos").glob("*.py"))
     assert demos
     missing = []

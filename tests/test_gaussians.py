@@ -59,7 +59,7 @@ def test_tail_bound_is_an_upper_bound():
     for r in (2.0, 4.0, 6.0):
         emp = np.mean(np.max(np.abs(xs), axis=1) > r)
         assert emp <= g.tail_outside_box(r) + 3e-3
-    r9 = g.box_for_mass(1e-9)
+    r9 = g.box_for_mass()
     assert g.tail_outside_box(r9) <= 1e-9
 
 

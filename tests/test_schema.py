@@ -184,3 +184,22 @@ def test_run_file_schema_agrees_with_the_oracle(doc):
     assert (mine is None) == (not errors)
     if errors:
         assert mine == (errors[0].json_path, errors[0].message)
+
+
+_OVERLAPPING = {"oneOf": [{"type": "string"}, {"type": "integer"}, {"type": "number"}, {"minimum": 0}]}
+
+
+@pytest.mark.parametrize(
+    "schema,doc",
+    [
+        (_OVERLAPPING, 3),
+        ({"type": "object", "properties": {"a": _OVERLAPPING}}, {"a": 3}),
+    ],
+)
+def test_overlapping_one_of_message_agrees_with_the_oracle(schema, doc):
+    # no shipped schema has overlapping branches; jsonschema names the valid ones
+    # after the first, then the first
+    [error] = jsonschema.Draft202012Validator(schema).iter_errors(doc)
+    assert first_error(doc, schema) == (error.json_path, error.message)
+    assert error.message == ("3 is valid under each of "
+                             "{'type': 'number'}, {'minimum': 0}, {'type': 'integer'}")

@@ -221,6 +221,8 @@ def test_comparability_constant_is_the_float_operator_norm(rows):
                      "coefficient matrix rows must share a positive length", id="matrix-empty-row"),
         pytest.param(lambda: CoefficientMatrix.from_rows([[1, 2], [3]]),
                      "coefficient matrix rows must share a positive length", id="matrix-ragged"),
+        pytest.param(lambda: CoefficientMatrix.from_rows([[1, 2]]),
+                     "codimension l=2 cannot exceed surface dimension k=1", id="matrix-wide"),
         pytest.param(lambda: select_comparable_rows(BANDED, np.ones(3)),
                      "zeta must be a vector of length 2", id="zeta-length"),
         pytest.param(lambda: pair_curvature_invariant([[1]], [[1, 0], [0, 1]]),
@@ -281,6 +283,14 @@ def test_jacobian_product_matches_finite_differences():
         closed = jacobian_product(BANDED, y, zeta, part)
         fd = jacobian_fd(BANDED, y, zeta, part)
         assert fd == pytest.approx(closed, rel=1e-6)
+
+
+def test_jacobian_fd_warns_near_the_singular_locus():
+    zeta, part = (0.7, -0.4), (0, 1, 2)
+    with pytest.warns(RuntimeWarning, match="numerically singular"):
+        assert jacobian_fd(BANDED, (0.0, 1.5, 1.2), zeta, part) == 0.0
+    with pytest.warns(RuntimeWarning, match="ill conditioned"):
+        jacobian_fd(BANDED, (1e-9, 1.5, 1.2), zeta, part)
 
 
 def test_jacobian_partition_validation():
