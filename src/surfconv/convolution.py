@@ -17,25 +17,39 @@ the test set's bounding box.  The row level (_head_windows) drops every z
 whose whole window, clipped to the grid, is empty or certified.  The column
 level (_column_certificate) certifies each window column of the kept z: the
 first k - 1 head indices fixed, the last running over the row's clipped
-index interval, and the fixed heads z_i - y_i inside the box.  Only the
+index interval, and the fixed heads z_i - y_i inside the box.  A ball of
+radius r adds a distance-to-graph test at each level, with p = z - center.
+The row test (_near_graph) keeps p only if |p_head| < 1 + r and p lies
+within r + mu r^2 of the graph's tangent plane at p_head: the quadratic
+remainder over |y - p_head| <= r is at most mu r^2, mu the norm over the
+tails of max_i |c_ij|.  The column test (k >= 2) keeps a column only if
+its fixed heads lie in the disk sum_i (p_i - y_i)^2 <= r^2 and its curve
+along the last head passes the same tangent test (_near_curve) at radius
+r' = sqrt(r^2 - that sum).  Both pad r by a margin relative to it
+(_padded), not by the absolute _SKIP_SLACK.  Only the
 kept columns reach the set's contains_coords, gathered as (n_cols, n_k)
 tables and handed over as one coordinate array per axis: each fixed head
 an (n_cols, 1) column, the last head and each tail a full table.  Heads and
 tails are sums of per-axis terms, contains_coords is each set's only
 membership test, and every set runs it per axis, so no (B * window, d)
 point array is ever assembled.  Other callers pass points as columns,
-points.T.  np.bincount adds the column counts into per-z counts.
+points.T.  np.bincount adds the column counts into per-z counts.  Every
+certificate only drops windows and columns, and every atom it keeps is
+tested on the coordinates a full scan computes, so no count depends on it.
 
-A certificate batch holds at most _BATCH_POINTS = 8 192 window columns,
-and a membership batch at most as many points.  The certificate builds its
-per-row tables once for many rows and masks them in equal batches, so a
-small batch does not repeat the per-row work.  Every batch array is
-numpy's own, made by the expression that computes it; at 8 192 float64
-points it is 64 KB, below glibc's default 128 KB mmap threshold, so it comes
-from the heap, not from a fresh mapping, and nothing outlives a call.  Every
-sum over axes is the builtin sum, taken left to right, so every point's
-arithmetic is the one a full scan of the cube does, in the same order, and
-every count is bit-identical, whatever the batch size.
+convolve_many takes the z in row batches of at most _BATCH_POINTS = 8 192,
+so its memory is bounded whatever the number of z; lq_norm_mc hands it all
+the z of one estimate in one call.  A certificate batch holds at most
+_BATCH_POINTS window columns, and a membership batch at most as many
+points.  The certificate builds its per-row tables once for many rows and
+masks them in equal batches, so a small batch does not repeat the per-row
+work.  Every batch array is numpy's own, made by the expression that
+computes it; at 8 192 float64 points it is 64 KB, below glibc's default
+128 KB mmap threshold, so it comes from the heap, not from a fresh mapping,
+and nothing outlives a call.  Every sum over axes is the builtin sum, taken
+left to right, so every point's arithmetic is the one a full scan of the
+cube does, in the same order, and every count is bit-identical, whatever
+the batch size.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ import numpy as np
 
 from . import parallel
 from .exponents import ExponentPair, critical_q0, typeset, typeset_contains
-from .parallel import RatioReport, seeded_mean
+from .parallel import RatioReport, sample_moments, seeded_draws, seeded_mean
 from .quadrature import ball_volume
 from .rationals import frac_str
 from .surface import (
@@ -330,6 +344,62 @@ def _may_hit(arr: np.ndarray, y_lo, y_hi, tails, lo_tail, hi_tail):
     return keep
 
 
+# Padding of the ball tests' radius: 1e-9 of it against the relative rounding
+# of their squares, roots and quotients, and 1e-12 against the ~1e-16
+# rounding of O(1) coordinates.  Unlike _SKIP_SLACK it scales with the
+# radius, so the tests prune at every radius well above 1e-12.
+def _padded(radius: float) -> float:
+    return radius * (1.0 + 1e-9) + 1e-12
+
+
+def _near_graph(arr: np.ndarray, p_head, p_tail, radius: float):
+    """False only where no graph point (y; heights(y)), |y| < 1, lies within radius r of p.
+
+    p is given per axis.  Such a y has |y - p_head| <= r, so |p_head| < 1 + r.
+    With u = y - p_head its tails are heights(p_head) + A u + q(u), where
+    A_ji = 2 c_ij p_i and |q_j(u)| <= max_i |c_ij| r^2; so p lies within
+    r + mu r^2 of the tangent plane at p_head, mu the norm of those maxima:
+    t^T (I + A A^T)^-1 t <= (r + mu r^2)^2, with t = p_tail - heights(p_head).
+    The l x l form is reduced by an LDL^T elimination on per-axis arrays.
+    """
+    r = _padded(radius)
+    mu = math.hypot(*np.abs(arr).max(axis=0))
+    keep = sum(x * x for x in p_head) < (1.0 + r) ** 2
+    t = [pt - sum(x * x * ci for x, ci in zip(p_head, c) if ci) for pt, c in zip(p_tail, arr.T)]
+    sq = [4.0 * x * x for x in p_head]
+    l = len(t)
+    g = [[sum(x * ci * di for x, ci, di in zip(sq, arr[:, a], arr[:, b]) if ci * di) + (a == b)
+          for b in range(l)] for a in range(l)]
+    gap = 0.0
+    for j in range(l):  # G = I + A A^T, eliminated column by column
+        gap = gap + t[j] * t[j] / g[j][j]
+        for a in range(j + 1, l):
+            f = g[a][j] / g[j][j]
+            t[a] = t[a] - f * t[j]
+            for b in range(j + 1, l):
+                g[a][b] = g[a][b] - f * g[j][b]
+    keep &= gap <= (r + mu * r * r) ** 2
+    return keep
+
+
+def _near_curve(row: np.ndarray, p_last, t, r2):
+    """False only where a column's curve comes no nearer to p than r' = sqrt(r2).
+
+    Along the last head s the column's atoms sit at (s; tails(s)), each
+    tail quadratic in s with coefficient row = c_(k-1).  t is p's tails
+    less tails(p_last); with u = s - p_last the curve is
+    (p_last + u; tails(p_last) + a u + row u^2), a = 2 row p_last.  A point
+    within r' of p has |u| <= r', so p lies within r' + |row| r'^2 of the
+    tangent line: |t|^2 - (a.t)^2 / (1 + |a|^2) <= (r' + |row| r'^2)^2.
+    Where r2 < 0 the fixed heads alone are too far.
+    """
+    a = [2.0 * cj * p_last for cj in row]
+    dot = sum(aj * tj for aj, tj in zip(a, t))
+    gap = sum(tj * tj for tj in t) - dot * dot / (1.0 + sum(aj * aj for aj in a))
+    r = np.sqrt(np.maximum(r2, 0.0))
+    return (r2 >= 0.0) & (gap <= (r + math.hypot(*row) * r * r) ** 2)
+
+
 def _check_dim(test_set, d: int):
     if test_set.dim != d:
         raise ValueError(f"test set lives in R^{test_set.dim}, the surface in R^{d}")
@@ -374,18 +444,23 @@ class SurfaceMeasure:
     def _grid_y(self, ix):
         return -1.0 + (ix + 0.5) * self.spacing
 
-    def _head_windows(self, lo: np.ndarray, hi: np.ndarray, zs: np.ndarray):
+    def _reach(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per-axis reach of the cube head-index window of a set with bounding box [lo, hi]."""
+        return ((hi[: self.k] - lo[: self.k]) / 2.0 / self.spacing).astype(np.int64) + 1
+
+    def _head_windows(self, test_set, lo: np.ndarray, hi: np.ndarray, zs: np.ndarray):
         """Cube head-index windows of a set with bounding box [lo, hi]: the row certificate.
 
         Returns each z's base index (N, k), the window's per-axis reach (k,)
         (offsets run over -reach..reach), and a mask that is False only where
         the window provably holds no atom inside the set: its index box,
         clipped to the grid, is empty, lies outside the open unit y-ball, or
-        puts every tail z_tail - heights(y) outside the box's tail.
+        puts every tail z_tail - heights(y) outside the box's tail; or, for a
+        ball, z - center lies farther from the graph than _near_graph allows.
         """
         k, s = self.k, self.spacing
         center = (lo[:k] + hi[:k]) / 2.0
-        reach = ((hi[:k] - lo[:k]) / 2.0 / s).astype(np.int64) + 1
+        reach = self._reach(lo, hi)
         base = np.floor((zs[:, :k] - center + 1.0) / s - 0.5).astype(np.int64)
         i_lo = np.maximum(base - reach, 0)
         i_hi = np.minimum(base + reach, self.resolution - 1)
@@ -394,9 +469,12 @@ class SurfaceMeasure:
                            zs[:, k:].T, lo[k:], hi[k:])
         for a, b in zip(i_lo.T, i_hi.T):
             may_hit &= a <= b
+        if isinstance(test_set, BallSet):
+            p = [x - c for x, c in zip(zs.T, test_set.center)]
+            may_hit &= _near_graph(self.matrix.array, p[:k], p[k:], test_set.radius)
         return base, reach, may_hit
 
-    def _column_certificate(self, lo, hi, z, base, reach):
+    def _column_certificate(self, test_set, lo, hi, z, base, reach):
         """The column certificate of rows that passed the row certificate.
 
         A column fixes the window's first k - 1 head indices; its last index
@@ -406,12 +484,17 @@ class SurfaceMeasure:
         only where the column provably holds no atom inside the set: a fixed
         head z_i - y_i lies outside the box, or _may_hit refuses the column's
         index box.  A fixed index off the grid has |y_i| >= 1 + s/2, so
-        _may_hit refuses it.  The index arithmetic, y tables and head masks
-        are built once for all the rows; the function only bounds boxes.
+        _may_hit refuses it.  For a ball of radius r and k >= 2, with
+        p = z - center, a column is also dropped unless its fixed heads lie
+        in the disk sum_i (p_i - y_i)^2 <= r^2 and _near_curve puts its
+        curve within r'^2 = r^2 - that sum of p.  The index arithmetic, y
+        tables and head masks are built once for all the rows; the function
+        only bounds the columns.
         """
-        k, m = self.k, reach[-1]
+        k, m, arr = self.k, reach[-1], self.matrix.array
         lead = (len(z),) + (1,) * (k - 1)
-        y_fixed, y_box, heads_in = [], [], []
+        ball = test_set if k > 1 and isinstance(test_set, BallSet) else None
+        y_fixed, y_box, heads_in, off_sq = [], [], [], []
         for i in range(k - 1):
             y = self._grid_y(base[:, i, None] + np.arange(-reach[i], reach[i] + 1))
             y_fixed.append(y)
@@ -419,17 +502,31 @@ class SurfaceMeasure:
             y_box.append(y)
             head = z[:, i].reshape(lead) - y
             heads_in.append((head >= lo[i] - _SKIP_SLACK) & (head <= hi[i] + _SKIP_SLACK))
+            if ball:
+                off_sq.append(np.square(head - ball.center[i]))  # the membership test's offset
         last = base[:, -1]
         y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
         y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
         tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
+        if ball:
+            r2 = _padded(ball.radius) ** 2
+            y_sq = [y * y for y in y_box]
+            p_last = (z[:, k - 1] - ball.center[k - 1]).reshape(lead)
+            # each tail of p less the last head's height term at p_last
+            p_tails = [(z[:, j] - ball.center[j]).reshape(lead) - p_last**2 * arr[-1, j - k]
+                       for j in range(k, self.d)]
 
         def mask(rows):
             box = [y[rows] for y in y_box]
             tail = [t[rows] for t in tails]
-            keep = _may_hit(self.matrix.array, box + [y_lo[rows]], box + [y_hi[rows]], tail, lo[k:], hi[k:])
+            keep = _may_hit(arr, box + [y_lo[rows]], box + [y_hi[rows]], tail, lo[k:], hi[k:])
             for head_in in heads_in:
                 keep &= head_in[rows]
+            if ball:
+                sq = [y[rows] for y in y_sq]
+                t = [pt[rows] - sum(x * ci for x, ci in zip(sq, c[:-1]) if ci)
+                     for pt, c in zip(p_tails, arr.T)]
+                keep &= _near_curve(arr[-1], p_last[rows], t, r2 - sum(o[rows] for o in off_sq))
             return keep
 
         return y_fixed, mask
@@ -437,10 +534,16 @@ class SurfaceMeasure:
     def convolve_many(self, test_set, zs: np.ndarray) -> np.ndarray:
         """(mu * chi_E)(z) for a batch of z, over one cube index window each.
 
-        The row certificate drops every z whose whole window is certified
-        empty.  The column certificate builds tables for the kept z with at
-        most _BATCH_POINTS entries each, and keeps the columns that can hold a
-        hit in equal batches of at most _BATCH_POINTS window columns.  E's
+        The z are taken in row batches of at most _BATCH_POINTS, so a call
+        may hold any number of them.  The row certificate drops every z
+        whose whole window is certified empty; for a ball B(c, r) it also
+        drops every z for which p = z - c lies farther than r + mu r^2 from
+        the graph's tangent plane at p_head (_near_graph).  The column
+        certificate builds tables for the kept z with at most _BATCH_POINTS
+        entries each, and keeps the columns that can hold a hit in equal
+        batches of at most _BATCH_POINTS window columns; for a ball and
+        k >= 2 a column must also have its fixed heads in the disk of
+        radius r about p_head and its curve pass _near_curve.  E's
         contains_coords runs on at most _BATCH_POINTS points of kept columns
         at a time, each column the whole run of 2 reach_k + 1 last-axis
         indices (an index off the grid fails the unit-ball test), and
@@ -448,13 +551,21 @@ class SurfaceMeasure:
         """
         _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        out = np.zeros(len(zs))
         lo, hi = (np.asarray(b, dtype=float) for b in test_set.bounding_box())
-        k, s = self.k, self.spacing
-        base, reach, may_hit = self._head_windows(lo, hi, zs)
-        window = math.prod(2 * int(r) + 1 for r in reach)
-        if window > 40_000_000:
+        if math.prod(2 * int(r) + 1 for r in self._reach(lo, hi)) > 40_000_000:
             raise ValueError("test set too wide for this resolution's index window")
+        out = np.zeros(len(zs))
+        for r0 in range(0, len(zs), _BATCH_POINTS):
+            rows = slice(r0, r0 + _BATCH_POINTS)
+            out[rows] = self._convolve_rows(test_set, lo, hi, zs[rows])
+        return out
+
+    def _convolve_rows(self, test_set, lo, hi, zs) -> np.ndarray:
+        """convolve_many on one row batch of z."""
+        out = np.zeros(len(zs))
+        k, s = self.k, self.spacing
+        base, reach, may_hit = self._head_windows(test_set, lo, hi, zs)
+        window = math.prod(2 * int(r) + 1 for r in reach)
         rows = np.flatnonzero(may_hit)
         run = np.arange(-reach[-1], reach[-1] + 1)  # the last axis's offsets
         table_batch = max(1, _BATCH_POINTS // (2 * int(max(reach)) + 1))  # rows per table
@@ -462,7 +573,7 @@ class SurfaceMeasure:
         col_batch = max(1, _BATCH_POINTS // len(run))
         for b0 in range(0, len(rows), table_batch):
             rt = rows[b0 : b0 + table_batch]
-            y_fixed, mask = self._column_certificate(lo, hi, zs[rt], base[rt], reach)
+            y_fixed, mask = self._column_certificate(test_set, lo, hi, zs[rt], base[rt], reach)
             # every column of a row shares the last axis's y: square it and subtract it once
             y_last = self._grid_y(base[rt, -1, None] + run)
             sq_last, head_last = y_last**2, zs[rt, k - 1, None] - y_last
@@ -555,6 +666,12 @@ def lq_norm_mc(
     the whole integral; outside it the integrand is identically 0.  The
     error bar passes through the q-th root by the delta method.
 
+    Each of the NORM_CHUNKS seeded chunks draws its z from its own stream,
+    and all the chunks' z go through one convolve_many call, so an estimate
+    is one kernel call whatever n_tube is.  g ** q is elementwise and the
+    sample mean and variance are reduced over the joined samples, so every
+    bit is that of one call per chunk.
+
     An estimate of exactly 0 is refused: for m(E) > 0 the L^1 norm is the
     measure's total mass times m(E), which is positive, so mu * chi_E is
     positive on a set of positive measure inside the tube and every L^q norm
@@ -569,15 +686,14 @@ def lq_norm_mc(
     k, l = measure.k, measure.l
     v_tube = float(np.prod(2.0 * head_half) * np.prod(2.0 * band))
 
-    def tube_chunk(rng, n):
+    def tube_draw(rng, n):
         heads = c[:k] + rng.uniform(-1.0, 1.0, (n, k)) * head_half
         offs = rng.uniform(-1.0, 1.0, (n, l)) * band
         tails = c[k:] + surface_heights(measure.matrix, heads - c[:k]) + offs
-        zs = np.concatenate([heads, tails], axis=1)
-        g = measure.convolve_many(test_set, zs)
-        return g**q
+        return np.concatenate([heads, tails], axis=1)
 
-    [(mean, var, n)] = seeded_mean(tube_chunk, seed, n_tube, NORM_CHUNKS)
+    zs = np.concatenate(seeded_draws(tube_draw, seed, n_tube, NORM_CHUNKS))
+    [(mean, var, n)] = sample_moments(measure.convolve_many(test_set, zs) ** q)
     total = v_tube * mean
     var = v_tube**2 * (var / n)
     if total <= 0:

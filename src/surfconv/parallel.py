@@ -1,16 +1,17 @@
-"""Deterministic work distribution, the one random stream constructor and the
-one seeded Monte Carlo reduction.
+"""Deterministic work distribution, the one random stream constructor, the one
+seeded chunk split and the one Monte Carlo reduction.
 
 Tasks are always enumerated, chunked, and reduced in a fixed order, so the
-chunk layout alone picks every random stream and every float sum.  A seeded
-reduction holds one (rows, total) sample block plus one chunk at its peak:
-each chunk is copied into the block as it is drawn, and the block is reduced
-in place.
+chunk layout alone picks every random stream and every float sum.
+seeded_draws spawns the chunks' streams and sample_moments reduces a sample
+block in place; seeded_mean joins them, holding one (rows, total) sample
+block plus one chunk at its peak: each chunk is copied into the block as it
+is drawn.  An estimator that must see all its draws at once (lq_norm_mc
+hands them to one kernel call) takes seeded_draws and sample_moments apart.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,35 +63,28 @@ def rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def seeded_mean(fn, seed: int, total: int, parts: int) -> list:
-    """(mean, ddof=1 variance, count) of each row of fn's samples.
+def seeded_draws(fn, seed: int, total: int, parts: int) -> list:
+    """fn(rng, n) of each seeded chunk, in chunk order.
 
-    fn(rng, n) returns n float64 samples along its last axis, as an (n,)
-    array (one row) or an (m, n) block (m rows).  Chunk i draws
-    chunk_counts(total, parts)[i] samples from child i of
+    Chunk i draws chunk_counts(total, parts)[i] samples from child i of
     SeedSequence(seed).spawn(parts).  The refusal of total < parts in
     chunk_counts is every estimator's sample-count rule.
-
-    One (rows, total) block is allocated when the first chunk returns, and
-    each chunk is copied into its columns, so the peak is that block plus
-    one chunk.  Each row is then reduced in place by the operations of
-    ndarray.mean and ndarray.var(ddof=1): a pairwise sum over the whole
-    contiguous row, so the numbers are theirs to the last bit.
     """
-    counts = chunk_counts(total, parts)
-    starts = itertools.accumulate(counts, initial=0)
-    block = None  # allocated once the first chunk has given its row count
-
-    def run(chunk):
-        nonlocal block
-        child, start, n = chunk
-        samples = np.atleast_2d(fn(rng(child), n))
-        if block is None:
-            block = np.empty((len(samples), total))
-        block[:, start : start + n] = samples
-
     children = np.random.SeedSequence(seed).spawn(parts)
-    ordered_map(run, zip(children, starts, counts))
+    return ordered_map(lambda chunk: fn(rng(chunk[0]), chunk[1]),
+                       zip(children, chunk_counts(total, parts)))
+
+
+def sample_moments(block) -> list:
+    """(mean, ddof=1 variance, count) of each row of a float64 (total,) or
+    (rows, total) sample block, which is reduced in place.
+
+    Each row is reduced by the operations of ndarray.mean and
+    ndarray.var(ddof=1): a pairwise sum over the whole contiguous row, so
+    the numbers are theirs to the last bit.
+    """
+    block = np.atleast_2d(block)
+    total = block.shape[1]
     rows = []
     for v in block:
         mean = np.add.reduce(v) / total
@@ -98,3 +92,25 @@ def seeded_mean(fn, seed: int, total: int, parts: int) -> list:
         v *= v
         rows.append((float(mean), float(np.add.reduce(v) / (total - 1)), total))
     return rows
+
+
+def seeded_mean(fn, seed: int, total: int, parts: int) -> list:
+    """sample_moments of fn's seeded_draws, the chunks laid side by side.
+
+    fn(rng, n) returns n float64 samples along its last axis, as an (n,)
+    array (one row) or an (m, n) block (m rows).  One (rows, total) block is
+    allocated when the first chunk returns, and each chunk is copied into
+    its columns, so the peak is that block plus one chunk.
+    """
+    block, start = None, 0  # the block is allocated once the first chunk has given its row count
+
+    def fill(gen, n):
+        nonlocal block, start
+        samples = np.atleast_2d(fn(gen, n))
+        if block is None:
+            block = np.empty((len(samples), total))
+        block[:, start : start + n] = samples
+        start += n
+
+    seeded_draws(fill, seed, total, parts)
+    return sample_moments(block)

@@ -1,5 +1,6 @@
 """Closed forms and quadrature rules that the tests compare the package against,
-and the warm allocation peak that the memory tests bound.
+a per-chunk reference of the L^q estimator, and the warm allocation peak that
+the memory tests bound.
 
 None of these is read by a run, so they live with the tests.
 """
@@ -10,7 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from surfconv.convolution import NORM_CHUNKS, _support_tube
 from surfconv.gaussians import GaussianSpec
+from surfconv.parallel import seeded_mean
 from surfconv.quadrature import gauss_legendre_interval
 from surfconv.surface import CoefficientMatrix, surface_heights
 
@@ -50,6 +53,25 @@ def l2_norm_sq(mu, ball) -> float:
         dist = np.linalg.norm(atoms[start : start + 128, None, :] - atoms[None, :, :], axis=-1)
         total += ball_lens_volume(ball.radius, dist).sum()
     return total * mu.spacing ** (2 * mu.k)
+
+
+def lq_norm_per_chunk(mu, test_set, q: float, *, seed: int, n_tube: int) -> tuple[float, float]:
+    """(norm, stderr) of lq_norm_mc, computed with one kernel call and one power
+    per seeded chunk: each chunk's tube samples go through convolve_many and
+    ** q on their own, and seeded_mean lays the chunks side by side."""
+    c, head_half, band = _support_tube(mu, test_set)
+    k, l = mu.k, mu.l
+    v_tube = float(np.prod(2.0 * head_half) * np.prod(2.0 * band))
+
+    def chunk(rng, n):
+        heads = c[:k] + rng.uniform(-1.0, 1.0, (n, k)) * head_half
+        offs = rng.uniform(-1.0, 1.0, (n, l)) * band
+        tails = c[k:] + surface_heights(mu.matrix, heads - c[:k]) + offs
+        return mu.convolve_many(test_set, np.concatenate([heads, tails], axis=1)) ** q
+
+    [(mean, var, n)] = seeded_mean(chunk, seed, n_tube, NORM_CHUNKS)
+    total = v_tube * mean
+    return total ** (1.0 / q), total ** (1.0 / q - 1.0) / q * math.sqrt(v_tube**2 * (var / n))
 
 
 def warm_peak(fn):

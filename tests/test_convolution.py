@@ -3,6 +3,8 @@
 Oracles used here:
   * total mass = Lebesgue measure of the unit ball in R^k,
   * atom counts of the windowed kernel vs a brute-force sum over all atoms,
+    either side of every flip of its certificates and ball tests,
+  * lq_norm_mc vs its per-chunk reference (oracles.lq_norm_per_chunk), bit for bit,
   * pushforward integrals vs direct Gauss-Legendre quadrature on the base,
   * an L^q grid oracle for the parabola (dense z-grid + power-mean),
   * a 1-d erf closed form for the shell bilinear pairing,
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import atom_points, dilated, l2_norm_sq
+from oracles import atom_points, dilated, l2_norm_sq, lq_norm_per_chunk
 from surfconv import convolution
 from surfconv.battery import battery_entry, load_battery
 from surfconv.convolution import (
@@ -156,19 +158,20 @@ def brute_force_counts(mu, test_set, zs):
 
 def kernel_keeps(mu, test_set, z):
     lo, hi = test_set.bounding_box()
-    return bool(mu._head_windows(np.asarray(lo), np.asarray(hi), z[None, :])[2][0])
+    return bool(mu._head_windows(test_set, np.asarray(lo), np.asarray(hi), z[None, :])[2][0])
 
 
-def skip_boundary_pair(mu, test_set, kept, skipped):
-    """Adjacent points either side of where the empty-window test flips."""
-    a, b = 0.0, 1.0
+def bisect_flip(test, z, far):
+    """Adjacent points on the segment z -> far either side of a change in test; far's end
+    when test(far) == test(z) and nothing flips."""
+    start, a, b = test(z), 0.0, 1.0
     for _ in range(60):
         mid = (a + b) / 2.0
-        if kernel_keeps(mu, test_set, kept + mid * (skipped - kept)):
+        if test(z + mid * (far - z)) == start:
             a = mid
         else:
             b = mid
-    return kept + a * (skipped - kept), kept + b * (skipped - kept)
+    return z + a * (far - z), z + b * (far - z)
 
 
 def z_battery(mu, test_set, rng):
@@ -186,7 +189,7 @@ def z_battery(mu, test_set, rng):
             for sign in (-1.0, 1.0):
                 far = z.copy()
                 far[axis] += sign * 4.0
-                battery.append(np.stack(skip_boundary_pair(mu, test_set, z, far)))
+                battery.append(np.stack(bisect_flip(lambda x: kernel_keeps(mu, test_set, x), z, far)))
     off_grid = support[:5].copy()
     off_grid[:, 0] = 3.0
     battery.append(off_grid)
@@ -212,23 +215,11 @@ class TestKernelOracle:
 def kept_columns(mu, test_set, z) -> int:
     """Window columns of z that the column certificate keeps; 0 where the row certificate drops z."""
     lo, hi = (np.asarray(b) for b in test_set.bounding_box())
-    base, reach, may_hit = mu._head_windows(lo, hi, z[None, :])
+    base, reach, may_hit = mu._head_windows(test_set, lo, hi, z[None, :])
     if not may_hit[0]:
         return 0
-    return int(np.count_nonzero(mu._column_certificate(lo, hi, z[None, :], base, reach)[1](slice(None))))
-
-
-def column_flip_pair(mu, test_set, z, far):
-    """Adjacent points on the segment z -> far either side of a change in kept_columns."""
-    start = kept_columns(mu, test_set, z)
-    a, b = 0.0, 1.0
-    for _ in range(60):
-        mid = (a + b) / 2.0
-        if kept_columns(mu, test_set, z + mid * (far - z)) == start:
-            a = mid
-        else:
-            b = mid
-    return z + a * (far - z), z + b * (far - z)
+    mask = mu._column_certificate(test_set, lo, hi, z[None, :], base, reach)[1]
+    return int(np.count_nonzero(mask(slice(None))))
 
 
 class TestColumnCertificate:
@@ -252,12 +243,95 @@ class TestColumnCertificate:
                 for sign in (-1.0, 1.0):
                     far = z.copy()
                     far[axis] += sign * 4.0
-                    pairs.append(np.stack(column_flip_pair(mu, test_set, z, far)))
+                    pairs.append(np.stack(bisect_flip(lambda x: kept_columns(mu, test_set, x), z, far)))
         zs = np.concatenate(pairs)
         kept = np.array([kept_columns(mu, test_set, z) for z in zs]).reshape(-1, 2)
         # most pairs straddle a column drop, not the row certificate's
         assert np.count_nonzero((kept[:, 0] != kept[:, 1]) & (kept.min(axis=1) > 0)) > len(kept) // 2
         assert np.array_equal(mu.convolve_many(test_set, zs), brute_force_counts(mu, test_set, zs))
+
+
+def no_box_certificate(monkeypatch):
+    """Make _may_hit keep everything, so that kernel_keeps and kept_columns see
+    only the grid clip, the head boxes and the ball tests."""
+    def keep_all(arr, y_lo, y_hi, tails, lo_tail, hi_tail):
+        return np.ones(np.broadcast_shapes(*(np.shape(x) for x in [*y_lo, *tails])), dtype=bool)
+
+    monkeypatch.setattr(convolution, "_may_hit", keep_all)
+
+
+def flip_pairs(test, starts, span):
+    """Adjacent points either side of a change in test(z), on the segments from each
+    start along each axis, both ways, to span away; a segment with no change gives none."""
+    pairs = []
+    for z in starts:
+        for axis in range(len(z)):
+            for sign in (-1.0, 1.0):
+                far = z.copy()
+                far[axis] += sign * span
+                if test(far) != test(z):
+                    pairs.append(np.stack(bisect_flip(test, z, far)))
+    return np.concatenate(pairs)
+
+
+# (matrix, resolution, ball radius): every ball test at k = 1 to 4 and l = 1 to 3, a
+# radius of 2^-20, and tails thinned to 2^-30 (all but flat, where the bound is tightest)
+BALL_CASES = [
+    pytest.param(PARABOLA, 128, 0.15, id="parabola-1-1"),
+    pytest.param(PARABOLOID, 64, 0.15, id="paraboloid-2-1"),
+    pytest.param(BANDED, 32, 0.15, id="banded-3-2"),
+    pytest.param(MIXED_SIGNS, 32, 0.15, id="mixed-signs"),
+    pytest.param(battery_entry("random-4-3").matrix, 16, 0.3, id="random-4-3"),
+    pytest.param(BANDED, 32, 2.0**-20, id="banded-3-2-radius-2^-20"),
+    pytest.param(dilated(BANDED, 30), 32, 0.15, id="banded-3-2-tails-2^-30"),
+]
+
+
+def ball_near_atoms(mu, radius, rng, n):
+    """A ball on the surface, and n z that each hold an atom: z - center within radius / 2 of one."""
+    y = rng.uniform(-0.3, 0.3, mu.k)
+    ball = BallSet(tuple(np.concatenate([y, surface_heights(mu.matrix, y)])), radius)
+    atoms = atom_points(mu)
+    v = rng.normal(size=(n, mu.d))
+    v *= radius / 2.0 * rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    return ball, atoms[rng.integers(0, len(atoms), n)] + np.array(ball.center) + v
+
+
+class TestBallTests:
+    @pytest.mark.filterwarnings("ignore:row-submatrix condition fails")
+    @pytest.mark.parametrize("matrix,resolution,radius", BALL_CASES)
+    def test_counts_match_brute_force_where_the_row_test_flips(self, matrix, resolution, radius,
+                                                                monkeypatch):
+        # either side of each flip of the distance-to-graph row test the kernel must count
+        # exactly what a sum over every atom counts
+        mu = SurfaceMeasure(matrix, resolution)
+        ball, starts = ball_near_atoms(mu, radius, np.random.default_rng(resolution), 3)
+        with monkeypatch.context() as patch:
+            no_box_certificate(patch)
+            zs = flip_pairs(lambda z: kernel_keeps(mu, ball, z), starts, 4.0)
+            kept = np.array([kernel_keeps(mu, ball, z) for z in zs]).reshape(-1, 2)
+        assert len(kept) >= mu.d and (kept[:, 0] != kept[:, 1]).all()
+        zs = np.concatenate([starts, zs])
+        got = mu.convolve_many(ball, zs)
+        assert np.array_equal(got, brute_force_counts(mu, ball, zs)) and got[:3].all()
+
+    @pytest.mark.filterwarnings("ignore:row-submatrix condition fails")
+    @pytest.mark.parametrize("matrix,resolution,radius", [p for p in BALL_CASES if p.values[0].k > 1])
+    def test_counts_match_brute_force_where_the_column_test_flips(self, matrix, resolution, radius,
+                                                                   monkeypatch):
+        # the ball's column test (the disk of fixed heads, then the tangent line of the
+        # column's curve) drops columns one at a time as z moves
+        mu = SurfaceMeasure(matrix, resolution)
+        ball, starts = ball_near_atoms(mu, radius, np.random.default_rng(resolution + 1), 3)
+        with monkeypatch.context() as patch:
+            no_box_certificate(patch)
+            zs = flip_pairs(lambda z: kept_columns(mu, ball, z), starts, 4.0)
+            rows = np.array([kernel_keeps(mu, ball, z) for z in zs]).reshape(-1, 2)
+        # most pairs straddle a column drop, not the row test's
+        assert np.count_nonzero(rows.all(axis=1)) > len(rows) // 2
+        zs = np.concatenate([starts, zs])
+        got = mu.convolve_many(ball, zs)
+        assert np.array_equal(got, brute_force_counts(mu, ball, zs)) and got[:3].all()
 
 
 def tube_zs(mu, test_set, n, seed):
@@ -338,6 +412,39 @@ class TestKernelScratch:
         assert np.count_nonzero(counts) > 0
         assert peak < 1_000_000
         assert abs(after - before) < 65_536
+
+
+    def test_cold_whole_estimate_call_peak_is_bounded_and_nothing_outlives_it(self):
+        # all 3 000 z of one shipped k = 3 estimate in one call, as lq_norm_mc makes it
+        mu = SurfaceMeasure(BANDED, 256)
+        ball = surface_ball(BANDED, (0.0, 0.0, 0.0), 1 / 32)
+        zs = tube_zs(mu, ball, 3000, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            counts = mu.convolve_many(ball, zs)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.count_nonzero(counts) > 0
+        assert peak < 1_000_000
+        assert abs(after - before) < 65_536
+
+
+@pytest.mark.parametrize("batch", [7, 8_192])
+@pytest.mark.parametrize("name,resolution", [("paraboloid-2-1", 64), ("banded-3-2", 32)])
+def test_convolve_many_on_joined_z_is_the_joined_results(name, resolution, batch, monkeypatch):
+    # one call per estimate: the z of several calls joined give those calls' counts joined,
+    # whether a call spans one row batch or many
+    monkeypatch.setattr(convolution, "_BATCH_POINTS", batch)
+    matrix = battery_entry(name).matrix
+    mu = SurfaceMeasure(matrix, resolution)
+    for kind, test_set in set_kinds(matrix, np.random.default_rng(3)).items():
+        zs = tube_zs(mu, test_set, 300, 6)
+        joined = mu.convolve_many(test_set, zs)
+        parts = [mu.convolve_many(test_set, part) for part in np.split(zs, [1, 100, 163])]
+        assert np.count_nonzero(joined) > 0, kind
+        assert np.array_equal(joined, np.concatenate(parts)), kind
 
 
 @pytest.mark.parametrize("name,resolution", [("paraboloid-2-1", 64), ("banded-3-2", 32)])
@@ -639,6 +746,19 @@ class TestNormEstimation:
         z = (sq - exact) / np.array([2.0 * e.norm * e.stderr for e in ests])
         assert abs(sq.mean() - exact) < 4 * sq.std(ddof=1) / math.sqrt(len(sq))
         assert 0.7 <= z.std(ddof=1) <= 1.3
+
+    @pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared"])
+    @pytest.mark.parametrize("name,resolution", [("paraboloid-2-1", 64), ("banded-3-2", 32)])
+    def test_one_kernel_call_per_estimate_keeps_every_bit(self, name, resolution, kind):
+        # the chunks' z joined into one convolve_many call and one power give the bits of
+        # one call and one power per chunk; 1003 samples make chunks of 125 and 128
+        matrix = battery_entry(name).matrix
+        mu = SurfaceMeasure(matrix, resolution)
+        test_set = set_kinds(matrix, np.random.default_rng(4))[kind]
+        q = float(critical_q0(mu.k, mu.d))
+        est = lq_norm_mc(mu, test_set, q, seed=11, n_tube=1003)
+        norm, stderr = lq_norm_per_chunk(mu, test_set, q, seed=11, n_tube=1003)
+        assert (est.norm.hex(), est.stderr.hex()) == (norm.hex(), stderr.hex())
 
     def test_fewer_tube_samples_than_chunks_refused(self, mu_parabola):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="seeded chunks"):

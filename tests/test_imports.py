@@ -326,8 +326,8 @@ def test_scan_finds_sample_reductions():
 
 
 def test_only_parallel_reduces_seeded_samples():
-    # one seeded Monte Carlo path: parallel.seeded_mean spawns the streams and
-    # takes every sample mean and spread
+    # one seeded Monte Carlo path: parallel spawns the streams (seeded_draws) and
+    # takes every sample mean and spread (sample_moments)
     found = [
         f"{path.name}:{line}: .{attr}"
         for path in sorted(SRC.glob("*.py"))
