@@ -266,8 +266,8 @@ def cmd_run(args) -> int:
         _write_atomic(out_dir / fname, _csv_text(list(rows[0]), rows, preamble))
         csv_names.append(fname)
 
-    report_doc = dict(payload_doc, wall_clock_seconds=wall, tables=sorted(csv_names))
-    _write_atomic(out_dir / "report.json", _canonical_json(report_doc))
+    # the one unpinned file: what varies between reruns, never a result
+    _write_atomic(out_dir / "report.json", _canonical_json({"wall_clock_seconds": wall}))
 
     stable = ["payload.json"] + sorted(csv_names)
     manifest = {
@@ -305,7 +305,7 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _VERDICT = _object({"check_id": _STRING, "passed": _BOOL, "detail": _STRING})
 _CURVE_ROW = _object({"delta": _POSITIVE, "p_num": _NUMBER, "p_den": _POSITIVE, "norm": _NUMBER,
                       "ratio": _NUMBER, "center_id": {"type": "integer"}})
-# every field of a report.json that cmd_report reads, with the values it can use
+# every field of a payload.json that cmd_report reads, with the values it can use
 _RUN_FILE_SCHEMA = {
     **_object({"suite": _STRING, "passed": _BOOL,
                "verdicts": {"type": "array", "items": _VERDICT}}),
@@ -320,9 +320,9 @@ def cmd_report(args) -> int:
     root = Path(args.run_dir)
     if not root.is_dir():
         return _fail(f"not a directory: {root}")
-    paths = sorted(root.glob("**/report.json"))
+    paths = sorted(root.glob("**/payload.json"))
     if not paths:
-        return _fail(f"no report.json found under {root}")
+        return _fail(f"no payload.json found under {root}")
 
     docs = []
     for path in paths:  # every file is checked before any output is written
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="merge finished runs into one summary")
-    rep.add_argument("run_dir", help="directory scanned recursively for report.json files")
+    rep.add_argument("run_dir", help="directory scanned recursively for payload.json files")
     rep.set_defaults(func=cmd_report)
     return parser
 

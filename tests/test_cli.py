@@ -65,10 +65,10 @@ class TestRun:
         assert payload["passed"] is True
         assert payload["suite"] == "check-star"
 
+        # report.json holds only what varies between reruns; the results live in payload.json
         report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"wall_clock_seconds"}
         assert report["wall_clock_seconds"] > 0
-        assert report["tables"] == ["star.csv"]
-        assert "threads" not in report
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == json.loads((tmp_path / "config.json").read_text())
@@ -628,6 +628,25 @@ class TestGenMatrix:
     def test_bad_shape_exits_two(self, capsys):
         assert main(["gen-matrix", "--k", "1", "--l", "2"]) == 2
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsysbinary):
+        out = tmp_path / "m.json"
+        argv = ["gen-matrix", "--k", "3", "--l", "2", "--seed", "4", "--threshold", "2"]
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert printed == out.read_bytes()
+
+
+_MERGED = ("verdicts.csv", "curves.csv", "summary.txt")
+
+
+def merged(root) -> dict:
+    """The bytes of the files `surfconv report` writes from scratch over `root`."""
+    for name in _MERGED:
+        (root / name).unlink(missing_ok=True)
+    assert main(["report", str(root)]) == 0
+    return {name: (root / name).read_bytes() for name in _MERGED}
+
 
 class TestReport:
     @pytest.fixture()
@@ -659,12 +678,9 @@ class TestReport:
         assert "runs: 3" in summary
 
     def test_report_is_idempotent(self, passing_root):
-        names = ("verdicts.csv", "curves.csv", "summary.txt")
+        first = merged(passing_root)
         main(["report", str(passing_root)])
-        first = {n: (passing_root / n).read_bytes() for n in names}
-        main(["report", str(passing_root)])
-        second = {n: (passing_root / n).read_bytes() for n in names}
-        assert first == second
+        assert {n: (passing_root / n).read_bytes() for n in _MERGED} == first
 
     def test_failing_run_flips_overall(self, passing_root, tmp_path, capsys):
         cfg = ballscan_config(tmp_path, tolerance=1e-6, name="bad.json")
@@ -674,18 +690,29 @@ class TestReport:
         out = capsys.readouterr().out
         assert "overall: FAIL" in out and "failing checks:" in out
 
-    def test_reads_a_report_that_records_threads(self, passing_root, capsys):
-        # report.json files written before the thread path went carry a threads field
-        old = passing_root / "star" / "report.json"
-        doc = json.loads(old.read_text())
-        old.write_text(json.dumps(dict(doc, threads=1)))
-        assert main(["report", str(passing_root)]) == 0
-        assert "overall: PASS" in capsys.readouterr().out
+    def test_merges_run_directories_in_the_old_format(self, passing_root):
+        # older runs left a report.json repeating the payload, with the table list
+        # and, older still, a threads field; the merge reads payload.json either way
+        new = merged(passing_root)
+        for payload in passing_root.glob("*/payload.json"):
+            tables = sorted(p.name for p in payload.parent.glob("*.csv"))
+            old = dict(json.loads(payload.read_text()), wall_clock_seconds=1.0, tables=tables,
+                       threads=1)
+            (payload.parent / "report.json").write_text(json.dumps(old))
+        assert merged(passing_root) == new
+
+    def test_merge_does_not_read_report_json(self, passing_root):
+        before = merged(passing_root)
+        reports = list(passing_root.glob("*/report.json"))
+        assert len(reports) == 3
+        for path in reports:
+            path.unlink()
+        assert merged(passing_root) == before
 
     def test_csv_cells_round_trip(self, passing_root):
         # a comma in a run id and a double quote in a detail stay inside their fields
         (passing_root / "scan").rename(passing_root / "a,b")
-        star = passing_root / "star" / "report.json"
+        star = passing_root / "star" / "payload.json"
         doc = json.loads(star.read_text())
         doc["verdicts"][0]["detail"] = 'say "hi", twice'
         star.write_text(json.dumps(doc))
@@ -736,7 +763,7 @@ class TestReport:
     def test_bad_run_file_exits_two(self, tmp_path, capsys, text, message):
         root = tmp_path / "runs"
         run_cli(checkstar_config(tmp_path), root / "star")
-        bad = root / "broken" / "report.json"
+        bad = root / "broken" / "payload.json"
         bad.parent.mkdir()
         bad.write_text(text)
         capsys.readouterr()
@@ -777,6 +804,16 @@ def test_unwritable_output_exits_two_without_a_traceback(tmp_path, command):
     assert proc.returncode == 2
     assert "error: cannot write output" in proc.stderr and "Traceback" not in proc.stderr
     assert blocker.read_text() == ""
+
+
+def test_failed_rename_removes_its_temporary(tmp_path, capsys):
+    # a directory where payload.json must go: the temporary is written, the rename fails
+    out = tmp_path / "out"
+    (out / "payload.json").mkdir(parents=True)
+    assert run_cli(checkstar_config(tmp_path), out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and "Traceback" not in err
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == ["payload.json"]
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -86,7 +86,7 @@ def test_readme_csv_names_are_written(tmp_path):
     run = {"suite": "ball-scan", "passed": True, "verdicts": [], "results": {"report": {"rows": [
         {"delta": 0.5, "p_num": 2, "p_den": 1, "norm": 1.0, "ratio": 1.0, "center_id": 0}
     ]}}}
-    (tmp_path / "report.json").write_text(json.dumps(run))
+    (tmp_path / "payload.json").write_text(json.dumps(run))
     assert main(["report", str(tmp_path)]) == 0
     written |= {p.name for p in tmp_path.glob("*.csv")}
     assert sorted(named - written) == []

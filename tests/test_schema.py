@@ -177,7 +177,7 @@ _ROW = {"delta": 0.5, "p_num": 1, "p_den": 1, "norm": 1.0, "ratio": 1.0, "center
     ],
 )
 def test_run_file_schema_agrees_with_the_oracle(doc):
-    # surfconv report checks every report.json against this schema before writing anything
+    # surfconv report checks every payload.json against this schema before writing anything
     errors = sorted(jsonschema.Draft202012Validator(_RUN_FILE_SCHEMA).iter_errors(doc),
                     key=lambda e: (len(e.path), e.json_path))
     mine = first_error(doc, _RUN_FILE_SCHEMA)
