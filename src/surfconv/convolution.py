@@ -10,23 +10,26 @@ supp(mu * chi_E) and has an exact volume.  That keeps the d = 5 experiments affo
 generated on the fly from grid indices and never need materializing.
 
 The batched kernel convolve_many works on a cube head-index window around
-each z, pruned by a two-level empty-window certificate built on one helper,
-_may_hit: interval bounds of |y|^2 and of the heights over a box of y drop
-the box when it lies outside the open unit y-ball or puts a tail outside
-the test set's bounding box.  The row level (_head_windows) drops every z
-whose whole window, clipped to the grid, is empty or certified.  The column
-level (_column_certificate) certifies each window column of the kept z: the
-first k - 1 head indices fixed, the last running over the row's clipped
-index interval, and the fixed heads z_i - y_i inside the box.  A ball of
-radius r adds a distance-to-graph test at each level, with p = z - center.
-The row test (_near_graph) keeps p only if |p_head| < 1 + r and p lies
-within r + mu r^2 of the graph's tangent plane at p_head: the quadratic
-remainder over |y - p_head| <= r is at most mu r^2, mu the norm over the
-tails of max_i |c_ij|.  The column test (k >= 2) keeps a column only if
-its fixed heads lie in the disk sum_i (p_i - y_i)^2 <= r^2 and its curve
-along the last head passes the same tangent test (_near_curve) at radius
-r' = sqrt(r^2 - that sum).  Both pad r by a margin relative to it
-(_padded), not by the absolute _SKIP_SLACK.  Only the
+each z, pruned by a two-level empty-window certificate, one per test set.
+The row level (_head_windows) drops every z whose whole window, clipped
+to the grid, is empty or certified; the column level (_column_certificate)
+certifies each window column of the kept z: the first k - 1 head indices
+fixed, the last running over the row's clipped index interval.  A box
+union, tube or sheared set runs the box-interval certificate, _may_hit:
+interval bounds of |y|^2 and of the heights over a box of y drop the box
+when it lies outside the open unit y-ball or puts a tail outside the test
+set's bounding box; a column is also dropped when a fixed head z_i - y_i
+lies outside the box.  A ball of radius r runs the distance-to-graph
+certificate instead, _near_graph, with p = z - center: it keeps p only if
+|p_head| < 1 + r and p lies within r + mu r^2 of the graph's tangent
+plane at p_head, since the quadratic remainder over |y - p_head| <= r is
+at most mu r^2, mu the norm over the tails of max_i |c_ij|.  A column of
+a ball folds its fixed heads' height terms into p's tails and runs the
+same test on the last head's row, at radius r' = sqrt(r^2 - sum_i
+(p_i - y_i)^2) and with the unit y-ball's radius 1 replaced by
+sqrt(1 - sum_i y_i^2); it is dropped where either square is negative.
+Both radii are padded by a margin relative to them (_padded); the
+box-interval test's slack is the absolute _SKIP_SLACK.  Only the
 kept columns reach the set's contains_coords, gathered as (n_cols, n_k)
 tables and handed over as one coordinate array per axis: each fixed head
 an (n_cols, 1) column, the last head and each tail a full table.  Heads and
@@ -323,7 +326,7 @@ def _box_bounds(arr: np.ndarray, y_lo, y_hi):
     return sum(lo2 for lo2, _ in sq), h_lo, h_hi
 
 
-# Absolute slack of the empty-window certificate.  Coordinates are O(1), so
+# Absolute slack of the box-interval certificate.  Coordinates are O(1), so
 # rounding moves them by ~1e-15; the slack dwarfs that and stays far below
 # any grid spacing, so a window is skipped only when it misses by a margin.
 _SKIP_SLACK = 1e-9
@@ -344,7 +347,7 @@ def _may_hit(arr: np.ndarray, y_lo, y_hi, tails, lo_tail, hi_tail):
     return keep
 
 
-# Padding of the ball tests' radius: 1e-9 of it against the relative rounding
+# Padding of the ball tests' radii: 1e-9 of each against the relative rounding
 # of their squares, roots and quotients, and 1e-12 against the ~1e-16
 # rounding of O(1) coordinates.  Unlike _SKIP_SLACK it scales with the
 # radius, so the tests prune at every radius well above 1e-12.
@@ -352,11 +355,13 @@ def _padded(radius: float) -> float:
     return radius * (1.0 + 1e-9) + 1e-12
 
 
-def _near_graph(arr: np.ndarray, p_head, p_tail, radius: float):
-    """False only where no graph point (y; heights(y)), |y| < 1, lies within radius r of p.
+def _near_graph(arr: np.ndarray, p_head, p_tail, radius, y_radius):
+    """False only where no graph point (y; heights(y)), |y| < rho, lies within radius r of p.
 
-    p is given per axis.  Such a y has |y - p_head| <= r, so |p_head| < 1 + r.
-    With u = y - p_head its tails are heights(p_head) + A u + q(u), where
+    p is given per axis; arr holds the rows c_i of the heads in p_head, and
+    radius and y_radius (rho) are floats or arrays that broadcast with p.
+    Such a y has |y - p_head| <= r, so |p_head| < rho + r.  With
+    u = y - p_head its tails are heights(p_head) + A u + q(u), where
     A_ji = 2 c_ij p_i and |q_j(u)| <= max_i |c_ij| r^2; so p lies within
     r + mu r^2 of the tangent plane at p_head, mu the norm of those maxima:
     t^T (I + A A^T)^-1 t <= (r + mu r^2)^2, with t = p_tail - heights(p_head).
@@ -364,7 +369,7 @@ def _near_graph(arr: np.ndarray, p_head, p_tail, radius: float):
     """
     r = _padded(radius)
     mu = math.hypot(*np.abs(arr).max(axis=0))
-    keep = sum(x * x for x in p_head) < (1.0 + r) ** 2
+    keep = sum(x * x for x in p_head) < (y_radius + r) ** 2
     t = [pt - sum(x * x * ci for x, ci in zip(p_head, c) if ci) for pt, c in zip(p_tail, arr.T)]
     sq = [4.0 * x * x for x in p_head]
     l = len(t)
@@ -380,24 +385,6 @@ def _near_graph(arr: np.ndarray, p_head, p_tail, radius: float):
                 g[a][b] = g[a][b] - f * g[j][b]
     keep &= gap <= (r + mu * r * r) ** 2
     return keep
-
-
-def _near_curve(row: np.ndarray, p_last, t, r2):
-    """False only where a column's curve comes no nearer to p than r' = sqrt(r2).
-
-    Along the last head s the column's atoms sit at (s; tails(s)), each
-    tail quadratic in s with coefficient row = c_(k-1).  t is p's tails
-    less tails(p_last); with u = s - p_last the curve is
-    (p_last + u; tails(p_last) + a u + row u^2), a = 2 row p_last.  A point
-    within r' of p has |u| <= r', so p lies within r' + |row| r'^2 of the
-    tangent line: |t|^2 - (a.t)^2 / (1 + |a|^2) <= (r' + |row| r'^2)^2.
-    Where r2 < 0 the fixed heads alone are too far.
-    """
-    a = [2.0 * cj * p_last for cj in row]
-    dot = sum(aj * tj for aj, tj in zip(a, t))
-    gap = sum(tj * tj for tj in t) - dot * dot / (1.0 + sum(aj * aj for aj in a))
-    r = np.sqrt(np.maximum(r2, 0.0))
-    return (r2 >= 0.0) & (gap <= (r + math.hypot(*row) * r * r) ** 2)
 
 
 def _check_dim(test_set, d: int):
@@ -454,9 +441,10 @@ class SurfaceMeasure:
         Returns each z's base index (N, k), the window's per-axis reach (k,)
         (offsets run over -reach..reach), and a mask that is False only where
         the window provably holds no atom inside the set: its index box,
-        clipped to the grid, is empty, lies outside the open unit y-ball, or
-        puts every tail z_tail - heights(y) outside the box's tail; or, for a
-        ball, z - center lies farther from the graph than _near_graph allows.
+        clipped to the grid, is empty; or, for a ball, z - center lies
+        farther from the graph than _near_graph allows; or, for any other
+        set, _may_hit finds the clipped box outside the open unit y-ball or
+        every tail z_tail - heights(y) outside the box's tail.
         """
         k, s = self.k, self.spacing
         center = (lo[:k] + hi[:k]) / 2.0
@@ -464,14 +452,15 @@ class SurfaceMeasure:
         base = np.floor((zs[:, :k] - center + 1.0) / s - 0.5).astype(np.int64)
         i_lo = np.maximum(base - reach, 0)
         i_hi = np.minimum(base + reach, self.resolution - 1)
-        # per-axis columns: a reduction over the short head axis costs more than k column ops
-        may_hit = _may_hit(self.matrix.array, self._grid_y(i_lo).T, self._grid_y(i_hi).T,
-                           zs[:, k:].T, lo[k:], hi[k:])
-        for a, b in zip(i_lo.T, i_hi.T):
-            may_hit &= a <= b
         if isinstance(test_set, BallSet):
             p = [x - c for x, c in zip(zs.T, test_set.center)]
-            may_hit &= _near_graph(self.matrix.array, p[:k], p[k:], test_set.radius)
+            may_hit = _near_graph(self.matrix.array, p[:k], p[k:], test_set.radius, 1.0)
+        else:
+            # per-axis columns: a reduction over the short head axis costs more than k column ops
+            may_hit = _may_hit(self.matrix.array, self._grid_y(i_lo).T, self._grid_y(i_hi).T,
+                               zs[:, k:].T, lo[k:], hi[k:])
+        for a, b in zip(i_lo.T, i_hi.T):
+            may_hit &= a <= b
         return base, reach, may_hit
 
     def _column_certificate(self, test_set, lo, hi, z, base, reach):
@@ -481,53 +470,60 @@ class SurfaceMeasure:
         runs over the row's index interval clipped to the grid.  Returns the
         fixed axes' y as (B, n_i) tables, and a function that takes a slice
         of the rows and returns their (len, n_1, ..., n_{k-1}) mask, False
-        only where the column provably holds no atom inside the set: a fixed
-        head z_i - y_i lies outside the box, or _may_hit refuses the column's
-        index box.  A fixed index off the grid has |y_i| >= 1 + s/2, so
-        _may_hit refuses it.  For a ball of radius r and k >= 2, with
-        p = z - center, a column is also dropped unless its fixed heads lie
-        in the disk sum_i (p_i - y_i)^2 <= r^2 and _near_curve puts its
-        curve within r'^2 = r^2 - that sum of p.  The index arithmetic, y
-        tables and head masks are built once for all the rows; the function
+        only where the column provably holds no atom inside the set.  For a
+        ball of radius r, with p = z - center: the fixed heads leave
+        r'^2 = r^2 - sum_i (p_i - y_i)^2 < 0 or rho^2 = 1 - sum_i y_i^2 < 0,
+        or the column's curve along the last head, whose atoms have
+        |y_k| < rho, fails _near_graph at radius r'.  For any other set: a
+        fixed head z_i - y_i lies outside the box, or _may_hit refuses the
+        column's index box (a fixed index off the grid has |y_i| >= 1 + s/2,
+        so _may_hit refuses it).  The index arithmetic, y tables and the
+        set's per-row terms are built once for all the rows; the function
         only bounds the columns.
         """
         k, m, arr = self.k, reach[-1], self.matrix.array
         lead = (len(z),) + (1,) * (k - 1)
-        ball = test_set if k > 1 and isinstance(test_set, BallSet) else None
-        y_fixed, y_box, heads_in, off_sq = [], [], [], []
+        y_fixed, y_box = [], []
         for i in range(k - 1):
             y = self._grid_y(base[:, i, None] + np.arange(-reach[i], reach[i] + 1))
             y_fixed.append(y)
-            y = y.reshape([len(z)] + [-1 if a == i else 1 for a in range(k - 1)])
-            y_box.append(y)
-            head = z[:, i].reshape(lead) - y
-            heads_in.append((head >= lo[i] - _SKIP_SLACK) & (head <= hi[i] + _SKIP_SLACK))
-            if ball:
-                off_sq.append(np.square(head - ball.center[i]))  # the membership test's offset
-        last = base[:, -1]
-        y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
-        y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
-        tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
-        if ball:
-            r2 = _padded(ball.radius) ** 2
+            y_box.append(y.reshape([len(z)] + [-1 if a == i else 1 for a in range(k - 1)]))
+        heads = [z[:, i].reshape(lead) - y for i, y in enumerate(y_box)]
+        if isinstance(test_set, BallSet):
+            r2, y2 = _padded(test_set.radius) ** 2, _padded(1.0) ** 2
+            # the offsets of the fixed heads, squared as contains_coords squares them
+            off_sq = [np.square(h - test_set.center[i]) for i, h in enumerate(heads)]
             y_sq = [y * y for y in y_box]
-            p_last = (z[:, k - 1] - ball.center[k - 1]).reshape(lead)
-            # each tail of p less the last head's height term at p_last
-            p_tails = [(z[:, j] - ball.center[j]).reshape(lead) - p_last**2 * arr[-1, j - k]
-                       for j in range(k, self.d)]
+            p_last = (z[:, k - 1] - test_set.center[k - 1]).reshape(lead)
+            p_tails = [(z[:, j] - test_set.center[j]).reshape(lead) for j in range(k, self.d)]
 
-        def mask(rows):
-            box = [y[rows] for y in y_box]
-            tail = [t[rows] for t in tails]
-            keep = _may_hit(arr, box + [y_lo[rows]], box + [y_hi[rows]], tail, lo[k:], hi[k:])
-            for head_in in heads_in:
-                keep &= head_in[rows]
-            if ball:
+            def mask(rows):
+                # the fixed heads' height terms leave p's tails, their offsets the ball's
+                # radius, and their squares the unit y-ball's
                 sq = [y[rows] for y in y_sq]
                 t = [pt[rows] - sum(x * ci for x, ci in zip(sq, c[:-1]) if ci)
                      for pt, c in zip(p_tails, arr.T)]
-                keep &= _near_curve(arr[-1], p_last[rows], t, r2 - sum(o[rows] for o in off_sq))
-            return keep
+                r_col, rho = r2 - sum(o[rows] for o in off_sq), y2 - sum(sq)
+                keep = (r_col >= 0.0) & (rho >= 0.0)
+                # rebinding frees each square before _near_graph makes its tables
+                r_col = np.sqrt(np.maximum(r_col, 0.0))
+                rho = np.sqrt(np.maximum(rho, 0.0))
+                return keep & _near_graph(arr[-1:], [p_last[rows]], t, r_col, rho)
+        else:
+            heads_in = [(h >= lo[i] - _SKIP_SLACK) & (h <= hi[i] + _SKIP_SLACK)
+                        for i, h in enumerate(heads)]
+            last = base[:, -1]
+            y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
+            y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
+            tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
+
+            def mask(rows):
+                box = [y[rows] for y in y_box]
+                tail = [t[rows] for t in tails]
+                keep = _may_hit(arr, box + [y_lo[rows]], box + [y_hi[rows]], tail, lo[k:], hi[k:])
+                for head_in in heads_in:
+                    keep &= head_in[rows]
+                return keep
 
         return y_fixed, mask
 
@@ -535,19 +531,19 @@ class SurfaceMeasure:
         """(mu * chi_E)(z) for a batch of z, over one cube index window each.
 
         The z are taken in row batches of at most _BATCH_POINTS, so a call
-        may hold any number of them.  The row certificate drops every z
-        whose whole window is certified empty; for a ball B(c, r) it also
-        drops every z for which p = z - c lies farther than r + mu r^2 from
-        the graph's tangent plane at p_head (_near_graph).  The column
-        certificate builds tables for the kept z with at most _BATCH_POINTS
-        entries each, and keeps the columns that can hold a hit in equal
-        batches of at most _BATCH_POINTS window columns; for a ball and
-        k >= 2 a column must also have its fixed heads in the disk of
-        radius r about p_head and its curve pass _near_curve.  E's
-        contains_coords runs on at most _BATCH_POINTS points of kept columns
-        at a time, each column the whole run of 2 reach_k + 1 last-axis
-        indices (an index off the grid fails the unit-ball test), and
-        np.bincount adds the column counts into per-z counts.
+        may hold any number of them.  Each set runs one certificate: a ball
+        B(c, r) the distance-to-graph test (_near_graph), every other set
+        the box-interval test (_may_hit).  The row certificate drops every z
+        whose whole window is certified empty; for a ball, every z for which
+        p = z - c lies farther than r + mu r^2 from the graph's tangent
+        plane at p_head.  The column certificate builds tables for the kept
+        z with at most _BATCH_POINTS entries each, and keeps the columns
+        that can hold a hit in equal batches of at most _BATCH_POINTS
+        window columns.  E's contains_coords runs on at most _BATCH_POINTS
+        points of kept columns at a time, each column the whole run of
+        2 reach_k + 1 last-axis indices (an index off the grid fails the
+        unit-ball test), and np.bincount adds the column counts into per-z
+        counts.
         """
         _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))

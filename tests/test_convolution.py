@@ -3,7 +3,7 @@
 Oracles used here:
   * total mass = Lebesgue measure of the unit ball in R^k,
   * atom counts of the windowed kernel vs a brute-force sum over all atoms,
-    either side of every flip of its certificates and ball tests,
+    either side of every flip of the one certificate each test set runs,
   * lq_norm_mc vs its per-chunk reference (oracles.lq_norm_per_chunk), bit for bit,
   * pushforward integrals vs direct Gauss-Legendre quadrature on the base,
   * an L^q grid oracle for the parabola (dense z-grid + power-mean),
@@ -251,15 +251,6 @@ class TestColumnCertificate:
         assert np.array_equal(mu.convolve_many(test_set, zs), brute_force_counts(mu, test_set, zs))
 
 
-def no_box_certificate(monkeypatch):
-    """Make _may_hit keep everything, so that kernel_keeps and kept_columns see
-    only the grid clip, the head boxes and the ball tests."""
-    def keep_all(arr, y_lo, y_hi, tails, lo_tail, hi_tail):
-        return np.ones(np.broadcast_shapes(*(np.shape(x) for x in [*y_lo, *tails])), dtype=bool)
-
-    monkeypatch.setattr(convolution, "_may_hit", keep_all)
-
-
 def flip_pairs(test, starts, span):
     """Adjacent points either side of a change in test(z), on the segments from each
     start along each axis, both ways, to span away; a segment with no change gives none."""
@@ -300,16 +291,13 @@ def ball_near_atoms(mu, radius, rng, n):
 class TestBallTests:
     @pytest.mark.filterwarnings("ignore:row-submatrix condition fails")
     @pytest.mark.parametrize("matrix,resolution,radius", BALL_CASES)
-    def test_counts_match_brute_force_where_the_row_test_flips(self, matrix, resolution, radius,
-                                                                monkeypatch):
+    def test_counts_match_brute_force_where_the_row_test_flips(self, matrix, resolution, radius):
         # either side of each flip of the distance-to-graph row test the kernel must count
         # exactly what a sum over every atom counts
         mu = SurfaceMeasure(matrix, resolution)
         ball, starts = ball_near_atoms(mu, radius, np.random.default_rng(resolution), 3)
-        with monkeypatch.context() as patch:
-            no_box_certificate(patch)
-            zs = flip_pairs(lambda z: kernel_keeps(mu, ball, z), starts, 4.0)
-            kept = np.array([kernel_keeps(mu, ball, z) for z in zs]).reshape(-1, 2)
+        zs = flip_pairs(lambda z: kernel_keeps(mu, ball, z), starts, 4.0)
+        kept = np.array([kernel_keeps(mu, ball, z) for z in zs]).reshape(-1, 2)
         assert len(kept) >= mu.d and (kept[:, 0] != kept[:, 1]).all()
         zs = np.concatenate([starts, zs])
         got = mu.convolve_many(ball, zs)
@@ -317,21 +305,41 @@ class TestBallTests:
 
     @pytest.mark.filterwarnings("ignore:row-submatrix condition fails")
     @pytest.mark.parametrize("matrix,resolution,radius", [p for p in BALL_CASES if p.values[0].k > 1])
-    def test_counts_match_brute_force_where_the_column_test_flips(self, matrix, resolution, radius,
-                                                                   monkeypatch):
+    def test_counts_match_brute_force_where_the_column_test_flips(self, matrix, resolution, radius):
         # the ball's column test (the disk of fixed heads, then the tangent line of the
         # column's curve) drops columns one at a time as z moves
         mu = SurfaceMeasure(matrix, resolution)
         ball, starts = ball_near_atoms(mu, radius, np.random.default_rng(resolution + 1), 3)
-        with monkeypatch.context() as patch:
-            no_box_certificate(patch)
-            zs = flip_pairs(lambda z: kept_columns(mu, ball, z), starts, 4.0)
-            rows = np.array([kernel_keeps(mu, ball, z) for z in zs]).reshape(-1, 2)
+        zs = flip_pairs(lambda z: kept_columns(mu, ball, z), starts, 4.0)
+        rows = np.array([kernel_keeps(mu, ball, z) for z in zs]).reshape(-1, 2)
         # most pairs straddle a column drop, not the row test's
         assert np.count_nonzero(rows.all(axis=1)) > len(rows) // 2
         zs = np.concatenate([starts, zs])
         got = mu.convolve_many(ball, zs)
         assert np.array_equal(got, brute_force_counts(mu, ball, zs)) and got[:3].all()
+
+
+@pytest.mark.parametrize("matrix,resolution", [(PARABOLA, 128), (PARABOLOID, 64), (BANDED, 32)],
+                         ids=["k1", "k2", "k3"])
+def test_each_set_runs_one_certificate(matrix, resolution, monkeypatch):
+    # a ball runs only the distance-to-graph tests, every other set only the box-interval tests
+    def refused(*args):
+        raise AssertionError("this set's kernel ran the other certificate")
+
+    mu = SurfaceMeasure(matrix, resolution)
+    rng = np.random.default_rng(resolution + 2)
+    atoms = atom_points(mu)
+    for kind, test_set in set_kinds(matrix, rng).items():
+        # z that hold an atom (an atom plus a point of the set), and z from the support tube
+        cand = rng.uniform(*test_set.bounding_box(), (20_000, mu.d))
+        in_set = cand[test_set.contains_coords(cand.T)][:100]
+        zs = np.concatenate([atoms[rng.integers(0, len(atoms), len(in_set))] + in_set,
+                             tube_zs(mu, test_set, 200, resolution)])
+        expected = brute_force_counts(mu, test_set, zs)
+        with monkeypatch.context() as patch:
+            patch.setattr(convolution, "_may_hit" if kind == "ball" else "_near_graph", refused)
+            got = mu.convolve_many(test_set, zs)
+        assert np.array_equal(got, expected) and np.count_nonzero(got) > 0, kind
 
 
 def tube_zs(mu, test_set, n, seed):

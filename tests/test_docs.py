@@ -1,7 +1,8 @@
 """The README quickstart runs as printed, the fast demos run, every name the
 demos import from the package resolves in the module it names, and so does
-every function the bench tracer wraps.  Every CSV the README names is
-written by some run, and every batch size it quotes is the kernel's."""
+every function the bench tracer wraps and every private name the module
+docstrings and the README cite.  Every CSV the README names is written by
+some run, and every batch size it quotes is the kernel's."""
 
 import ast
 import importlib
@@ -74,6 +75,28 @@ def test_bench_tracer_targets_resolve():
         if not callable(target):
             missing.append(f"{module_name}.{path}")
     assert missing == []
+
+
+def resolves(module_name, name):
+    """name is an attribute of the package module, or of one of the classes it defines."""
+    module = importlib.import_module(f"surfconv.{module_name}")
+    classes = [v for v in vars(module).values()
+               if isinstance(v, type) and v.__module__ == module.__name__]
+    return any(hasattr(owner, name) for owner in [module, *classes])
+
+
+def test_private_names_in_docs_resolve():
+    # a private name a module docstring cites, and every `module._name` in the README,
+    # must still exist after a rename or a deletion
+    modules = sorted(p.stem for p in (ROOT / "src" / "surfconv").glob("*.py"))
+    cited = []
+    for name in modules:
+        doc = ast.get_docstring(ast.parse((ROOT / "src" / "surfconv" / f"{name}.py").read_text()))
+        cited += [(name, n) for n in re.findall(r"(?<![\w.])_[A-Za-z_]\w*", doc or "")]
+    readme = (ROOT / "README.md").read_text()
+    cited += re.findall(rf"\b({'|'.join(modules)})\.(_\w+)", readme)
+    assert cited
+    assert sorted({f"{m}.{n}" for m, n in cited if not resolves(m, n)}) == []
 
 
 def test_readme_csv_names_are_written(tmp_path):
