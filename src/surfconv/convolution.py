@@ -42,14 +42,15 @@ tested on the coordinates a full scan computes, so no count depends on it.
 
 convolve_many takes the z in row batches of at most _BATCH_POINTS = 8 192,
 so its memory is bounded whatever the number of z; lq_norm_mc hands it all
-the z of one estimate in one call.  A certificate batch holds at most
-_BATCH_POINTS window columns, and a membership batch at most as many
-points.  The certificate builds its per-row tables once for many rows and
-masks them in equal batches, so a small batch does not repeat the per-row
-work.  Every batch array is numpy's own, made by the expression that
-computes it; at 8 192 float64 points it is 64 KB, below glibc's default
-128 KB mmap threshold, so it comes from the heap, not from a fresh mapping,
-and nothing outlives a call.  Every sum over axes is the builtin sum, taken
+the z of one estimate in one call.  Within a row batch the column
+certificate runs once per batch of whole kept rows, with at most
+_BATCH_POINTS window columns and table entries (one row, if a single row
+holds more): it builds the batch's y tables and its mask in one pass.  A
+membership batch holds at most _BATCH_POINTS points of the kept columns.
+Every batch array is numpy's own, made by the expression that computes it;
+at 8 192 float64 points it is 64 KB, below glibc's default 128 KB mmap
+threshold, so it comes from the heap, not from a fresh mapping, and
+nothing outlives a call.  Every sum over axes is the builtin sum, taken
 left to right, so every point's arithmetic is the one a full scan of the
 cube does, in the same order, and every count is bit-identical, whatever
 the batch size.
@@ -464,22 +465,19 @@ class SurfaceMeasure:
         return base, reach, may_hit
 
     def _column_certificate(self, test_set, lo, hi, z, base, reach):
-        """The column certificate of rows that passed the row certificate.
+        """The column certificate of one batch of rows that passed the row certificate.
 
         A column fixes the window's first k - 1 head indices; its last index
         runs over the row's index interval clipped to the grid.  Returns the
-        fixed axes' y as (B, n_i) tables, and a function that takes a slice
-        of the rows and returns their (len, n_1, ..., n_{k-1}) mask, False
-        only where the column provably holds no atom inside the set.  For a
-        ball of radius r, with p = z - center: the fixed heads leave
-        r'^2 = r^2 - sum_i (p_i - y_i)^2 < 0 or rho^2 = 1 - sum_i y_i^2 < 0,
-        or the column's curve along the last head, whose atoms have
-        |y_k| < rho, fails _near_graph at radius r'.  For any other set: a
-        fixed head z_i - y_i lies outside the box, or _may_hit refuses the
-        column's index box (a fixed index off the grid has |y_i| >= 1 + s/2,
-        so _may_hit refuses it).  The index arithmetic, y tables and the
-        set's per-row terms are built once for all the rows; the function
-        only bounds the columns.
+        fixed axes' y as (B, n_i) tables and the batch's (B, n_1, ..., n_{k-1})
+        mask, False only where the column provably holds no atom inside the
+        set.  For a ball of radius r, with p = z - center: the fixed heads
+        leave r'^2 = r^2 - sum_i (p_i - y_i)^2 < 0 or
+        rho^2 = 1 - sum_i y_i^2 < 0, or the column's curve along the last
+        head, whose atoms have |y_k| < rho, fails _near_graph at radius r'.
+        For any other set: a fixed head z_i - y_i lies outside the box, or
+        _may_hit refuses the column's index box (a fixed index off the grid
+        has |y_i| >= 1 + s/2, so _may_hit refuses it).
         """
         k, m, arr = self.k, reach[-1], self.matrix.array
         lead = (len(z),) + (1,) * (k - 1)
@@ -490,42 +488,29 @@ class SurfaceMeasure:
             y_box.append(y.reshape([len(z)] + [-1 if a == i else 1 for a in range(k - 1)]))
         heads = [z[:, i].reshape(lead) - y for i, y in enumerate(y_box)]
         if isinstance(test_set, BallSet):
-            r2, y2 = _padded(test_set.radius) ** 2, _padded(1.0) ** 2
-            # the offsets of the fixed heads, squared as contains_coords squares them
-            off_sq = [np.square(h - test_set.center[i]) for i, h in enumerate(heads)]
-            y_sq = [y * y for y in y_box]
-            p_last = (z[:, k - 1] - test_set.center[k - 1]).reshape(lead)
-            p_tails = [(z[:, j] - test_set.center[j]).reshape(lead) for j in range(k, self.d)]
-
-            def mask(rows):
-                # the fixed heads' height terms leave p's tails, their offsets the ball's
-                # radius, and their squares the unit y-ball's
-                sq = [y[rows] for y in y_sq]
-                t = [pt[rows] - sum(x * ci for x, ci in zip(sq, c[:-1]) if ci)
-                     for pt, c in zip(p_tails, arr.T)]
-                r_col, rho = r2 - sum(o[rows] for o in off_sq), y2 - sum(sq)
-                keep = (r_col >= 0.0) & (rho >= 0.0)
-                # rebinding frees each square before _near_graph makes its tables
-                r_col = np.sqrt(np.maximum(r_col, 0.0))
-                rho = np.sqrt(np.maximum(rho, 0.0))
-                return keep & _near_graph(arr[-1:], [p_last[rows]], t, r_col, rho)
-        else:
-            heads_in = [(h >= lo[i] - _SKIP_SLACK) & (h <= hi[i] + _SKIP_SLACK)
-                        for i, h in enumerate(heads)]
-            last = base[:, -1]
-            y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
-            y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
-            tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
-
-            def mask(rows):
-                box = [y[rows] for y in y_box]
-                tail = [t[rows] for t in tails]
-                keep = _may_hit(arr, box + [y_lo[rows]], box + [y_hi[rows]], tail, lo[k:], hi[k:])
-                for head_in in heads_in:
-                    keep &= head_in[rows]
-                return keep
-
-        return y_fixed, mask
+            c = test_set.center
+            # the fixed heads' height terms leave p's tails, their offsets (squared as
+            # contains_coords squares them) the ball's radius, and their squares the unit y-ball's
+            sq = [y * y for y in y_box]
+            t = [(z[:, j] - c[j]).reshape(lead) - sum(x * ci for x, ci in zip(sq, col[:-1]) if ci)
+                 for j, col in zip(range(k, self.d), arr.T)]
+            r_col = _padded(test_set.radius) ** 2 - sum(np.square(h - c[i])
+                                                        for i, h in enumerate(heads))
+            rho = _padded(1.0) ** 2 - sum(sq)
+            keep = (r_col >= 0.0) & (rho >= 0.0)
+            # rebinding frees each square before _near_graph makes its tables
+            r_col = np.sqrt(np.maximum(r_col, 0.0))
+            rho = np.sqrt(np.maximum(rho, 0.0))
+            p_last = (z[:, k - 1] - c[k - 1]).reshape(lead)
+            return y_fixed, keep & _near_graph(arr[-1:], [p_last], t, r_col, rho)
+        last = base[:, -1]
+        y_lo = self._grid_y(np.maximum(last - m, 0)).reshape(lead)
+        y_hi = self._grid_y(np.minimum(last + m, self.resolution - 1)).reshape(lead)
+        tails = [z[:, j].reshape(lead) for j in range(k, self.d)]
+        keep = _may_hit(arr, y_box + [y_lo], y_box + [y_hi], tails, lo[k:], hi[k:])
+        for i, h in enumerate(heads):
+            keep &= (h >= lo[i] - _SKIP_SLACK) & (h <= hi[i] + _SKIP_SLACK)
+        return y_fixed, keep
 
     def convolve_many(self, test_set, zs: np.ndarray) -> np.ndarray:
         """(mu * chi_E)(z) for a batch of z, over one cube index window each.
@@ -536,14 +521,13 @@ class SurfaceMeasure:
         the box-interval test (_may_hit).  The row certificate drops every z
         whose whole window is certified empty; for a ball, every z for which
         p = z - c lies farther than r + mu r^2 from the graph's tangent
-        plane at p_head.  The column certificate builds tables for the kept
-        z with at most _BATCH_POINTS entries each, and keeps the columns
-        that can hold a hit in equal batches of at most _BATCH_POINTS
-        window columns.  E's contains_coords runs on at most _BATCH_POINTS
-        points of kept columns at a time, each column the whole run of
-        2 reach_k + 1 last-axis indices (an index off the grid fails the
-        unit-ball test), and np.bincount adds the column counts into per-z
-        counts.
+        plane at p_head.  The column certificate takes the kept z in
+        batches of whole rows with at most _BATCH_POINTS window columns
+        and table entries, and keeps the columns that can hold a hit.  E's
+        contains_coords runs on at most _BATCH_POINTS points of kept
+        columns at a time, each column the whole run of 2 reach_k + 1
+        last-axis indices (an index off the grid fails the unit-ball test),
+        and np.bincount adds the column counts into per-z counts.
         """
         _check_dim(test_set, self.d)
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -564,28 +548,27 @@ class SurfaceMeasure:
         window = math.prod(2 * int(r) + 1 for r in reach)
         rows = np.flatnonzero(may_hit)
         run = np.arange(-reach[-1], reach[-1] + 1)  # the last axis's offsets
-        table_batch = max(1, _BATCH_POINTS // (2 * int(max(reach)) + 1))  # rows per table
-        row_batch = max(1, _BATCH_POINTS // (window // len(run)))
+        # rows per batch: at most _BATCH_POINTS window columns and table entries
+        row_batch = max(1, _BATCH_POINTS // max(window // len(run), 2 * int(max(reach)) + 1))
         col_batch = max(1, _BATCH_POINTS // len(run))
-        for b0 in range(0, len(rows), table_batch):
-            rt = rows[b0 : b0 + table_batch]
-            y_fixed, mask = self._column_certificate(test_set, lo, hi, zs[rt], base[rt], reach)
+        for b0 in range(0, len(rows), row_batch):
+            rt = rows[b0 : b0 + row_batch]
+            y_fixed, keep = self._column_certificate(test_set, lo, hi, zs[rt], base[rt], reach)
             # every column of a row shares the last axis's y: square it and subtract it once
             y_last = self._grid_y(base[rt, -1, None] + run)
             sq_last, head_last = y_last**2, zs[rt, k - 1, None] - y_last
             counts = np.zeros(len(rt))
-            step = math.ceil(len(rt) / math.ceil(len(rt) / row_batch))  # equal row batches
-            for r0 in range(0, len(rt), step):
-                row, *fixed = np.nonzero(mask(slice(r0, r0 + step)))
-                row += r0
-                for c0 in range(0, len(row), col_batch):
-                    sel = row[c0 : c0 + col_batch]
-                    z = zs[rt[sel]]
-                    y = [t[sel, c[c0 : c0 + col_batch], None] for t, c in zip(y_fixed, fixed)]
-                    ysq = [yi**2 for yi in y] + [np.take(sq_last, sel, axis=0)]
-                    heads = [z[:, i, None] - yi for i, yi in enumerate(y)] + [np.take(head_last, sel, axis=0)]
-                    counts += np.bincount(sel, self._column_hits(test_set, z, ysq, heads), len(rt))
+            row, *fixed = np.nonzero(keep)
+            for c0 in range(0, len(row), col_batch):
+                sel = row[c0 : c0 + col_batch]
+                z = zs[rt[sel]]
+                y = [t[sel, c[c0 : c0 + col_batch], None] for t, c in zip(y_fixed, fixed)]
+                ysq = [yi**2 for yi in y] + [np.take(sq_last, sel, axis=0)]
+                heads = [z[:, i, None] - yi for i, yi in enumerate(y)]
+                heads.append(np.take(head_last, sel, axis=0))
+                counts += np.bincount(sel, self._column_hits(test_set, z, ysq, heads), len(rt))
             out[rt] = counts * s**k
+            del y_fixed, keep, y_last, sq_last, head_last  # before the next batch builds its own
         return out
 
     def _column_hits(self, test_set, z, ysq, heads) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 from surfconv.convolution import NORM_CHUNKS, _support_tube
 from surfconv.gaussians import GaussianSpec
 from surfconv.parallel import seeded_mean
+from surfconv.pullback import _polar_nodes, _zeta_radius
 from surfconv.quadrature import gauss_legendre_interval
 from surfconv.surface import CoefficientMatrix, surface_heights
 
@@ -109,6 +110,48 @@ def box_rule(n: int, box) -> tuple[np.ndarray, np.ndarray]:
 def sphere_area(dim: int) -> float:
     """Surface area of S^(dim-1): 2 pi^(dim/2) / Gamma(dim/2)."""
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+
+def _erf_diff(a: float, b: float) -> float:
+    """erf(a) - erf(b), through erfc where both arguments lie on one side of 0,
+    so a difference of two values near +-1 keeps its digits."""
+    if a > 0 and b > 0:
+        return math.erfc(b) - math.erfc(a)
+    if a < 0 and b < 0:
+        return math.erfc(-a) - math.erfc(-b)
+    return math.erf(a) - math.erf(b)
+
+
+def shell_axis_integral(v: float, m: float, sigma: float) -> float:
+    """J(v): the integral of exp(-(y v - m)^2 / (2 sigma^2)) over 1 <= |y| < 2.
+
+    With t = y v each side is an erf difference over [v, 2 v] or [-2 v, -v]:
+    J(v) = sigma sqrt(pi/2) / v [erf((2v - m)/(sigma sqrt2)) - erf((v - m)/(sigma sqrt2))
+    - erf((-2v - m)/(sigma sqrt2)) + erf((-v - m)/(sigma sqrt2))].  Below |v| = 1e-6 it
+    is its limit J(0) = 2 exp(-m^2 / (2 sigma^2)): the two sides' O(v) terms cancel, so
+    the limit is off by O(v^2), less than the quotient's rounding of order 1e-16 / |v|.
+    """
+    if abs(v) < 1e-6:
+        return 2.0 * math.exp(-(m * m) / (2.0 * sigma * sigma))
+    scale = sigma * math.sqrt(2.0)
+    arg = lambda t: (t - m) / scale
+    pos = _erf_diff(arg(2.0 * v), arg(v))
+    neg = _erf_diff(arg(-v), arg(-2.0 * v))
+    return sigma * math.sqrt(math.pi / 2.0) / v * (pos + neg)
+
+
+def shell_lhs_exact(matrix: CoefficientMatrix, rho: float, w: GaussianSpec, cfg) -> float:
+    """The shell-frequency side that _lhs_shell_integral estimates, with its y-integral
+    in closed form on the estimator's own zeta rule (_polar_nodes at _zeta_radius):
+    sum_b weight_b r_b^rho A prod_i J(v_bi), v_b = C zeta_b, A the amplitude of w.
+    The shell {1 <= |y_i| < 2} is a product of its axes and w a product of its axis
+    Gaussians, so the y-integral of w(y * v) is A prod_i J(v_i) (shell_axis_integral);
+    only the Monte Carlo over y separates the estimate from this value."""
+    nodes, weights, radii = _polar_nodes(rho, matrix.l, _zeta_radius(matrix, w), cfg)
+    v = nodes @ matrix.array.T
+    per_node = [math.prod(shell_axis_integral(x, m, s) for x, m, s in zip(row, w.mean, w.sigmas))
+                for row in v.tolist()]
+    return float(np.sum(weights * radii**rho * np.array(per_node))) * w.amplitude
 
 
 def gaussian_linear_pair_integral(f: GaussianSpec, h: GaussianSpec, bmat) -> float:

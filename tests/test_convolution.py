@@ -218,8 +218,8 @@ def kept_columns(mu, test_set, z) -> int:
     base, reach, may_hit = mu._head_windows(test_set, lo, hi, z[None, :])
     if not may_hit[0]:
         return 0
-    mask = mu._column_certificate(test_set, lo, hi, z[None, :], base, reach)[1]
-    return int(np.count_nonzero(mask(slice(None))))
+    keep = mu._column_certificate(test_set, lo, hi, z[None, :], base, reach)[1]
+    return int(np.count_nonzero(keep))
 
 
 class TestColumnCertificate:
@@ -358,11 +358,13 @@ def surface_ball(matrix, y, radius):
 
 
 class TestKernelScratch:
-    def test_warm_call_allocates_no_full_window_arrays(self):
-        # one lq_norm_mc chunk (375 z) at the first center of the shipped k = 3 ball scan
+    @pytest.mark.parametrize("n_z", [375, 3000])
+    def test_warm_call_allocates_no_full_window_arrays(self, n_z):
+        # at the first center of the shipped k = 3 ball scan: one seeded chunk (375 z), and
+        # all 3 000 z of the estimate in one call, as lq_norm_mc makes it
         mu = SurfaceMeasure(BANDED, 256)
         ball = surface_ball(BANDED, (0.0, 0.0, 0.0), 1 / 32)
-        zs = tube_zs(mu, ball, 375, 3)
+        zs = tube_zs(mu, ball, n_z, 3)
         first = mu.convolve_many(ball, zs)
         tracemalloc.start()
         try:
@@ -455,16 +457,50 @@ def test_convolve_many_on_joined_z_is_the_joined_results(name, resolution, batch
         assert np.array_equal(joined, np.concatenate(parts)), kind
 
 
+@pytest.mark.parametrize("batch", [2_048, 8_192])
+@pytest.mark.parametrize("kind", ["ball", "box-union", "tube", "sheared"])
+@pytest.mark.parametrize("matrix,resolution", [(PARABOLOID, 128), (BANDED, 64), (BANDED, 256)],
+                         ids=["k2-128", "k3-64", "k3-256"])
+def test_batch_arrays_hold_at_most_one_batch(matrix, resolution, kind, batch, monkeypatch):
+    # one row batch per column-certificate pass: its tables and mask, and every coordinate
+    # array handed to contains_coords, hold at most _BATCH_POINTS entries, or one row's
+    # window columns where a single row holds more
+    monkeypatch.setattr(convolution, "_BATCH_POINTS", batch)
+    sizes = []
+    certificate = SurfaceMeasure._column_certificate
+
+    def certified(self, *args):
+        y_fixed, keep = certificate(self, *args)
+        sizes.extend(a.size for a in [*y_fixed, keep])
+        return y_fixed, keep
+
+    monkeypatch.setattr(SurfaceMeasure, "_column_certificate", certified)
+    for cls in (BallSet, BoxUnionSet, TangentTubeSet, ShearedBoxSet):
+        def contains(self, coords, inner=cls.contains_coords):
+            sizes.extend(np.size(c) for c in coords)
+            return inner(self, coords)
+
+        monkeypatch.setattr(cls, "contains_coords", contains)
+    mu = SurfaceMeasure(matrix, resolution)
+    test_set = set_kinds(matrix, np.random.default_rng(resolution))[kind]
+    reach = mu._reach(*(np.asarray(b) for b in test_set.bounding_box()))
+    row_columns = math.prod(2 * int(r) + 1 for r in reach[:-1])
+    counts = mu.convolve_many(test_set, tube_zs(mu, test_set, 3000, resolution))
+    assert np.count_nonzero(counts) > 0 and sizes
+    assert max(sizes) <= max(batch, row_columns)
+
+
 @pytest.mark.parametrize("name,resolution", [("paraboloid-2-1", 64), ("banded-3-2", 32)])
 def test_convolve_many_does_not_depend_on_the_batch_size(name, resolution, monkeypatch):
     # the batch bounds memory only; at 1 and 7 every window here has more than 7 columns
-    # of more than 3 last-axis points, so each batch is one row and one column
+    # of more than 3 last-axis points, so each batch is one row and one column; at 200
+    # and 1 000 a batch holds several rows, and the last ends part-way through the kept rows
     matrix = battery_entry(name).matrix
     mu = SurfaceMeasure(matrix, resolution)
     for kind, test_set in set_kinds(matrix, np.random.default_rng(2)).items():
         zs = tube_zs(mu, test_set, 300, 5)
         results = []
-        for batch in (1, 7, 64, 8_192, 32_768):
+        for batch in (1, 7, 64, 200, 1_000, 8_192, 32_768):
             monkeypatch.setattr(convolution, "_BATCH_POINTS", batch)
             results.append(mu.convolve_many(test_set, zs))
         assert np.count_nonzero(results[0]) > 0, kind

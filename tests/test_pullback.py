@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dilated, warm_peak
+from oracles import dilated, shell_lhs_exact, warm_peak
+from surfconv import parallel
 from surfconv.battery import battery_entry
 from surfconv.gaussians import GaussianSpec, random_gaussian
 from surfconv.parallel import seeded_mean
@@ -68,6 +69,31 @@ def test_plancherel_one_dimensional_oracle():
     # closed form) reproduces ||f||_2^2 to near machine
     pullback = pullback_weight_ratio(SCALAR, 0.0, squared_fourier_weight(f), cfg)
     assert pullback.rhs == pytest.approx(f.l2_norm_sq, rel=1e-6)
+
+
+def test_shell_side_matches_its_erf_product_closed_form():
+    # the same zeta rule with the y-integral in closed form: only the Monte Carlo over y
+    # separates the two.  Weights are drawn as lemma-mc draws them and f as plancherel
+    # does; the two rho rows of one weight share their draws, so the bound holds per
+    # estimate and is judged across seeds.  A relative stderr under 0.1 keeps it sharp.
+    matrix = battery_entry("banded-3-2").matrix
+    cases = []  # (lhs, exact, stderr)
+    for seed in (1, 2, 3):
+        cfg = McConfig(seed, n_y=300, n_radial=32, n_sphere=32)
+        rng = parallel.rng(seed)
+        for w in [random_gaussian(rng, matrix.k, normalized=False) for _ in range(4)]:
+            for rho, rep in zip((0.0, 1.0), pullback_weight_ratio(matrix, [0.0, 1.0], w, cfg)):
+                cases.append((rep.lhs, shell_lhs_exact(matrix, rho, w, cfg), rep.stderr))
+    for seed in (4, 5):
+        cfg = McConfig(seed, n_y=300, n_radial=48, n_sphere=64)
+        rng = parallel.rng(seed)
+        for f in [random_gaussian(rng, matrix.k) for _ in range(4)]:
+            rep = plancherel_ratio(matrix, f, cfg)
+            exact = shell_lhs_exact(matrix, matrix.k - matrix.l, squared_fourier_weight(f), cfg)
+            cases.append((rep.lhs, exact, rep.stderr))
+    z = [(lhs - exact) / stderr for lhs, exact, stderr in cases]
+    assert len(z) == 32 and max(map(abs, z)) < 4.0, z
+    assert all(0.0 < stderr < 0.1 * exact for _, exact, stderr in cases)
 
 
 def test_weighted_integral_is_dilation_invariant():
